@@ -6,10 +6,13 @@ Subcommands:
   verify     run the brute-force-vs-analytic check suite on a grid (JSON)
   hom        two-photon interference dip versus the overlap p (CSV)
 
+Each `cmd_*` maps parsed arguments to (exit status, output text) and raises
+ValueError on invalid input; `main` alone writes the text to --out or stdout.
 Output is deterministic: identical invocations produce byte-identical files.
 Reals are rendered with 10 significant digits; CSV is UTF-8 with LF line
 endings and a single header row.  Exit codes: 0 success / within tolerance,
-1 tolerance failure, 2 usage error.
+1 tolerance failure, 2 usage error: an invalid flag or config file, any input
+the library rejects, or an unwritable --out.
 """
 
 from __future__ import annotations
@@ -57,11 +60,6 @@ def fmt(value) -> str:
     return format(float(value), ".10g")
 
 
-def round10(value: float) -> float:
-    """Round to 10 significant digits so JSON output is stable."""
-    return float(fmt(value))
-
-
 def _json_ready(obj):
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
@@ -70,7 +68,7 @@ def _json_ready(obj):
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
-        return round10(obj)
+        return float(fmt(obj))  # 10 significant digits keep JSON output stable
     if isinstance(obj, dict):
         return {key: _json_ready(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -78,22 +76,14 @@ def _json_ready(obj):
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _write_text(out: str, text: str) -> None:
-    if out == "-":
-        sys.stdout.write(text)
-        return
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
-def _write_csv(out: str, header, rows) -> None:
+def _csv_text(header, rows) -> str:
     lines = [",".join(header)]
     lines.extend(",".join(fmt(value) for value in row) for row in rows)
-    _write_text(out, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def _write_json(out: str, payload: dict) -> None:
-    _write_text(out, json.dumps(_json_ready(payload), indent=2) + "\n")
+def _json_text(payload: dict) -> str:
+    return json.dumps(_json_ready(payload), indent=2) + "\n"
 
 
 def _usage_error(message: str) -> int:
@@ -123,42 +113,55 @@ def _sweep_row(transmittivity: float, overlap: float, eps: float) -> tuple:
     )
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> tuple[int, str]:
     if args.steps < 2:
-        return _usage_error("--steps must be at least 2")
+        raise ValueError("--steps must be at least 2")
     if not args.min < args.max:
-        return _usage_error("--min must be smaller than --max")
+        raise ValueError("--min must be smaller than --max")
     if not (0.0 <= args.min and args.max <= 1.0):
-        return _usage_error(f"sweep range [{args.min}, {args.max}] must lie inside [0, 1]")
-    try:
-        fixed = CouplingConfig(args.T, args.p)
-    except ValueError as exc:
-        return _usage_error(str(exc))
+        raise ValueError(f"sweep range [{args.min}, {args.max}] must lie inside [0, 1]")
+    fixed = CouplingConfig(args.T, args.p)
 
-    grid = np.linspace(args.min, args.max, args.steps)
     rows = []
-    for value in grid:
+    for value in np.linspace(args.min, args.max, args.steps):
         value = float(value)
         t = value if args.variable == "T" else fixed.transmittivity
         p = value if args.variable == "p" else fixed.overlap
         eps = value if args.variable == "eps" else args.eps
         rows.append((value, *_sweep_row(t, p, eps)))
-    try:
-        _write_csv(args.out, SWEEP_HEADER, rows)
-    except OSError as exc:
-        return _usage_error(f"cannot write {args.out}: {exc}")
-    return 0
+    return 0, _csv_text(SWEEP_HEADER, rows)
 
 
 # ----------------------------------------------------------------------
 # reproduce
 # ----------------------------------------------------------------------
 
-TABLE_ALIASES = {
-    "I": "formulas",
-    "II": "distinguishable",
-    "III": "indistinguishable",
-}
+TABLE_ALIASES = {"I": "formulas", "II": "distinguishable", "III": "indistinguishable"}
+
+
+def _report_row(key, stage, quantity, parameters, outcome, computed, reference_value,
+                tolerance, note=None) -> dict:
+    """One compared quantity with the state measures of the stage it belongs to."""
+    computed = float(computed)
+    reference_value = float(reference_value)
+    abs_error = abs(computed - reference_value)
+    row = {
+        "key": key,
+        "stage": stage,
+        "quantity": quantity,
+        "parameters": parameters,
+        "concurrence": measures.concurrence(outcome.state),
+        "probability": outcome.probability,
+        "chsh": measures.chsh_max(outcome.state),
+        "computed": computed,
+        "reference_value": reference_value,
+        "tolerance": tolerance,
+        "abs_error": abs_error,
+        "within_tolerance": abs_error <= tolerance,
+    }
+    if note is not None:
+        row["note"] = note
+    return row
 
 
 def _benchmark_report(table: str, att_a: float | None, att_b: float | None) -> dict:
@@ -193,31 +196,14 @@ def _benchmark_report(table: str, att_a: float | None, att_b: float | None) -> d
         else:
             raise ValueError(f"unknown comparison convention {convention!r}")
 
-        parameters = {
-            "transmittivity": cfg.transmittivity,
-            "overlap": cfg.overlap,
-        }
+        parameters = {"transmittivity": cfg.transmittivity, "overlap": cfg.overlap}
         if entry["stage"] == "III":
-            parameters["att_a"] = filters.att_a
-            parameters["att_b"] = filters.att_b
-        computed = float(computed)
-        abs_error = abs(computed - entry["reference"])
+            parameters.update(att_a=filters.att_a, att_b=filters.att_b)
         rows.append(
-            {
-                "key": entry["key"],
-                "stage": entry["stage"],
-                "quantity": entry["quantity"],
-                "parameters": parameters,
-                "concurrence": measures.concurrence(outcome.state),
-                "probability": outcome.probability,
-                "chsh": measures.chsh_max(outcome.state),
-                "computed": computed,
-                "reference_value": entry["reference"],
-                "tolerance": entry["tolerance"],
-                "abs_error": abs_error,
-                "within_tolerance": abs_error <= entry["tolerance"],
-                "note": entry["note"],
-            }
+            _report_row(
+                entry["key"], entry["stage"], entry["quantity"], parameters, outcome,
+                computed, entry["reference"], entry["tolerance"], entry["note"],
+            )
         )
     return {
         "table": table,
@@ -234,69 +220,31 @@ def _formula_report(transmittivity: float) -> dict:
     cfg = CouplingConfig(transmittivity, 0.0)
     stage1 = protocol.stage1_couple(cfg)
     stage2 = protocol.stage2_measure(cfg, "H")
-
-    def row(key, stage, quantity, outcome, computed, ref, tol, note=None, extra=None):
-        parameters = {"transmittivity": cfg.transmittivity, "overlap": 0.0}
-        if extra:
-            parameters.update(extra)
-        computed = float(computed)
-        ref = float(ref)
-        abs_error = abs(computed - ref)
-        entry = {
-            "key": key,
-            "stage": stage,
-            "quantity": quantity,
-            "parameters": parameters,
-            "concurrence": measures.concurrence(outcome.state),
-            "probability": outcome.probability,
-            "chsh": measures.chsh_max(outcome.state),
-            "computed": computed,
-            "reference_value": ref,
-            "tolerance": tol,
-            "abs_error": abs_error,
-            "within_tolerance": abs_error <= tol,
-        }
-        if note:
-            entry["note"] = note
-        return entry
-
-    rows = [
-        row(
-            "C_I", "I", "concurrence", stage1,
-            measures.concurrence(stage1.state),
-            protocol.concurrence_closed_form(Stage.COUPLING, cfg),
-            1e-10,
-        ),
-        row(
-            "P_I", "I", "probability", stage1,
-            stage1.probability,
-            protocol.probability_closed_form(Stage.COUPLING, cfg),
-            1e-12,
-        ),
-        row(
-            "C_II", "II", "concurrence", stage2,
-            measures.concurrence(stage2.state),
-            protocol.concurrence_closed_form(Stage.MEASUREMENT, cfg),
-            1e-10,
-        ),
-        row(
-            "P_II", "II", "probability", stage2,
-            stage2.probability,
-            protocol.probability_closed_form(Stage.MEASUREMENT, cfg),
-            1e-12,
-        ),
-    ]
+    parameters = {"transmittivity": cfg.transmittivity, "overlap": 0.0}
+    rows = []
+    for key, stage, outcome in (("I", Stage.COUPLING, stage1), ("II", Stage.MEASUREMENT, stage2)):
+        rows.append(
+            _report_row(
+                f"C_{key}", key, "concurrence", parameters, outcome,
+                measures.concurrence(outcome.state),
+                protocol.concurrence_closed_form(stage, cfg), 1e-10,
+            )
+        )
+        rows.append(
+            _report_row(
+                f"P_{key}", key, "probability", parameters, outcome,
+                outcome.probability, protocol.probability_closed_form(stage, cfg), 1e-12,
+            )
+        )
     if transmittivity > 0.0:
         eps = 1e-6
         stage3 = protocol.stage3_filter(stage2, protocol.eps_to_filter(eps, transmittivity))
         rows.append(
-            row(
-                "C_III_limit", "III", "concurrence", stage3,
+            _report_row(
+                "C_III_limit", "III", "concurrence", {**parameters, "eps": eps}, stage3,
                 measures.concurrence(stage3.state),
-                protocol.concurrence_closed_form(Stage.FILTRATION, cfg, eps=None),
-                1e-5,
-                note="filtration limit approached constructively at eps = 1e-6",
-                extra={"eps": eps},
+                protocol.concurrence_closed_form(Stage.FILTRATION, cfg, eps=None), 1e-5,
+                "filtration limit approached constructively at eps = 1e-6",
             )
         )
     return {
@@ -308,22 +256,15 @@ def _formula_report(transmittivity: float) -> dict:
     }
 
 
-def cmd_reproduce(args) -> int:
+def cmd_reproduce(args) -> tuple[int, str]:
     table = TABLE_ALIASES.get(args.table, args.table)
-    try:
-        if table == "formulas":
-            report = _formula_report(args.T)
-        elif table in reference.table_names():
-            report = _benchmark_report(table, args.aa, args.ab)
-        else:
-            return _usage_error(f"unknown table {args.table!r}")
-    except ValueError as exc:
-        return _usage_error(str(exc))
-    try:
-        _write_json(args.out, report)
-    except OSError as exc:
-        return _usage_error(f"cannot write {args.out}: {exc}")
-    return 0 if report["all_within_tolerance"] else 1
+    if table == "formulas":
+        report = _formula_report(args.T)
+    elif table in reference.table_names():
+        report = _benchmark_report(table, args.aa, args.ab)
+    else:
+        raise ValueError(f"unknown table {args.table!r}")
+    return (0 if report["all_within_tolerance"] else 1), _json_text(report)
 
 
 # ----------------------------------------------------------------------
@@ -372,14 +313,21 @@ def run_verify(grid_density: int, tolerance: float) -> dict:
     skipped = [t for t in ts if t < DEGENERATE_MARGIN or t > 1.0 - DEGENERATE_MARGIN]
     interior = [t for t in ts if t not in skipped]
 
-    stage1_check = _Check("stage1_state_vs_analytic", tolerance)
-    stage2_check = _Check("stage2_state_vs_analytic", tolerance)
-    prob_check = _Check("probability_vs_analytic", tolerance)
-    conc_check = _Check("stage2_concurrence_vs_closed_form", tolerance)
-    unitarity_check = _Check("beamsplitter_unitarity", UNITARITY_TOL)
-    completeness_check = _Check("branch_completeness", COMPLETENESS_TOL)
-    continuity_check = _Check("overlap_continuity", CONTINUITY_TOL)
-    consistency_check = _Check("filtered_pipeline_consistency", tolerance)
+    checks = [
+        _Check(name, tolerance if tol is None else tol)
+        for name, tol in (
+            ("stage1_state_vs_analytic", None),
+            ("stage2_state_vs_analytic", None),
+            ("probability_vs_analytic", None),
+            ("stage2_concurrence_vs_closed_form", None),
+            ("beamsplitter_unitarity", UNITARITY_TOL),
+            ("branch_completeness", COMPLETENESS_TOL),
+            ("overlap_continuity", CONTINUITY_TOL),
+            ("filtered_pipeline_consistency", None),
+        )
+    ]
+    (stage1_check, stage2_check, prob_check, conc_check,
+     unitarity_check, completeness_check, continuity_check, consistency_check) = checks
 
     for t in interior:
         cfg = CouplingConfig(t, 0.0)
@@ -433,16 +381,6 @@ def run_verify(grid_density: int, tolerance: float) -> dict:
             abs(propagated.norm_squared() - vec.norm_squared()), transmittivity=t
         )
 
-    checks = [
-        stage1_check,
-        stage2_check,
-        prob_check,
-        conc_check,
-        unitarity_check,
-        completeness_check,
-        continuity_check,
-        consistency_check,
-    ]
     return {
         "grid_density": grid_density,
         "tolerance": tolerance,
@@ -455,41 +393,30 @@ def run_verify(grid_density: int, tolerance: float) -> dict:
     }
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, str]:
     if args.grid < 2:
-        return _usage_error("--grid must be at least 2")
+        raise ValueError("--grid must be at least 2")
     if args.tolerance <= 0:
-        return _usage_error("--tolerance must be positive")
+        raise ValueError("--tolerance must be positive")
     report = run_verify(args.grid, args.tolerance)
-    try:
-        _write_json(args.out, report)
-    except OSError as exc:
-        return _usage_error(f"cannot write {args.out}: {exc}")
-    return 0 if report["passed"] else 1
+    return (0 if report["passed"] else 1), _json_text(report)
 
 
 # ----------------------------------------------------------------------
 # hom
 # ----------------------------------------------------------------------
 
-def cmd_hom(args) -> int:
+def cmd_hom(args) -> tuple[int, str]:
     if args.steps < 2:
-        return _usage_error("--steps must be at least 2")
-    try:
-        baseline = fock_oracle.hom_coincidence(args.T, 0.0)
-    except ValueError as exc:
-        return _usage_error(str(exc))
+        raise ValueError("--steps must be at least 2")
+    baseline = fock_oracle.hom_coincidence(args.T, 0.0)
     rows = []
     for p in np.linspace(0.0, 1.0, args.steps):
         p = float(p)
         coincidence = fock_oracle.hom_coincidence(args.T, p)
         visibility = (baseline - coincidence) / baseline
         rows.append((p, coincidence, visibility))
-    try:
-        _write_csv(args.out, HOM_HEADER, rows)
-    except OSError as exc:
-        return _usage_error(f"cannot write {args.out}: {exc}")
-    return 0
+    return 0, _csv_text(HOM_HEADER, rows)
 
 
 # ----------------------------------------------------------------------
@@ -532,10 +459,6 @@ def build_parser(defaults: dict) -> argparse.ArgumentParser:
     parser.add_argument("--config", help="INI/TOML file with default parameter values")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def apply_defaults(sp: argparse.ArgumentParser) -> None:
-        dests = {action.dest for action in sp._actions}
-        sp.set_defaults(**{k: v for k, v in defaults.items() if k in dests})
-
     sweep = sub.add_parser("sweep", help="concurrence of each stage along a parameter grid (CSV)")
     sweep.add_argument("--variable", choices=("T", "p", "eps"), default="T",
                        help="swept parameter (default: T)")
@@ -548,9 +471,6 @@ def build_parser(defaults: dict) -> argparse.ArgumentParser:
                        help="fixed overlap when not swept (default: 0)")
     sweep.add_argument("--eps", type=float, default=0.15,
                        help="fixed filtering strength when not swept (default: 0.15)")
-    sweep.add_argument("--out", default="-", help="output CSV path, '-' for stdout")
-    sweep.set_defaults(func=cmd_sweep)
-    apply_defaults(sweep)
 
     reproduce = sub.add_parser(
         "reproduce", help="compare the pipeline against the published benchmarks (JSON)"
@@ -568,30 +488,25 @@ def build_parser(defaults: dict) -> argparse.ArgumentParser:
                            help="override the benchmark V attenuation on arm A")
     reproduce.add_argument("--ab", type=float, default=None,
                            help="override the benchmark V attenuation on arm B")
-    reproduce.add_argument("--out", default="-", help="output JSON path, '-' for stdout")
-    reproduce.set_defaults(func=cmd_reproduce)
-    apply_defaults(reproduce)
 
-    verify = sub.add_parser(
-        "verify", help="run the brute-force-vs-analytic check suite (JSON)"
-    )
+    verify = sub.add_parser("verify", help="run the brute-force-vs-analytic check suite (JSON)")
     verify.add_argument("--grid", type=int, default=10,
                         help="number of transmittivity grid points (default: 10)")
     verify.add_argument("--tolerance", type=float, default=1e-9,
                         help="tolerance for the analytic comparisons (default: 1e-9)")
-    verify.add_argument("--out", default="-", help="output JSON path, '-' for stdout")
-    verify.set_defaults(func=cmd_verify)
-    apply_defaults(verify)
 
     hom = sub.add_parser("hom", help="two-photon interference dip versus overlap (CSV)")
     hom.add_argument("--T", type=float, default=0.5,
                      help="interferometer transmittivity (default: 0.5)")
     hom.add_argument("--steps", type=int, default=101,
                      help="overlap grid points (default: 101)")
-    hom.add_argument("--out", default="-", help="output CSV path, '-' for stdout")
-    hom.set_defaults(func=cmd_hom)
-    apply_defaults(hom)
 
+    for sp, func, kind in ((sweep, cmd_sweep, "CSV"), (reproduce, cmd_reproduce, "JSON"),
+                           (verify, cmd_verify, "JSON"), (hom, cmd_hom, "CSV")):
+        sp.add_argument("--out", default="-", help=f"output {kind} path, '-' for stdout")
+        sp.set_defaults(func=func)
+        dests = {action.dest for action in sp._actions}
+        sp.set_defaults(**{k: v for k, v in defaults.items() if k in dests})
     return parser
 
 
@@ -601,16 +516,21 @@ def main(argv=None) -> int:
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config", default=None)
     preliminary, _ = pre.parse_known_args(argv)
-    defaults = {}
-    if preliminary.config is not None:
-        try:
-            defaults = load_config(preliminary.config)
-        except ValueError as exc:
-            return _usage_error(str(exc))
-
-    parser = build_parser(defaults)
-    args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        defaults = {} if preliminary.config is None else load_config(preliminary.config)
+        args = build_parser(defaults).parse_args(argv)
+        status, text = args.func(args)
+    except ValueError as exc:
+        return _usage_error(str(exc))
+    try:
+        if args.out == "-":
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+    except OSError as exc:
+        return _usage_error(f"cannot write {args.out}: {exc}")
+    return status
 
 
 if __name__ == "__main__":  # pragma: no cover

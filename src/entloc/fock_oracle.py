@@ -26,7 +26,7 @@ the asymmetric real convention and comparing.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -47,30 +47,9 @@ PROJECT_H = "project_H"
 PROJECT_V = "project_V"
 
 
-class ModeLabel(NamedTuple):
-    """Single-photon mode: output arm, polarization, temporal bin."""
-
-    arm: int
-    pol: int
-    time: int
-
-    @property
-    def index(self) -> int:
-        return 4 * self.arm + 2 * self.pol + self.time
-
-
 def mode_index(arm: int, pol: int, time: int) -> int:
+    """Arm is the slowest index: modes 0-3 lie on BOB, 4-7 on MEAS."""
     return 4 * arm + 2 * pol + time
-
-
-def mode_label(index: int) -> ModeLabel:
-    if not 0 <= index < N_MODES:
-        raise ValueError(f"mode index must lie in [0, {N_MODES}), got {index}")
-    return ModeLabel(index // 4, (index % 4) // 2, index % 2)
-
-
-def all_modes() -> tuple[ModeLabel, ...]:
-    return tuple(mode_label(i) for i in range(N_MODES))
 
 
 class FockVector:
@@ -136,12 +115,7 @@ def beamsplitter_matrix(transmittivity: float, convention: str = "symmetric") ->
         block = np.array([[t_amp, r_amp], [r_amp, -t_amp]], dtype=complex)
     else:
         raise ValueError(f"unknown beamsplitter convention {convention!r}")
-    u = np.zeros((N_MODES, N_MODES), dtype=complex)
-    for pol in (POL_H, POL_V):
-        for time in (TIME_SIGNAL, TIME_ORTH):
-            modes = [mode_index(arm, pol, time) for arm in (ARM_BOB, ARM_MEAS)]
-            u[np.ix_(modes, modes)] = block
-    return u
+    return np.kron(block, np.eye(4))  # the arm is the slowest index of mode_index
 
 
 def apply_beamsplitter(
@@ -214,14 +188,13 @@ def branch_probabilities(
 
 def _branch_tensor(branch: FockVector) -> np.ndarray:
     """Amplitudes as psi[a_pol, bob_pol, bob_time, meas_pol, meas_time]."""
-    psi = np.zeros((2, 2, 2, 2, 2), dtype=complex)
+    psi = np.zeros((2, 4, 4), dtype=complex)
     for (a_pol, m1, m2), amp in branch.amplitudes.items():
-        first, second = mode_label(m1), mode_label(m2)
-        bob, meas = (first, second) if first.arm == ARM_BOB else (second, first)
-        if bob.arm != ARM_BOB or meas.arm != ARM_MEAS:
+        bob, meas = sorted((m1, m2))
+        if bob // 4 != ARM_BOB or meas // 4 != ARM_MEAS:
             raise ValueError("branch is not post-selected on one photon per arm")
-        psi[a_pol, bob.pol, bob.time, meas.pol, meas.time] = amp
-    return psi
+        psi[a_pol, bob % 4, meas % 4] = amp  # index % 4 is 2 * pol + time
+    return psi.reshape(2, 2, 2, 2, 2)
 
 
 def reduce_to_ab(

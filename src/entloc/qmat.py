@@ -100,17 +100,6 @@ def herm_eigvals(m) -> np.ndarray:
     return np.sort(np.linalg.eigvalsh(arr))[::-1]
 
 
-def herm_eig(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and matching eigenvector columns of a Hermitian matrix."""
-    arr = as_matrix(m)
-    defect = hermiticity_defect(arr)
-    if defect > EIG_HERM_TOL:
-        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
-    vals, vecs = np.linalg.eigh(arr)
-    order = np.argsort(vals)[::-1]
-    return vals[order], vecs[:, order]
-
-
 def matrix_sqrt_psd(m) -> np.ndarray:
     """Hermitian PSD square root of a Hermitian positive-semidefinite matrix.
 

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,8 @@ import pytest
 
 from entloc import cli
 
-SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
+ROOT = Path(__file__).resolve().parent.parent
+SCHEMA_DIR = ROOT / "schemas"
 
 
 def load_schema(name):
@@ -17,10 +19,13 @@ def load_schema(name):
 
 
 def run_cli(*argv):
+    # the child imports the package from src/, so an uninstalled checkout works
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "entloc", *argv],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 
@@ -104,8 +109,6 @@ class TestSweep:
         assert cli.main(["sweep", "--min", "0.8", "--max", "0.2", "--out", "-"]) == 2
         assert cli.main(["sweep", "--min", "-0.5", "--max", "0.5", "--out", "-"]) == 2
         assert cli.main(["sweep", "--T", "1.5", "--out", "-"]) == 2
-        missing = tmp_path / "no" / "dir" / "x.csv"
-        assert cli.main(["sweep", "--steps", "3", "--out", str(missing)]) == 2
 
 
 class TestReproduce:
@@ -219,6 +222,28 @@ class TestHom:
         assert cli.main(["hom", "--T", "1", "--steps", "5", "--out", str(out)]) == 0
         _, rows = read_csv(out)
         assert all(abs(row[1] - 1.0) < 1e-12 for row in rows)
+
+
+class TestRejectedInvocations:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(["sweep", "--steps", "3", "--out", "MISSING"], "cannot write", id="sweep"),
+            pytest.param(["reproduce", "--table", "formulas", "--out", "MISSING"], "cannot write",
+                         id="reproduce"),
+            pytest.param(["verify", "--grid", "2", "--out", "MISSING"], "cannot write", id="verify"),
+            pytest.param(["hom", "--steps", "3", "--out", "MISSING"], "cannot write", id="hom"),
+            pytest.param(["hom", "--T", "1.5", "--out", "-"],
+                         "error: transmittivity must lie in [0, 1], got 1.5", id="hom-T-1.5"),
+        ],
+    )
+    def test_exit_2_with_message_on_stderr(self, tmp_path, capsys, argv, message):
+        missing = tmp_path / "no" / "dir" / "out.txt"
+        assert cli.main([str(missing) if arg == "MISSING" else arg for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert not missing.parent.exists()
 
 
 class TestConfigFile:

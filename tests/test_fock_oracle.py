@@ -16,33 +16,40 @@ def random_two_photon(rng):
     return fo.FockVector({k: v / norm for k, v in amps.items()})
 
 
+ALL_LABELS = [
+    (arm, pol, time)
+    for arm in (fo.ARM_BOB, fo.ARM_MEAS)
+    for pol in (fo.POL_H, fo.POL_V)
+    for time in (fo.TIME_SIGNAL, fo.TIME_ORTH)
+]
+
+
 class TestModes:
     def test_eight_distinct_labels(self):
-        labels = fo.all_modes()
-        assert len(labels) == 8
-        assert len(set(labels)) == 8
+        indices = [fo.mode_index(*label) for label in ALL_LABELS]
+        assert sorted(indices) == list(range(fo.N_MODES))  # a bijection onto range(8)
 
     def test_index_round_trip(self):
-        for index in range(fo.N_MODES):
-            label = fo.mode_label(index)
-            assert label.index == index
-            assert fo.mode_index(label.arm, label.pol, label.time) == index
+        for arm, pol, time in ALL_LABELS:
+            index = fo.mode_index(arm, pol, time)
+            assert (index // 4, (index % 4) // 2, index % 2) == (arm, pol, time)
 
     def test_rejects_bad_index(self):
+        # a mode index outside range(8) belongs to no arm and cannot be reduced
         with pytest.raises(ValueError):
-            fo.mode_label(8)
+            fo.reduce_to_ab(fo.FockVector({(0, 0, fo.N_MODES): 1.0}))
 
 
 class TestBuildInput:
     def test_distinguishable_limit(self):
         vec = fo.build_input(CouplingConfig(0.4, 0.0), fo.POL_H)
-        times = {fo.mode_label(k[2]).time for k in vec.amplitudes}
+        times = {k[2] % 2 for k in vec.amplitudes}
         assert times == {fo.TIME_ORTH}
         assert abs(vec.norm_squared() - 1.0) < 1e-12
 
     def test_indistinguishable_limit(self):
         vec = fo.build_input(CouplingConfig(0.4, 1.0), fo.POL_V)
-        times = {fo.mode_label(k[2]).time for k in vec.amplitudes}
+        times = {k[2] % 2 for k in vec.amplitudes}
         assert times == {fo.TIME_SIGNAL}
 
     def test_partial_overlap_amplitudes(self):
@@ -70,6 +77,19 @@ class TestBeamsplitter:
             for convention in ("symmetric", "asymmetric"):
                 u = fo.beamsplitter_matrix(t, convention)
                 np.testing.assert_allclose(u @ u.conj().T, np.eye(8), atol=1e-14)
+
+    def test_matrix_mixes_arms_only(self):
+        # reference: the 2x2 arm block placed on each (pol, time) pair by index
+        for t in (0.0, 0.3, 1.0):
+            for convention in ("symmetric", "asymmetric"):
+                u = fo.beamsplitter_matrix(t, convention)
+                block = u[np.ix_([0, 4], [0, 4])]
+                expected = np.zeros((8, 8), dtype=complex)
+                for pol in (fo.POL_H, fo.POL_V):
+                    for time in (fo.TIME_SIGNAL, fo.TIME_ORTH):
+                        modes = [fo.mode_index(arm, pol, time) for arm in (fo.ARM_BOB, fo.ARM_MEAS)]
+                        expected[np.ix_(modes, modes)] = block
+                np.testing.assert_array_equal(u, expected)
 
     def test_full_transmission_is_identity_routing(self):
         vec = fo.build_input(CouplingConfig(0.6, 0.3), fo.POL_H)
