@@ -6,8 +6,9 @@ incoherent photon: (I) the coupling itself, (II) a polarization measurement
 on the outgoing surrounding photon, (III) local probabilistic filtering.
 An analytic pipeline (`protocol`) is cross-checked against a brute-force
 second-quantized simulation (`fock_oracle`); `measures` provides the
-concurrence, fidelity and CHSH functionals, and `cli` reproduces the
-published benchmark tables and curves.
+concurrence, fidelity and CHSH functionals, `reference` compares the
+pipeline with the published benchmark tables and runs the check suite, and
+`cli` writes the tables, curves and reports.
 """
 
 from .fock_oracle import hom_coincidence, overlap_from_coincidence, simulate

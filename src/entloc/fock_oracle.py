@@ -20,8 +20,8 @@ amplitude sqrt(p) on the SIGNAL bin and sqrt(1 - p) on the ORTH bin.
 
 The beamsplitter phase convention is symmetric (factor i on reflection).
 The convention is not observable in any post-selected polarization state
-produced here, which the tests confirm by switching `apply_beamsplitter` to
-the asymmetric real convention and comparing.
+produced here, which the tests confirm by substituting the asymmetric real
+matrix for `beamsplitter_matrix` and comparing.
 """
 
 from __future__ import annotations
@@ -98,29 +98,31 @@ def build_input(cfg: CouplingConfig, env_pol: int) -> FockVector:
     return FockVector(amps)
 
 
-def beamsplitter_matrix(transmittivity: float, convention: str = "symmetric") -> np.ndarray:
+def random_state(rng: np.random.Generator) -> FockVector:
+    """Normalized two-photon state with a complex Gaussian amplitude on every key."""
+    amps = {}
+    for a_pol in (POL_H, POL_V):
+        for lo in range(N_MODES):
+            for hi in range(lo, N_MODES):
+                amps[(a_pol, lo, hi)] = complex(rng.standard_normal(), rng.standard_normal())
+    norm = np.sqrt(sum(abs(a) ** 2 for a in amps.values()))
+    return FockVector({k: v / norm for k, v in amps.items()})
+
+
+def beamsplitter_matrix(transmittivity: float) -> np.ndarray:
     """Single-photon mode map of the coupling beamsplitter.
 
     Transmission keeps the arm with amplitude sqrt(T); reflection swaps arms
-    with amplitude i sqrt(R) in the symmetric convention, or with real
-    entries (sqrt(R) off-diagonal, -sqrt(T) on the MEAS output) in the
-    asymmetric one.  Polarization and temporal bin are untouched.
+    with amplitude i sqrt(R).  Polarization and temporal bin are untouched.
     """
     t = check_unit_interval(transmittivity, "transmittivity")
     t_amp = float(np.sqrt(t))
     r_amp = float(np.sqrt(1.0 - t))
-    if convention == "symmetric":
-        block = np.array([[t_amp, 1.0j * r_amp], [1.0j * r_amp, t_amp]])
-    elif convention == "asymmetric":
-        block = np.array([[t_amp, r_amp], [r_amp, -t_amp]], dtype=complex)
-    else:
-        raise ValueError(f"unknown beamsplitter convention {convention!r}")
+    block = np.array([[t_amp, 1.0j * r_amp], [1.0j * r_amp, t_amp]])
     return np.kron(block, np.eye(4))  # the arm is the slowest index of mode_index
 
 
-def apply_beamsplitter(
-    state: FockVector, transmittivity: float, convention: str = "symmetric"
-) -> FockVector:
+def apply_beamsplitter(state: FockVector, transmittivity: float) -> FockVector:
     """Propagate both photons through the beamsplitter.
 
     Each creation operator maps linearly under the single-photon matrix; the
@@ -128,7 +130,7 @@ def apply_beamsplitter(
     (a doubly occupied mode carries the bosonic sqrt(2)).  The map is unitary,
     so the total norm is preserved.
     """
-    u = beamsplitter_matrix(transmittivity, convention)
+    u = beamsplitter_matrix(transmittivity)
     monomials: dict[tuple[int, int, int], complex] = {}
     for (a_pol, m1, m2), amp in state.amplitudes.items():
         # normalized occupation amplitude -> coefficient of the c+_m1 c+_m2 monomial
@@ -163,9 +165,7 @@ def postselect_one_each(state: FockVector) -> tuple[FockVector, float]:
     return branch, branch.norm_squared()
 
 
-def branch_probabilities(
-    cfg: CouplingConfig, convention: str = "symmetric"
-) -> dict[str, float]:
+def branch_probabilities(cfg: CouplingConfig) -> dict[str, float]:
     """Probabilities of the three detection patterns after the coupling.
 
     Averaged over the depolarized environment: both photons toward Bob, both
@@ -173,7 +173,7 @@ def branch_probabilities(
     """
     totals = {"both_bob": 0.0, "both_meas": 0.0, "one_each": 0.0}
     for env_pol in (POL_H, POL_V):
-        vec = apply_beamsplitter(build_input(cfg, env_pol), cfg.transmittivity, convention)
+        vec = apply_beamsplitter(build_input(cfg, env_pol), cfg.transmittivity)
         for (_, m1, m2), amp in vec.amplitudes.items():
             arms = (m1 // 4, m2 // 4)
             if arms == (ARM_BOB, ARM_BOB):
@@ -237,11 +237,7 @@ def reduce_to_ab(
     return StageOutcome(state=state, probability=probability, stage=stage)
 
 
-def simulate(
-    cfg: CouplingConfig,
-    env_measurement: str = TRACE_OUT,
-    convention: str = "symmetric",
-) -> StageOutcome:
+def simulate(cfg: CouplingConfig, env_measurement: str = TRACE_OUT) -> StageOutcome:
     """Run the full pipeline from first principles.
 
     Builds both environment polarization inputs, couples them on the
@@ -251,7 +247,7 @@ def simulate(
     branches = []
     for env_pol in (POL_H, POL_V):
         vec = build_input(cfg, env_pol)
-        vec = apply_beamsplitter(vec, cfg.transmittivity, convention)
+        vec = apply_beamsplitter(vec, cfg.transmittivity)
         branch, _ = postselect_one_each(vec)
         branches.append(branch)
     return reduce_to_ab(branches, env_measurement)

@@ -103,6 +103,28 @@ def eps_to_filter(eps: float, transmittivity: float) -> FilterConfig:
     return FilterConfig(att_a=eps * cfg.werner_weight, att_b=eps)
 
 
+def stage_concurrences(transmittivity: float, overlap: float, eps: float) -> tuple:
+    """Concurrences (I, II, III at `eps`, III filtration limit) at one point.
+
+    Stage III filters the H-outcome stage II state with the `eps_to_filter`
+    schedule; it is nan where the schedule is undefined or blocks the state
+    completely (for example at T = 0).
+    """
+    cfg = CouplingConfig(transmittivity, overlap)
+    stage2 = stage2_measure(cfg, "H")
+    try:
+        stage3 = stage3_filter(stage2, eps_to_filter(eps, transmittivity))
+        filtered = measures.concurrence(stage3.state)
+    except ValueError:
+        filtered = float("nan")
+    return (
+        measures.concurrence(stage1_couple(cfg).state),
+        measures.concurrence(stage2.state),
+        filtered,
+        concurrence_closed_form(Stage.FILTRATION, cfg, eps=None),
+    )
+
+
 def concurrence_closed_form(stage: Stage, cfg: CouplingConfig, eps: float | None = None) -> float:
     """Closed-form concurrence of a stage, evaluated verbatim.
 

@@ -1,9 +1,12 @@
-"""Loader for the published reference constants used by the benchmark command.
+"""Published reference constants, the `reproduce` reports and the `verify` suite.
 
 All regression constants live in one versioned data file
 (`data/reference_values.json`) together with their source descriptions,
 tolerances and comparison conventions, so every benchmarked number can be
-audited in one place.
+audited in one place.  `report` compares the pipeline against one table of
+that file (or against the closed-form stage table), and `verify` runs the
+brute-force oracle against the analytic pipeline on a transmittivity grid.
+Both return plain dicts, ready to be serialized.
 """
 
 from __future__ import annotations
@@ -11,6 +14,13 @@ from __future__ import annotations
 import json
 from functools import lru_cache
 from importlib import resources
+
+import numpy as np
+
+from . import fock_oracle, measures, protocol
+from .params import CouplingConfig, FilterConfig, Stage
+
+TABLE_ALIASES = {"I": "formulas", "II": "distinguishable", "III": "indistinguishable"}
 
 
 @lru_cache(maxsize=1)
@@ -21,5 +31,242 @@ def load_reference_values() -> dict:
         return json.load(fh)
 
 
-def table_names() -> tuple[str, ...]:
-    return tuple(load_reference_values()["tables"])
+# ----------------------------------------------------------------------
+# reproduce
+# ----------------------------------------------------------------------
+
+def _row(key, stage, quantity, parameters, outcome, computed, reference_value,
+         tolerance, note=None) -> dict:
+    """One compared quantity with the state measures of the stage it belongs to."""
+    computed = float(computed)
+    reference_value = float(reference_value)
+    abs_error = abs(computed - reference_value)
+    row = {
+        "key": key,
+        "stage": stage,
+        "quantity": quantity,
+        "parameters": parameters,
+        "concurrence": measures.concurrence(outcome.state),
+        "probability": outcome.probability,
+        "chsh": measures.chsh_max(outcome.state),
+        "computed": computed,
+        "reference_value": reference_value,
+        "tolerance": tolerance,
+        "abs_error": abs_error,
+        "within_tolerance": abs_error <= tolerance,
+    }
+    if note is not None:
+        row["note"] = note
+    return row
+
+
+def _table_report(table: str, att_a: float | None, att_b: float | None) -> dict:
+    data = load_reference_values()["tables"][table]
+    cfg = CouplingConfig(**data["coupling"])
+    filters = FilterConfig(
+        att_a=data["filters"]["att_a"] if att_a is None else att_a,
+        att_b=data["filters"]["att_b"] if att_b is None else att_b,
+    )
+    outcomes = {
+        "I": protocol.stage1_couple(cfg),
+        "II": protocol.stage2_measure(cfg, "H"),
+    }
+    outcomes["III"] = protocol.stage3_filter(outcomes["II"], filters)
+    pass_rate = outcomes["III"].probability / outcomes["II"].probability
+
+    rows = []
+    for entry in data["rows"]:
+        outcome = outcomes[entry["stage"]]
+        convention = entry["convention"]
+        if convention == "pipeline":
+            if entry["quantity"] == "concurrence":
+                computed = measures.concurrence(outcome.state)
+            else:
+                computed = outcome.probability
+        elif convention == "schedule_formula_eps1":
+            computed = protocol.probability_closed_form(Stage.FILTRATION, cfg, eps=1.0)
+        elif convention == "filter_pass_rate":
+            computed = pass_rate
+        elif convention == "asymptotic_formula":
+            computed = protocol.concurrence_closed_form(Stage.FILTRATION, cfg, eps=None)
+        else:
+            raise ValueError(f"unknown comparison convention {convention!r}")
+
+        parameters = {"transmittivity": cfg.transmittivity, "overlap": cfg.overlap}
+        if entry["stage"] == "III":
+            parameters.update(att_a=filters.att_a, att_b=filters.att_b)
+        rows.append(
+            _row(
+                entry["key"], entry["stage"], entry["quantity"], parameters, outcome,
+                computed, entry["reference"], entry["tolerance"], entry["note"],
+            )
+        )
+    return {
+        "table": table,
+        "source": data["source"],
+        "coupling": {"transmittivity": cfg.transmittivity, "overlap": cfg.overlap},
+        "filters": {"att_a": filters.att_a, "att_b": filters.att_b},
+        "rows": rows,
+        "all_within_tolerance": all(row["within_tolerance"] for row in rows),
+    }
+
+
+def _formula_report(transmittivity: float) -> dict:
+    """Constructive pipeline versus the closed-form stage table at one T."""
+    cfg = CouplingConfig(transmittivity, 0.0)
+    stage1 = protocol.stage1_couple(cfg)
+    stage2 = protocol.stage2_measure(cfg, "H")
+    parameters = {"transmittivity": cfg.transmittivity, "overlap": 0.0}
+    rows = []
+    for key, stage, outcome in (("I", Stage.COUPLING, stage1), ("II", Stage.MEASUREMENT, stage2)):
+        rows.append(
+            _row(
+                f"C_{key}", key, "concurrence", parameters, outcome,
+                measures.concurrence(outcome.state),
+                protocol.concurrence_closed_form(stage, cfg), 1e-10,
+            )
+        )
+        rows.append(
+            _row(
+                f"P_{key}", key, "probability", parameters, outcome,
+                outcome.probability, protocol.probability_closed_form(stage, cfg), 1e-12,
+            )
+        )
+    if transmittivity > 0.0:
+        eps = 1e-6
+        stage3 = protocol.stage3_filter(stage2, protocol.eps_to_filter(eps, transmittivity))
+        rows.append(
+            _row(
+                "C_III_limit", "III", "concurrence", {**parameters, "eps": eps}, stage3,
+                measures.concurrence(stage3.state),
+                protocol.concurrence_closed_form(Stage.FILTRATION, cfg, eps=None), 1e-5,
+                "filtration limit approached constructively at eps = 1e-6",
+            )
+        )
+    return {
+        "table": "formulas",
+        "source": "closed-form stage table versus the constructive pipeline",
+        "coupling": {"transmittivity": cfg.transmittivity, "overlap": 0.0},
+        "rows": rows,
+        "all_within_tolerance": all(r["within_tolerance"] for r in rows),
+    }
+
+
+def report(table: str, transmittivity: float, att_a: float | None = None,
+           att_b: float | None = None) -> dict:
+    """The `reproduce` report of one table.
+
+    `table` is "formulas" (the closed-form stage table at `transmittivity`,
+    p = 0) or the name of a published table in the reference data file, whose
+    filter attenuations `att_a`/`att_b` override when given; "I", "II" and
+    "III" are aliases.  Raises ValueError for an unknown table.
+    """
+    name = TABLE_ALIASES.get(table, table)
+    if name == "formulas":
+        return _formula_report(transmittivity)
+    if name not in load_reference_values()["tables"]:
+        raise ValueError(f"unknown table {table!r}")
+    return _table_report(name, att_a, att_b)
+
+
+# ----------------------------------------------------------------------
+# verify
+# ----------------------------------------------------------------------
+
+def _summary(name: str, tolerance: float, records: list) -> dict:
+    """Worst value (the first maximum wins) and failures of (value, where) records."""
+    worst, worst_at = 0.0, {}
+    for value, where in records:
+        if value > worst:
+            worst, worst_at = value, dict(where)
+    return {
+        "name": name,
+        "tolerance": tolerance,
+        "worst": worst,
+        "worst_at": worst_at,
+        "failures": [{**where, "value": value} for value, where in records if value > tolerance],
+        "passed": worst <= tolerance,
+    }
+
+
+def verify(grid: int, tolerance: float) -> dict:
+    """Brute-force-vs-analytic invariant suite over a T (and p) grid.
+
+    `tolerance` applies to the brute-force-vs-analytic comparisons; the
+    unitarity, completeness and continuity checks use fixed tolerances set by
+    the invariants they enforce.  T within 1e-12 of 0 or 1 is skipped.
+    """
+    ts = [float(t) for t in np.linspace(0.0, 1.0, grid)]
+    skipped = [t for t in ts if t < 1e-12 or t > 1.0 - 1e-12]
+    interior = [t for t in ts if t not in skipped]
+    tolerances = {
+        "stage1_state_vs_analytic": tolerance,
+        "stage2_state_vs_analytic": tolerance,
+        "probability_vs_analytic": tolerance,
+        "stage2_concurrence_vs_closed_form": tolerance,
+        "beamsplitter_unitarity": 1e-12,
+        "branch_completeness": 1e-12,
+        "overlap_continuity": 1e-8,
+        "filtered_pipeline_consistency": tolerance,
+    }
+    records = {name: [] for name in tolerances}
+
+    for t in interior:
+        at = {"transmittivity": t}
+        cfg = CouplingConfig(t, 0.0)
+        analytic1 = protocol.stage1_couple(cfg)
+        analytic2 = protocol.stage2_measure(cfg, "H")
+        prob1 = t * t + (1.0 - t) ** 2  # not T**2 as in protocol: the last bit can differ
+        oracle1 = fock_oracle.simulate(cfg, fock_oracle.TRACE_OUT)
+        oracle2 = fock_oracle.simulate(cfg, fock_oracle.PROJECT_H)
+
+        records["stage1_state_vs_analytic"].append(
+            (1.0 - measures.fidelity(oracle1.state, analytic1.state), at))
+        records["stage2_state_vs_analytic"].append(
+            (1.0 - measures.fidelity(oracle2.state, analytic2.state), at))
+        records["probability_vs_analytic"] += [
+            (abs(oracle1.probability - prob1), {**at, "stage": "I"}),
+            (abs(oracle2.probability - prob1 / 2.0), {**at, "stage": "II"}),
+        ]
+
+        # filtering the simulated state must match filtering the analytic one
+        filters = protocol.eps_to_filter(0.15, t)
+        filtered_oracle = protocol.stage3_filter(oracle2, filters)
+        filtered_analytic = protocol.stage3_filter(analytic2, filters)
+        records["filtered_pipeline_consistency"].append(
+            (1.0 - measures.fidelity(filtered_oracle.state, filtered_analytic.state), at))
+
+        high = fock_oracle.simulate(CouplingConfig(t, 1e-9), fock_oracle.PROJECT_H)
+        records["overlap_continuity"].append(
+            (float(np.max(np.abs(high.state - oracle2.state))), at))
+
+        for p in (0.25, 0.5, 0.75, 1.0):
+            pcfg = CouplingConfig(t, p)
+            where = {**at, "overlap": p}
+            simulated = fock_oracle.simulate(pcfg, fock_oracle.PROJECT_H)
+            closed = protocol.concurrence_closed_form(Stage.MEASUREMENT, pcfg)
+            records["stage2_concurrence_vs_closed_form"].append(
+                (abs(measures.concurrence(simulated.state) - closed), where))
+            records["branch_completeness"].append(
+                (abs(sum(fock_oracle.branch_probabilities(pcfg).values()) - 1.0), where))
+
+    rng = np.random.default_rng(20260810)
+    for t in interior:
+        vec = fock_oracle.random_state(rng)
+        propagated = fock_oracle.apply_beamsplitter(vec, t)
+        records["beamsplitter_unitarity"].append(
+            (abs(propagated.norm_squared() - vec.norm_squared()), {"transmittivity": t}))
+
+    checks = [_summary(name, tolerances[name], values) for name, values in records.items()]
+    worst = {check["name"]: check["worst"] for check in checks}
+    return {
+        "grid_density": grid,
+        "tolerance": tolerance,
+        "skipped_transmittivities": skipped,
+        "checks": checks,
+        "max_fidelity_deficit": max(worst["stage1_state_vs_analytic"],
+                                    worst["stage2_state_vs_analytic"]),
+        "max_probability_mismatch": worst["probability_vs_analytic"],
+        "max_concurrence_mismatch": worst["stage2_concurrence_vs_closed_form"],
+        "passed": all(check["passed"] for check in checks),
+    }

@@ -217,12 +217,6 @@ class TestHom:
             assert abs(visibility - p) < 1e-12
             assert abs(coincidence - (1.0 - p) / 2.0) < 1e-12
 
-    def test_no_mixing(self, tmp_path):
-        out = tmp_path / "hom1.csv"
-        assert cli.main(["hom", "--T", "1", "--steps", "5", "--out", str(out)]) == 0
-        _, rows = read_csv(out)
-        assert all(abs(row[1] - 1.0) < 1e-12 for row in rows)
-
 
 class TestRejectedInvocations:
     @pytest.mark.parametrize(
@@ -235,6 +229,11 @@ class TestRejectedInvocations:
             pytest.param(["hom", "--steps", "3", "--out", "MISSING"], "cannot write", id="hom"),
             pytest.param(["hom", "--T", "1.5", "--out", "-"],
                          "error: transmittivity must lie in [0, 1], got 1.5", id="hom-T-1.5"),
+            # without mixing the visibility is 0/0 up to rounding noise
+            pytest.param(["hom", "--T", "0", "--out", "-"],
+                         "error: no two-photon interference at T = 0 or T = 1", id="hom-T-0"),
+            pytest.param(["hom", "--T", "1", "--steps", "5", "--out", "-"],
+                         "error: no two-photon interference at T = 0 or T = 1", id="hom-T-1"),
         ],
     )
     def test_exit_2_with_message_on_stderr(self, tmp_path, capsys, argv, message):
@@ -249,6 +248,26 @@ class TestRejectedInvocations:
 class TestConfigFile:
     def test_ini_defaults_and_flag_precedence(self, tmp_path):
         config = tmp_path / "defaults.ini"
+        config.write_text("[defaults]\nT = 0.3\nsteps = 3\n", encoding="utf-8")
+        out = tmp_path / "rep.json"
+        code = cli.main(
+            ["--config", str(config), "reproduce", "--table", "formulas", "--out", str(out)]
+        )
+        assert code == 0
+        report = json.loads(out.read_text(encoding="utf-8"))
+        assert report["coupling"]["transmittivity"] == 0.3
+
+        code = cli.main(
+            ["--config", str(config), "reproduce", "--table", "formulas",
+             "--T", "0.6", "--out", str(out)]
+        )
+        assert code == 0
+        report = json.loads(out.read_text(encoding="utf-8"))
+        assert report["coupling"]["transmittivity"] == 0.6
+
+    def test_toml_defaults_and_flag_precedence(self, tmp_path):
+        pytest.importorskip("tomllib")
+        config = tmp_path / "defaults.toml"
         config.write_text("[defaults]\nT = 0.3\nsteps = 3\n", encoding="utf-8")
         out = tmp_path / "rep.json"
         code = cli.main(
@@ -282,6 +301,14 @@ class TestConfigFile:
         no_section = tmp_path / "plain.ini"
         no_section.write_text("[other]\nT = 0.5\n", encoding="utf-8")
         assert cli.main(["--config", str(no_section), "hom", "--out", "-"]) == 2
+
+    def test_config_value_checked_like_its_flag(self, tmp_path, capsys):
+        config = tmp_path / "variable.ini"
+        config.write_text("[defaults]\nvariable = q\n", encoding="utf-8")
+        assert cli.main(["--config", str(config), "sweep", "--out", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: config key 'variable': invalid choice: 'q'" in captured.err
 
 
 class TestProcessInterface:

@@ -6,16 +6,6 @@ from entloc import measures, protocol, states
 from entloc.params import CouplingConfig, Stage
 
 
-def random_two_photon(rng):
-    amps = {}
-    for a_pol in (0, 1):
-        for lo in range(fo.N_MODES):
-            for hi in range(lo, fo.N_MODES):
-                amps[(a_pol, lo, hi)] = complex(rng.standard_normal(), rng.standard_normal())
-    norm = np.sqrt(sum(abs(a) ** 2 for a in amps.values()))
-    return fo.FockVector({k: v / norm for k, v in amps.items()})
-
-
 ALL_LABELS = [
     (arm, pol, time)
     for arm in (fo.ARM_BOB, fo.ARM_MEAS)
@@ -74,22 +64,20 @@ class TestBuildInput:
 class TestBeamsplitter:
     def test_matrix_is_unitary(self):
         for t in (0.0, 0.3, 0.5, 1.0):
-            for convention in ("symmetric", "asymmetric"):
-                u = fo.beamsplitter_matrix(t, convention)
-                np.testing.assert_allclose(u @ u.conj().T, np.eye(8), atol=1e-14)
+            u = fo.beamsplitter_matrix(t)
+            np.testing.assert_allclose(u @ u.conj().T, np.eye(8), atol=1e-14)
 
     def test_matrix_mixes_arms_only(self):
         # reference: the 2x2 arm block placed on each (pol, time) pair by index
         for t in (0.0, 0.3, 1.0):
-            for convention in ("symmetric", "asymmetric"):
-                u = fo.beamsplitter_matrix(t, convention)
-                block = u[np.ix_([0, 4], [0, 4])]
-                expected = np.zeros((8, 8), dtype=complex)
-                for pol in (fo.POL_H, fo.POL_V):
-                    for time in (fo.TIME_SIGNAL, fo.TIME_ORTH):
-                        modes = [fo.mode_index(arm, pol, time) for arm in (fo.ARM_BOB, fo.ARM_MEAS)]
-                        expected[np.ix_(modes, modes)] = block
-                np.testing.assert_array_equal(u, expected)
+            u = fo.beamsplitter_matrix(t)
+            block = u[np.ix_([0, 4], [0, 4])]
+            expected = np.zeros((8, 8), dtype=complex)
+            for pol in (fo.POL_H, fo.POL_V):
+                for time in (fo.TIME_SIGNAL, fo.TIME_ORTH):
+                    modes = [fo.mode_index(arm, pol, time) for arm in (fo.ARM_BOB, fo.ARM_MEAS)]
+                    expected[np.ix_(modes, modes)] = block
+            np.testing.assert_array_equal(u, expected)
 
     def test_full_transmission_is_identity_routing(self):
         vec = fo.build_input(CouplingConfig(0.6, 0.3), fo.POL_H)
@@ -100,7 +88,7 @@ class TestBeamsplitter:
 
     def test_norm_preserved_on_random_states(self, rng):
         for t in (0.1, 0.35, 0.5, 0.82):
-            vec = random_two_photon(rng)
+            vec = fo.random_state(rng)
             out = fo.apply_beamsplitter(vec, t)
             assert abs(out.norm_squared() - vec.norm_squared()) < 1e-12
 
@@ -113,10 +101,6 @@ class TestBeamsplitter:
         out = fo.apply_beamsplitter(vec, 0.5)
         _, prob = fo.postselect_one_each(out)
         assert prob == 0.0
-
-    def test_rejects_unknown_convention(self):
-        with pytest.raises(ValueError):
-            fo.beamsplitter_matrix(0.5, "hadamard")
 
 
 class TestPostselection:
@@ -166,14 +150,29 @@ class TestReduceToAb:
             analytic_v = states.post_measurement_state(cfg.werner_weight, "V")
             assert measures.fidelity(mirror.state, analytic_v) >= 1.0 - 1e-9
 
-    def test_phase_convention_is_unobservable(self):
-        for t, p in ((0.37, 0.6), (0.5, 1.0), (0.7, 0.2)):
-            cfg = CouplingConfig(t, p)
-            for treatment in (fo.TRACE_OUT, fo.PROJECT_H, fo.PROJECT_V):
-                sym = fo.simulate(cfg, treatment, convention="symmetric")
-                asym = fo.simulate(cfg, treatment, convention="asymmetric")
-                assert np.max(np.abs(sym.state - asym.state)) < 1e-12
-                assert abs(sym.probability - asym.probability) < 1e-12
+    def test_phase_convention_is_unobservable(self, monkeypatch):
+        def asymmetric_matrix(transmittivity):
+            # real entries: sqrt(R) off-diagonal, -sqrt(T) on the MEAS output
+            t_amp, r_amp = np.sqrt(transmittivity), np.sqrt(1.0 - transmittivity)
+            return np.kron(np.array([[t_amp, r_amp], [r_amp, -t_amp]], dtype=complex), np.eye(4))
+
+        for t in (0.0, 0.37, 0.5, 1.0):
+            u = asymmetric_matrix(t)
+            np.testing.assert_allclose(u @ u.conj().T, np.eye(8), atol=1e-14)
+        cases = [
+            (CouplingConfig(t, p), treatment)
+            for t, p in ((0.37, 0.6), (0.5, 1.0), (0.7, 0.2))
+            for treatment in (fo.TRACE_OUT, fo.PROJECT_H, fo.PROJECT_V)
+        ]
+        symmetric = [fo.simulate(cfg, treatment) for cfg, treatment in cases]
+        probe = fo.build_input(CouplingConfig(0.37, 0.6), fo.POL_H)
+        before = fo.apply_beamsplitter(probe, 0.37).amplitudes
+        monkeypatch.setattr(fo, "beamsplitter_matrix", asymmetric_matrix)
+        assert fo.apply_beamsplitter(probe, 0.37).amplitudes != before  # the swap took effect
+        for (cfg, treatment), sym in zip(cases, symmetric):
+            asym = fo.simulate(cfg, treatment)
+            assert np.max(np.abs(sym.state - asym.state)) < 1e-12
+            assert abs(sym.probability - asym.probability) < 1e-12
 
     def test_overlap_continuity_at_zero(self):
         for treatment in (fo.TRACE_OUT, fo.PROJECT_H):
