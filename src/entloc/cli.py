@@ -83,6 +83,7 @@ def cmd_sweep(args) -> tuple[int, str]:
     if not (0.0 <= args.min and args.max <= 1.0):
         raise ValueError(f"sweep range [{args.min}, {args.max}] must lie inside [0, 1]")
     CouplingConfig(args.T, args.p)  # the fixed values are checked even when swept
+    protocol.eps_to_filter(args.eps, args.T)
 
     rows = []
     for value in np.linspace(args.min, args.max, args.steps):

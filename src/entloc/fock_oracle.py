@@ -13,10 +13,17 @@ measurement box), the polarization is H or V, and the temporal bin is SIGNAL
 never traverses any optics and is carried as a bare qubit index attached to
 every amplitude.
 
+A two-photon state is a plain dict mapping (a_pol, mode_lo, mode_hi), with
+mode_lo <= mode_hi, to the amplitude of the normalized occupation basis
+state; a doubled key (m, m) is the two-photon occupation of one mode.
+Branches may be sub-normalized after post-selection.
+
 The surrounding photon's completely mixed polarization I/2 is realized as a
 uniform classical mixture over {H, V} inputs, which is exact for a linear
 network followed by measurement; its partial indistinguishability is an
-amplitude sqrt(p) on the SIGNAL bin and sqrt(1 - p) on the ORTH bin.
+amplitude sqrt(p) on the SIGNAL bin and sqrt(1 - p) on the ORTH bin.  The
+MEAS-arm photon's polarization is treated as in `protocol`: `outcome` None
+traces it out (stage I), "H" or "V" projects on that detection (stage II).
 
 The beamsplitter phase convention is symmetric (factor i on reflection).
 The convention is not observable in any post-selected polarization state
@@ -25,8 +32,6 @@ matrix for `beamsplitter_matrix` and comparing.
 """
 
 from __future__ import annotations
-
-from typing import Iterable
 
 import numpy as np
 
@@ -41,39 +46,24 @@ TIME_SIGNAL, TIME_ORTH = 0, 1
 
 N_MODES = 8
 
-# Treatments of the MEAS-arm polarization when reducing to the A-B pair.
-TRACE_OUT = "trace_out"
-PROJECT_H = "project_H"
-PROJECT_V = "project_V"
-
 
 def mode_index(arm: int, pol: int, time: int) -> int:
     """Arm is the slowest index: modes 0-3 lie on BOB, 4-7 on MEAS."""
     return 4 * arm + 2 * pol + time
 
 
-class FockVector:
-    """Two-photon state with the A-photon qubit attached.
-
-    `amplitudes` maps (a_pol, mode_lo, mode_hi) with mode_lo <= mode_hi to the
-    amplitude of the normalized occupation basis state; a doubled key (m, m)
-    is the two-photon occupation of a single mode.  Branches may be
-    sub-normalized after post-selection.
-    """
-
-    __slots__ = ("amplitudes",)
-
-    def __init__(self, amplitudes: dict[tuple[int, int, int], complex]):
-        self.amplitudes = amplitudes
-
-    def norm_squared(self) -> float:
-        return float(sum(abs(a) ** 2 for a in self.amplitudes.values()))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"FockVector({self.amplitudes!r})"
+def norm_squared(amps: dict) -> float:
+    """Squared norm of a state: the probability of a post-selected branch."""
+    return float(sum(abs(a) ** 2 for a in amps.values()))
 
 
-def build_input(cfg: CouplingConfig, env_pol: int) -> FockVector:
+def _time_bins(overlap: float) -> list[tuple[int, float]]:
+    """The surrounding photon's nonzero temporal amplitudes: sqrt(p) SIGNAL, sqrt(1 - p) ORTH."""
+    bins = ((TIME_SIGNAL, float(np.sqrt(overlap))), (TIME_ORTH, float(np.sqrt(1.0 - overlap))))
+    return [(t, t_amp) for t, t_amp in bins if t_amp != 0.0]
+
+
+def build_input(cfg: CouplingConfig, env_pol: int) -> dict:
     """Input state with the surrounding photon prepared in `env_pol`.
 
     The A-B pair is (|H>_A |V>_B - i |V>_A |H>_B)/sqrt(2) with B on the BOB
@@ -83,30 +73,24 @@ def build_input(cfg: CouplingConfig, env_pol: int) -> FockVector:
     """
     if env_pol not in (POL_H, POL_V):
         raise ValueError(f"env_pol must be 0 (H) or 1 (V), got {env_pol}")
-    p = cfg.overlap
-    temporal = ((TIME_SIGNAL, float(np.sqrt(p))), (TIME_ORTH, float(np.sqrt(1.0 - p))))
-    pair = ((POL_H, POL_V, 1.0 / SQRT2), (POL_V, POL_H, -1.0j / SQRT2))
-    amps: dict[tuple[int, int, int], complex] = {}
-    for a_pol, b_pol, pair_amp in pair:
-        m_b = mode_index(ARM_BOB, b_pol, TIME_SIGNAL)
-        for t, t_amp in temporal:
-            if t_amp == 0.0:
-                continue
-            m_e = mode_index(ARM_MEAS, env_pol, t)
-            lo, hi = (m_b, m_e) if m_b <= m_e else (m_e, m_b)
-            amps[(a_pol, lo, hi)] = pair_amp * t_amp
-    return FockVector(amps)
+    bins = _time_bins(cfg.overlap)
+    amps = {}
+    for a_pol, b_pol, pair_amp in ((POL_H, POL_V, 1.0 / SQRT2), (POL_V, POL_H, -1.0j / SQRT2)):
+        m_b = mode_index(ARM_BOB, b_pol, TIME_SIGNAL)  # BOB modes precede MEAS modes
+        for t, t_amp in bins:
+            amps[(a_pol, m_b, mode_index(ARM_MEAS, env_pol, t))] = pair_amp * t_amp
+    return amps
 
 
-def random_state(rng: np.random.Generator) -> FockVector:
+def random_state(rng: np.random.Generator) -> dict:
     """Normalized two-photon state with a complex Gaussian amplitude on every key."""
     amps = {}
     for a_pol in (POL_H, POL_V):
         for lo in range(N_MODES):
             for hi in range(lo, N_MODES):
                 amps[(a_pol, lo, hi)] = complex(rng.standard_normal(), rng.standard_normal())
-    norm = np.sqrt(sum(abs(a) ** 2 for a in amps.values()))
-    return FockVector({k: v / norm for k, v in amps.items()})
+    norm = np.sqrt(norm_squared(amps))
+    return {k: v / norm for k, v in amps.items()}
 
 
 def beamsplitter_matrix(transmittivity: float) -> np.ndarray:
@@ -122,7 +106,7 @@ def beamsplitter_matrix(transmittivity: float) -> np.ndarray:
     return np.kron(block, np.eye(4))  # the arm is the slowest index of mode_index
 
 
-def apply_beamsplitter(state: FockVector, transmittivity: float) -> FockVector:
+def apply_beamsplitter(state: dict, transmittivity: float) -> dict:
     """Propagate both photons through the beamsplitter.
 
     Each creation operator maps linearly under the single-photon matrix; the
@@ -132,7 +116,7 @@ def apply_beamsplitter(state: FockVector, transmittivity: float) -> FockVector:
     """
     u = beamsplitter_matrix(transmittivity)
     monomials: dict[tuple[int, int, int], complex] = {}
-    for (a_pol, m1, m2), amp in state.amplitudes.items():
+    for (a_pol, m1, m2), amp in state.items():
         # normalized occupation amplitude -> coefficient of the c+_m1 c+_m2 monomial
         coeff = amp / SQRT2 if m1 == m2 else amp
         out1 = np.nonzero(u[:, m1])[0]
@@ -142,27 +126,20 @@ def apply_beamsplitter(state: FockVector, transmittivity: float) -> FockVector:
             for j in out2:
                 key = (a_pol, i, j) if i <= j else (a_pol, j, i)
                 monomials[key] = monomials.get(key, 0.0) + ci * u[j, m2]
-    amps = {
+    return {
         key: (value * SQRT2 if key[1] == key[2] else value)
         for key, value in monomials.items()
         if value != 0.0
     }
-    return FockVector(amps)
 
 
-def postselect_one_each(state: FockVector) -> tuple[FockVector, float]:
-    """Keep configurations with exactly one photon per output arm.
+def postselect_one_each(state: dict) -> dict:
+    """The sub-normalized branch with exactly one photon per output arm.
 
-    Returns the sub-normalized branch together with its probability (zero
-    when the branch is empty, e.g. perfect two-photon interference).
+    Its squared norm is the branch probability (zero when the branch is
+    empty, e.g. perfect two-photon interference).
     """
-    kept = {
-        key: amp
-        for key, amp in state.amplitudes.items()
-        if key[1] // 4 != key[2] // 4
-    }
-    branch = FockVector(kept)
-    return branch, branch.norm_squared()
+    return {key: amp for key, amp in state.items() if key[1] // 4 != key[2] // 4}
 
 
 def branch_probabilities(cfg: CouplingConfig) -> dict[str, float]:
@@ -172,60 +149,40 @@ def branch_probabilities(cfg: CouplingConfig) -> dict[str, float]:
     toward the measurement box, or one photon in each arm.  They sum to 1.
     """
     totals = {"both_bob": 0.0, "both_meas": 0.0, "one_each": 0.0}
+    by_meas_count = ("both_bob", "one_each", "both_meas")  # photons on the MEAS arm
     for env_pol in (POL_H, POL_V):
         vec = apply_beamsplitter(build_input(cfg, env_pol), cfg.transmittivity)
-        for (_, m1, m2), amp in vec.amplitudes.items():
-            arms = (m1 // 4, m2 // 4)
-            if arms == (ARM_BOB, ARM_BOB):
-                pattern = "both_bob"
-            elif arms == (ARM_MEAS, ARM_MEAS):
-                pattern = "both_meas"
-            else:
-                pattern = "one_each"
-            totals[pattern] += 0.5 * abs(amp) ** 2
+        for (_, m1, m2), amp in vec.items():
+            totals[by_meas_count[m1 // 4 + m2 // 4]] += 0.5 * abs(amp) ** 2
     return totals
 
 
-def _branch_tensor(branch: FockVector) -> np.ndarray:
-    """Amplitudes as psi[a_pol, bob_pol, bob_time, meas_pol, meas_time]."""
-    psi = np.zeros((2, 4, 4), dtype=complex)
-    for (a_pol, m1, m2), amp in branch.amplitudes.items():
-        bob, meas = sorted((m1, m2))
-        if bob // 4 != ARM_BOB or meas // 4 != ARM_MEAS:
-            raise ValueError("branch is not post-selected on one photon per arm")
-        psi[a_pol, bob % 4, meas % 4] = amp  # index % 4 is 2 * pol + time
-    return psi.reshape(2, 2, 2, 2, 2)
-
-
-def reduce_to_ab(
-    branches: FockVector | Iterable[FockVector],
-    env_measurement: str = TRACE_OUT,
-) -> StageOutcome:
+def reduce_to_ab(branches: list[dict], outcome: str | None = None) -> StageOutcome:
     """Reduce post-selected branches to the normalized A-B polarization state.
 
     `branches` are the equally weighted classical components of the
-    environment mixture (one per env_pol input); a single FockVector is
-    accepted as well.  The temporal bins are always traced out.  The MEAS-arm
-    polarization is traced out (coupling stage) or projected on H or V
-    (measurement stage); the returned probability is cumulative over the
+    environment mixture (one per env_pol input).  The temporal bins are
+    always traced out; the MEAS-arm polarization is traced out or projected
+    according to `outcome`.  The returned probability is cumulative over the
     post-selection and, when projecting, the measurement outcome.
     """
-    if isinstance(branches, FockVector):
-        branches = [branches]
-    branches = list(branches)
     if not branches:
         raise ValueError("at least one branch is required")
-    if env_measurement not in (TRACE_OUT, PROJECT_H, PROJECT_V):
-        raise ValueError(f"unknown environment treatment {env_measurement!r}")
+    if outcome not in (None, "H", "V"):
+        raise ValueError(f"outcome must be None, 'H' or 'V', got {outcome!r}")
 
     rho = np.zeros((4, 4), dtype=complex)
     for branch in branches:
-        psi = _branch_tensor(branch)
-        if env_measurement == TRACE_OUT:
+        psi = np.zeros((2, 4, 4), dtype=complex)
+        for (a_pol, bob, meas), amp in branch.items():
+            if bob // 4 != ARM_BOB or meas // 4 != ARM_MEAS:
+                raise ValueError("branch is not post-selected on one photon per arm")
+            psi[a_pol, bob % 4, meas % 4] = amp  # index % 4 is 2 * pol + time
+        psi = psi.reshape(2, 2, 2, 2, 2)  # psi[a_pol, bob_pol, bob_time, meas_pol, meas_time]
+        if outcome is None:
             rho += np.einsum("abtcu,ABtcu->abAB", psi, psi.conj()).reshape(4, 4)
         else:
-            pol = POL_H if env_measurement == PROJECT_H else POL_V
-            sel = psi[:, :, :, pol, :]
+            sel = psi[:, :, :, POL_H if outcome == "H" else POL_V, :]
             rho += np.einsum("abtu,ABtu->abAB", sel, sel.conj()).reshape(4, 4)
     rho /= len(branches)
 
@@ -233,24 +190,22 @@ def reduce_to_ab(
     if probability <= 1e-15:
         raise ValueError("post-selected branch has zero probability")
     state = qmat.validate_density_matrix(rho / probability, dim=4)
-    stage = Stage.COUPLING if env_measurement == TRACE_OUT else Stage.MEASUREMENT
+    stage = Stage.COUPLING if outcome is None else Stage.MEASUREMENT
     return StageOutcome(state=state, probability=probability, stage=stage)
 
 
-def simulate(cfg: CouplingConfig, env_measurement: str = TRACE_OUT) -> StageOutcome:
+def simulate(cfg: CouplingConfig, outcome: str | None = None) -> StageOutcome:
     """Run the full pipeline from first principles.
 
     Builds both environment polarization inputs, couples them on the
     beamsplitter, post-selects one photon per arm and reduces to the A-B
-    pair with the requested treatment of the measured photon.
+    pair with the measured photon traced out (`outcome` None) or projected.
     """
-    branches = []
-    for env_pol in (POL_H, POL_V):
-        vec = build_input(cfg, env_pol)
-        vec = apply_beamsplitter(vec, cfg.transmittivity)
-        branch, _ = postselect_one_each(vec)
-        branches.append(branch)
-    return reduce_to_ab(branches, env_measurement)
+    branches = [
+        postselect_one_each(apply_beamsplitter(build_input(cfg, env_pol), cfg.transmittivity))
+        for env_pol in (POL_H, POL_V)
+    ]
+    return reduce_to_ab(branches, outcome)
 
 
 def hom_coincidence(transmittivity: float, overlap: float) -> float:
@@ -263,17 +218,9 @@ def hom_coincidence(transmittivity: float, overlap: float) -> float:
     """
     check_unit_interval(overlap, "overlap")
     m_sig = mode_index(ARM_BOB, POL_H, TIME_SIGNAL)
-    amps: dict[tuple[int, int, int], complex] = {}
-    temporal = ((TIME_SIGNAL, float(np.sqrt(overlap))), (TIME_ORTH, float(np.sqrt(1.0 - overlap))))
-    for t, t_amp in temporal:
-        if t_amp == 0.0:
-            continue
-        m_env = mode_index(ARM_MEAS, POL_H, t)
-        lo, hi = (m_sig, m_env) if m_sig <= m_env else (m_env, m_sig)
-        amps[(0, lo, hi)] = t_amp  # no idle photon here; the A slot is a spectator
-    vec = apply_beamsplitter(FockVector(amps), transmittivity)
-    _, probability = postselect_one_each(vec)
-    return probability
+    # no idle photon here; the A slot is a spectator
+    amps = {(0, m_sig, mode_index(ARM_MEAS, POL_H, t)): t_amp for t, t_amp in _time_bins(overlap)}
+    return norm_squared(postselect_one_each(apply_beamsplitter(amps, transmittivity)))
 
 
 def overlap_from_coincidence(coincidence: float, transmittivity: float = 0.5) -> float:

@@ -34,7 +34,7 @@ def stage1_couple(cfg: CouplingConfig) -> StageOutcome:
         state = states.werner(cfg.werner_weight)
         probability = cfg.transmittivity**2 + cfg.reflectivity**2
         return StageOutcome(state=state, probability=probability, stage=Stage.COUPLING)
-    return fock_oracle.simulate(cfg, fock_oracle.TRACE_OUT)
+    return fock_oracle.simulate(cfg)
 
 
 def stage2_measure(cfg: CouplingConfig, outcome: str = "H") -> StageOutcome:
@@ -52,8 +52,7 @@ def stage2_measure(cfg: CouplingConfig, outcome: str = "H") -> StageOutcome:
         state = states.post_measurement_state(cfg.werner_weight, outcome)
         probability = (cfg.transmittivity**2 + cfg.reflectivity**2) / 2.0
         return StageOutcome(state=state, probability=probability, stage=Stage.MEASUREMENT)
-    treatment = fock_oracle.PROJECT_H if outcome == "H" else fock_oracle.PROJECT_V
-    return fock_oracle.simulate(cfg, treatment)
+    return fock_oracle.simulate(cfg, outcome)
 
 
 def filter_kraus(filters: FilterConfig) -> np.ndarray:

@@ -217,8 +217,8 @@ def verify(grid: int, tolerance: float) -> dict:
         analytic1 = protocol.stage1_couple(cfg)
         analytic2 = protocol.stage2_measure(cfg, "H")
         prob1 = t * t + (1.0 - t) ** 2  # not T**2 as in protocol: the last bit can differ
-        oracle1 = fock_oracle.simulate(cfg, fock_oracle.TRACE_OUT)
-        oracle2 = fock_oracle.simulate(cfg, fock_oracle.PROJECT_H)
+        oracle1 = fock_oracle.simulate(cfg)
+        oracle2 = fock_oracle.simulate(cfg, "H")
 
         records["stage1_state_vs_analytic"].append(
             (1.0 - measures.fidelity(oracle1.state, analytic1.state), at))
@@ -236,14 +236,14 @@ def verify(grid: int, tolerance: float) -> dict:
         records["filtered_pipeline_consistency"].append(
             (1.0 - measures.fidelity(filtered_oracle.state, filtered_analytic.state), at))
 
-        high = fock_oracle.simulate(CouplingConfig(t, 1e-9), fock_oracle.PROJECT_H)
+        high = fock_oracle.simulate(CouplingConfig(t, 1e-9), "H")
         records["overlap_continuity"].append(
             (float(np.max(np.abs(high.state - oracle2.state))), at))
 
         for p in (0.25, 0.5, 0.75, 1.0):
             pcfg = CouplingConfig(t, p)
             where = {**at, "overlap": p}
-            simulated = fock_oracle.simulate(pcfg, fock_oracle.PROJECT_H)
+            simulated = fock_oracle.simulate(pcfg, "H")
             closed = protocol.concurrence_closed_form(Stage.MEASUREMENT, pcfg)
             records["stage2_concurrence_vs_closed_form"].append(
                 (abs(measures.concurrence(simulated.state) - closed), where))
@@ -254,8 +254,8 @@ def verify(grid: int, tolerance: float) -> dict:
     for t in interior:
         vec = fock_oracle.random_state(rng)
         propagated = fock_oracle.apply_beamsplitter(vec, t)
-        records["beamsplitter_unitarity"].append(
-            (abs(propagated.norm_squared() - vec.norm_squared()), {"transmittivity": t}))
+        drift = abs(fock_oracle.norm_squared(propagated) - fock_oracle.norm_squared(vec))
+        records["beamsplitter_unitarity"].append((drift, {"transmittivity": t}))
 
     checks = [_summary(name, tolerances[name], values) for name, values in records.items()]
     worst = {check["name"]: check["worst"] for check in checks}

@@ -87,8 +87,8 @@ def test_criterion_4_oracle_equivalence():
     worst_probability_gap = 0.0
     for t in T_GRID_19:
         cfg = CouplingConfig(t, 0.0)
-        oracle1 = fock_oracle.simulate(cfg, fock_oracle.TRACE_OUT)
-        oracle2 = fock_oracle.simulate(cfg, fock_oracle.PROJECT_H)
+        oracle1 = fock_oracle.simulate(cfg)
+        oracle2 = fock_oracle.simulate(cfg, "H")
         analytic1 = protocol.stage1_couple(cfg)
         analytic2 = protocol.stage2_measure(cfg, "H")
         worst_fidelity_deficit = max(
@@ -106,7 +106,7 @@ def test_criterion_4_oracle_equivalence():
     for p in (0.25, 0.5, 0.75, 1.0):
         for t in T_GRID_19:
             cfg = CouplingConfig(t, p)
-            simulated = measures.concurrence(fock_oracle.simulate(cfg, fock_oracle.PROJECT_H).state)
+            simulated = measures.concurrence(fock_oracle.simulate(cfg, "H").state)
             closed = protocol.concurrence_closed_form(Stage.MEASUREMENT, cfg)
             worst_concurrence_gap = max(worst_concurrence_gap, abs(simulated - closed))
 

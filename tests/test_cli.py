@@ -234,6 +234,11 @@ class TestRejectedInvocations:
                          "error: no two-photon interference at T = 0 or T = 1", id="hom-T-0"),
             pytest.param(["hom", "--T", "1", "--steps", "5", "--out", "-"],
                          "error: no two-photon interference at T = 0 or T = 1", id="hom-T-1"),
+            # otherwise stage III would be nan at every point of the sweep
+            pytest.param(["sweep", "--eps", "0", "--out", "-"],
+                         "error: eps must lie in (0, 1], got 0.0", id="sweep-eps-0"),
+            pytest.param(["sweep", "--eps", "5", "--out", "-"],
+                         "error: eps must lie in (0, 1], got 5.0", id="sweep-eps-5"),
         ],
     )
     def test_exit_2_with_message_on_stderr(self, tmp_path, capsys, argv, message):

@@ -27,19 +27,19 @@ class TestModes:
     def test_rejects_bad_index(self):
         # a mode index outside range(8) belongs to no arm and cannot be reduced
         with pytest.raises(ValueError):
-            fo.reduce_to_ab(fo.FockVector({(0, 0, fo.N_MODES): 1.0}))
+            fo.reduce_to_ab([{(0, 0, fo.N_MODES): 1.0}])
 
 
 class TestBuildInput:
     def test_distinguishable_limit(self):
         vec = fo.build_input(CouplingConfig(0.4, 0.0), fo.POL_H)
-        times = {k[2] % 2 for k in vec.amplitudes}
+        times = {k[2] % 2 for k in vec}
         assert times == {fo.TIME_ORTH}
-        assert abs(vec.norm_squared() - 1.0) < 1e-12
+        assert abs(fo.norm_squared(vec) - 1.0) < 1e-12
 
     def test_indistinguishable_limit(self):
         vec = fo.build_input(CouplingConfig(0.4, 1.0), fo.POL_V)
-        times = {k[2] % 2 for k in vec.amplitudes}
+        times = {k[2] % 2 for k in vec}
         assert times == {fo.TIME_SIGNAL}
 
     def test_partial_overlap_amplitudes(self):
@@ -47,13 +47,13 @@ class TestBuildInput:
         m_b_v = fo.mode_index(fo.ARM_BOB, fo.POL_V, fo.TIME_SIGNAL)
         m_e_sig = fo.mode_index(fo.ARM_MEAS, fo.POL_H, fo.TIME_SIGNAL)
         m_e_orth = fo.mode_index(fo.ARM_MEAS, fo.POL_H, fo.TIME_ORTH)
-        amp_sig = vec.amplitudes[(0, m_b_v, m_e_sig)]
-        amp_orth = vec.amplitudes[(0, m_b_v, m_e_orth)]
+        amp_sig = vec[(0, m_b_v, m_e_sig)]
+        amp_orth = vec[(0, m_b_v, m_e_orth)]
         assert abs(amp_sig - np.sqrt(0.85) / np.sqrt(2.0)) < 1e-12
         assert abs(amp_orth - np.sqrt(0.15) / np.sqrt(2.0)) < 1e-12
         # the V-polarized idle-photon branch carries the -i phase
         m_b_h = fo.mode_index(fo.ARM_BOB, fo.POL_H, fo.TIME_SIGNAL)
-        amp_v = vec.amplitudes[(1, m_b_h, m_e_sig)]
+        amp_v = vec[(1, m_b_h, m_e_sig)]
         assert abs(amp_v - (-1j) * np.sqrt(0.85) / np.sqrt(2.0)) < 1e-12
 
     def test_rejects_bad_polarization(self):
@@ -82,38 +82,37 @@ class TestBeamsplitter:
     def test_full_transmission_is_identity_routing(self):
         vec = fo.build_input(CouplingConfig(0.6, 0.3), fo.POL_H)
         out = fo.apply_beamsplitter(vec, 1.0)
-        assert set(out.amplitudes) == set(vec.amplitudes)
-        for key, amp in vec.amplitudes.items():
-            assert abs(out.amplitudes[key] - amp) < 1e-12
+        assert set(out) == set(vec)
+        for key, amp in vec.items():
+            assert abs(out[key] - amp) < 1e-12
 
     def test_norm_preserved_on_random_states(self, rng):
         for t in (0.1, 0.35, 0.5, 0.82):
             vec = fo.random_state(rng)
             out = fo.apply_beamsplitter(vec, t)
-            assert abs(out.norm_squared() - vec.norm_squared()) < 1e-12
+            assert abs(fo.norm_squared(out) - fo.norm_squared(vec)) < 1e-12
 
     def test_interference_suppresses_one_each(self):
         # two photons identical in every label: at T = 0.5 the
         # one-photon-per-arm amplitude cancels exactly
         m_b = fo.mode_index(fo.ARM_BOB, fo.POL_H, fo.TIME_SIGNAL)
         m_e = fo.mode_index(fo.ARM_MEAS, fo.POL_H, fo.TIME_SIGNAL)
-        vec = fo.FockVector({(0, m_b, m_e): 1.0})
-        out = fo.apply_beamsplitter(vec, 0.5)
-        _, prob = fo.postselect_one_each(out)
+        out = fo.apply_beamsplitter({(0, m_b, m_e): 1.0}, 0.5)
+        prob = fo.norm_squared(fo.postselect_one_each(out))
         assert prob == 0.0
 
 
 class TestPostselection:
     def test_full_transmission(self):
         vec = fo.apply_beamsplitter(fo.build_input(CouplingConfig(1.0), fo.POL_H), 1.0)
-        _, prob = fo.postselect_one_each(vec)
+        prob = fo.norm_squared(fo.postselect_one_each(vec))
         assert abs(prob - 1.0) < 1e-12
 
     def test_distinguishable_probability(self):
         total = 0.0
         for env_pol in (fo.POL_H, fo.POL_V):
             vec = fo.apply_beamsplitter(fo.build_input(CouplingConfig(0.4), env_pol), 0.4)
-            _, prob = fo.postselect_one_each(vec)
+            prob = fo.norm_squared(fo.postselect_one_each(vec))
             total += 0.5 * prob
         assert abs(total - 0.52) < 1e-12
 
@@ -132,7 +131,7 @@ class TestReduceToAb:
     def test_matches_analytic_coupling_state(self):
         for t in (0.1, 0.4, 0.41421356, 0.7, 0.95):
             cfg = CouplingConfig(t, 0.0)
-            outcome = fo.simulate(cfg, fo.TRACE_OUT)
+            outcome = fo.simulate(cfg, None)
             assert outcome.stage is Stage.COUPLING
             analytic = states.werner(cfg.werner_weight)
             assert measures.fidelity(outcome.state, analytic) >= 1.0 - 1e-9
@@ -141,12 +140,12 @@ class TestReduceToAb:
     def test_matches_analytic_measured_state(self):
         for t in (0.1, 0.4, 0.7):
             cfg = CouplingConfig(t, 0.0)
-            outcome = fo.simulate(cfg, fo.PROJECT_H)
+            outcome = fo.simulate(cfg, "H")
             assert outcome.stage is Stage.MEASUREMENT
             analytic = states.post_measurement_state(cfg.werner_weight, "H")
             assert measures.fidelity(outcome.state, analytic) >= 1.0 - 1e-9
             assert abs(outcome.probability - (t * t + (1 - t) ** 2) / 2) < 1e-10
-            mirror = fo.simulate(cfg, fo.PROJECT_V)
+            mirror = fo.simulate(cfg, "V")
             analytic_v = states.post_measurement_state(cfg.werner_weight, "V")
             assert measures.fidelity(mirror.state, analytic_v) >= 1.0 - 1e-9
 
@@ -160,29 +159,55 @@ class TestReduceToAb:
             u = asymmetric_matrix(t)
             np.testing.assert_allclose(u @ u.conj().T, np.eye(8), atol=1e-14)
         cases = [
-            (CouplingConfig(t, p), treatment)
+            (CouplingConfig(t, p), outcome)
             for t, p in ((0.37, 0.6), (0.5, 1.0), (0.7, 0.2))
-            for treatment in (fo.TRACE_OUT, fo.PROJECT_H, fo.PROJECT_V)
+            for outcome in (None, "H", "V")
         ]
-        symmetric = [fo.simulate(cfg, treatment) for cfg, treatment in cases]
+        symmetric = [fo.simulate(cfg, outcome) for cfg, outcome in cases]
         probe = fo.build_input(CouplingConfig(0.37, 0.6), fo.POL_H)
-        before = fo.apply_beamsplitter(probe, 0.37).amplitudes
+        before = fo.apply_beamsplitter(probe, 0.37)
         monkeypatch.setattr(fo, "beamsplitter_matrix", asymmetric_matrix)
-        assert fo.apply_beamsplitter(probe, 0.37).amplitudes != before  # the swap took effect
-        for (cfg, treatment), sym in zip(cases, symmetric):
-            asym = fo.simulate(cfg, treatment)
+        assert fo.apply_beamsplitter(probe, 0.37) != before  # the swap took effect
+        for (cfg, outcome), sym in zip(cases, symmetric):
+            asym = fo.simulate(cfg, outcome)
             assert np.max(np.abs(sym.state - asym.state)) < 1e-12
             assert abs(sym.probability - asym.probability) < 1e-12
 
+    def test_coupled_state_is_werner_at_partial_overlap(self):
+        # a second route for stage I at p > 0: q |psi-><psi-| + (1 - q) I/4 with
+        # q = T (T - p R) / (1 - (2 + p) T R), kept with probability 1 - (2 + p) T R;
+        # built here because states.werner rejects q < 0
+        for t in np.linspace(0.05, 0.95, 19):
+            t = float(t)
+            for p in (0.25, 0.5, 0.75, 1.0):
+                probability = 1.0 - (2.0 + p) * t * (1.0 - t)
+                q = t * (t - p * (1.0 - t)) / probability
+                expected = q * states.singlet_density() + (1.0 - q) * np.eye(4) / 4.0
+                outcome = fo.simulate(CouplingConfig(t, p))
+                assert np.max(np.abs(outcome.state - expected)) <= 1e-12
+                assert abs(outcome.probability - probability) <= 1e-12
+
+    def test_rejects_unknown_outcome(self):
+        cfg = CouplingConfig(0.4, 0.5)
+        with pytest.raises(ValueError, match="outcome"):
+            fo.simulate(cfg, "D")
+        branch = fo.postselect_one_each(fo.apply_beamsplitter(fo.build_input(cfg, fo.POL_H), 0.4))
+        with pytest.raises(ValueError, match="outcome"):
+            fo.reduce_to_ab([branch], "D")
+
+    def test_rejects_no_branches(self):
+        with pytest.raises(ValueError, match="at least one branch"):
+            fo.reduce_to_ab([])
+
     def test_overlap_continuity_at_zero(self):
-        for treatment in (fo.TRACE_OUT, fo.PROJECT_H):
-            base = fo.simulate(CouplingConfig(0.4, 0.0), treatment)
-            near = fo.simulate(CouplingConfig(0.4, 1e-9), treatment)
+        for outcome in (None, "H"):
+            base = fo.simulate(CouplingConfig(0.4, 0.0), outcome)
+            near = fo.simulate(CouplingConfig(0.4, 1e-9), outcome)
             assert np.max(np.abs(base.state - near.state)) < 1e-8
             assert abs(base.probability - near.probability) < 1e-8
 
     def test_partially_indistinguishable_concurrence(self):
-        outcome = fo.simulate(CouplingConfig(0.3, 0.85), fo.PROJECT_H)
+        outcome = fo.simulate(CouplingConfig(0.3, 0.85), "H")
         assert abs(measures.concurrence(outcome.state) - 0.2204234122) < 1e-9
         assert abs(outcome.probability - 0.20075) < 1e-10
 
@@ -190,13 +215,13 @@ class TestReduceToAb:
         for t in (0.15, 0.3, 0.5, 0.65, 0.9):
             for p in (0.25, 0.5, 0.75, 1.0):
                 cfg = CouplingConfig(t, p)
-                outcome = fo.simulate(cfg, fo.PROJECT_H)
+                outcome = fo.simulate(cfg, "H")
                 closed = protocol.concurrence_closed_form(Stage.MEASUREMENT, cfg)
                 assert abs(measures.concurrence(outcome.state) - closed) < 1e-8
 
     def test_coupled_concurrence_respects_disappearance_threshold(self):
         def coupled_concurrence(t, p):
-            return measures.concurrence(fo.simulate(CouplingConfig(t, p), fo.TRACE_OUT).state)
+            return measures.concurrence(fo.simulate(CouplingConfig(t, p), None).state)
 
         for t in (0.45, 0.5, 0.55):
             threshold = protocol.disappearance_threshold(t)
@@ -214,17 +239,16 @@ class TestReduceToAb:
         # perfectly bunching photons leave an empty post-selected branch
         m_b = fo.mode_index(fo.ARM_BOB, fo.POL_H, fo.TIME_SIGNAL)
         m_e = fo.mode_index(fo.ARM_MEAS, fo.POL_H, fo.TIME_SIGNAL)
-        vec = fo.apply_beamsplitter(fo.FockVector({(0, m_b, m_e): 1.0}), 0.5)
-        branch, prob = fo.postselect_one_each(vec)
-        assert prob == 0.0
+        branch = fo.postselect_one_each(fo.apply_beamsplitter({(0, m_b, m_e): 1.0}, 0.5))
+        assert fo.norm_squared(branch) == 0.0
         with pytest.raises(ValueError, match="zero probability"):
-            fo.reduce_to_ab(branch)
+            fo.reduce_to_ab([branch])
 
     def test_rejects_unpostselected_branch(self):
         vec = fo.build_input(CouplingConfig(0.4), fo.POL_H)
         coupled = fo.apply_beamsplitter(vec, 0.4)
         with pytest.raises(ValueError, match="post-selected"):
-            fo.reduce_to_ab(coupled)
+            fo.reduce_to_ab([coupled])
 
     def test_filtered_pipeline_consistency(self):
         # filtering the simulated measured state equals filtering the
@@ -232,7 +256,7 @@ class TestReduceToAb:
         for t in (0.2, 0.4, 0.8):
             cfg = CouplingConfig(t, 0.0)
             filters = protocol.eps_to_filter(0.15, t)
-            from_oracle = protocol.stage3_filter(fo.simulate(cfg, fo.PROJECT_H), filters)
+            from_oracle = protocol.stage3_filter(fo.simulate(cfg, "H"), filters)
             from_analytic = protocol.stage3_filter(protocol.stage2_measure(cfg, "H"), filters)
             assert measures.fidelity(from_oracle.state, from_analytic.state) >= 1.0 - 1e-9
             assert abs(from_oracle.probability - from_analytic.probability) < 1e-10

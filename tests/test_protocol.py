@@ -256,6 +256,13 @@ class TestThresholds:
         above = protocol.stage1_couple(CouplingConfig(0.5, 0.55))
         assert measures.concurrence(below.state) > 0.0
         assert measures.concurrence(above.state) == 0.0
+        # and within 1e-6 on either side of the threshold away from T = 0.5
+        for t in (0.45, 0.55):
+            threshold = protocol.disappearance_threshold(t)
+            below = protocol.stage1_couple(CouplingConfig(t, threshold - 1e-6))
+            above = protocol.stage1_couple(CouplingConfig(t, threshold + 1e-6))
+            assert measures.concurrence(below.state) > 0.0
+            assert measures.concurrence(above.state) == 0.0
 
     def test_stage2_zero_crossing(self):
         assert abs(protocol.stage2_concurrence_zero(0.3) - 0.3 / 0.7) < 1e-12
