@@ -12,6 +12,10 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 _YY = np.kron(SIGMA_Y, SIGMA_Y)
 
+# sigma_i (x) sigma_j for i, j in {x, y, z}, row-major
+_PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+_PAULI_PAIRS = [np.kron(si, sj) for si in _PAULIS for sj in _PAULIS]
+
 
 def concurrence(rho) -> float:
     """Wootters concurrence C = max(0, l1 - l2 - l3 - l4).
@@ -49,12 +53,7 @@ def fidelity(a, b) -> float:
 def correlation_matrix(rho) -> np.ndarray:
     """3x3 matrix T_ij = tr(rho sigma_i x sigma_j), i, j in {x, y, z}."""
     arr = qmat.validate_density_matrix(rho, dim=4)
-    paulis = (SIGMA_X, SIGMA_Y, SIGMA_Z)
-    t = np.empty((3, 3))
-    for i, si in enumerate(paulis):
-        for j, sj in enumerate(paulis):
-            t[i, j] = float(np.real(np.trace(arr @ np.kron(si, sj))))
-    return t
+    return np.array([np.real(np.trace(arr @ pair)) for pair in _PAULI_PAIRS]).reshape(3, 3)
 
 
 def chsh_max(rho) -> float:

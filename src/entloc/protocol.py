@@ -106,14 +106,14 @@ def stage_concurrences(transmittivity: float, overlap: float, eps: float) -> tup
     """Concurrences (I, II, III at `eps`, III filtration limit) at one point.
 
     Stage III filters the H-outcome stage II state with the `eps_to_filter`
-    schedule; it is nan where the schedule is undefined or blocks the state
-    completely (for example at T = 0).
+    schedule; it is nan where the filters block the state completely (at
+    T = 0).  An eps outside (0, 1] raises.
     """
     cfg = CouplingConfig(transmittivity, overlap)
     stage2 = stage2_measure(cfg, "H")
+    filters = eps_to_filter(eps, transmittivity)
     try:
-        stage3 = stage3_filter(stage2, eps_to_filter(eps, transmittivity))
-        filtered = measures.concurrence(stage3.state)
+        filtered = measures.concurrence(stage3_filter(stage2, filters).state)
     except ValueError:
         filtered = float("nan")
     return (

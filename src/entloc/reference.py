@@ -194,8 +194,13 @@ def verify(grid: int, tolerance: float) -> dict:
 
     `tolerance` applies to the brute-force-vs-analytic comparisons; the
     unitarity, completeness and continuity checks use fixed tolerances set by
-    the invariants they enforce.  T within 1e-12 of 0 or 1 is skipped.
+    the invariants they enforce.  T within 1e-12 of 0 or 1 is skipped.  A
+    grid below 2 or a tolerance that is not positive raises ValueError.
     """
+    if grid < 2:
+        raise ValueError(f"grid must be at least 2, got {grid}")
+    if tolerance <= 0:
+        raise ValueError(f"tolerance must be positive, got {tolerance}")
     ts = [float(t) for t in np.linspace(0.0, 1.0, grid)]
     skipped = [t for t in ts if t < 1e-12 or t > 1.0 - 1e-12]
     interior = [t for t in ts if t not in skipped]

@@ -8,21 +8,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import qmat
 from .params import check_unit_interval
 
-H, V = 0, 1
-
 SQRT2 = float(np.sqrt(2.0))
-
-
-def ket_pol(pol: int) -> np.ndarray:
-    """Single-photon polarization basis ket (H=0, V=1)."""
-    if pol not in (H, V):
-        raise ValueError(f"polarization must be 0 (H) or 1 (V), got {pol}")
-    vec = np.zeros(2, dtype=complex)
-    vec[pol] = 1.0
-    return vec
 
 
 def pure_density(amplitudes) -> np.ndarray:
@@ -68,15 +56,15 @@ def post_measurement_state(q: float, outcome: str = "H") -> np.ndarray:
     """Signal-pair state after the surrounding photon is detected.
 
     For detection outcome H the depolarized noise on arm A collapses to
-    polarized noise: q |psi-><psi-| + (1 - q) |V>_A<V| (x) I_B/2.  Outcome V
-    gives the mirror state with |H>_A<H| noise instead.
+    polarized noise: q |psi-><psi-| + (1 - q) |V>_A<V| (x) I_B/2, where the
+    noise term is diag(0, 0, 1/2, 1/2).  Outcome V gives the mirror state
+    with |H>_A<H| noise, diag(1/2, 1/2, 0, 0), instead.
     """
     q = check_unit_interval(q, "q")
     if outcome == "H":
-        noise_pol = V
+        noise = np.diag(np.array([0.0, 0.0, 0.5, 0.5], dtype=complex))
     elif outcome == "V":
-        noise_pol = H
+        noise = np.diag(np.array([0.5, 0.5, 0.0, 0.0], dtype=complex))
     else:
         raise ValueError(f"outcome must be 'H' or 'V', got {outcome!r}")
-    noise = qmat.tensor(pure_density(ket_pol(noise_pol)), depolarized_qubit())
     return q * singlet_density() + (1.0 - q) * noise

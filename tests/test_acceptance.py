@@ -5,7 +5,7 @@ to see them.  Tolerances are pinned here, not configurable.
 """
 
 import numpy as np
-from conftest import random_density, random_unitary
+from conftest import random_density, random_unitary, tensor
 
 from entloc import fock_oracle, measures, protocol, qmat, states
 from entloc.params import CouplingConfig, FilterConfig, Stage
@@ -200,7 +200,7 @@ def test_criterion_8_property_suites():
     worst_lu = 0.0
     for _ in range(500):
         rho = random_density(rng, 4)
-        u = qmat.tensor(random_unitary(rng, 2), random_unitary(rng, 2))
+        u = tensor(random_unitary(rng, 2), random_unitary(rng, 2))
         rotated = u @ rho @ u.conj().T
         worst_lu = max(worst_lu, abs(measures.concurrence(rotated) - measures.concurrence(rho)))
 

@@ -239,6 +239,10 @@ class TestRejectedInvocations:
                          "error: eps must lie in (0, 1], got 0.0", id="sweep-eps-0"),
             pytest.param(["sweep", "--eps", "5", "--out", "-"],
                          "error: eps must lie in (0, 1], got 5.0", id="sweep-eps-5"),
+            # a swept eps grid that starts at 0 is rejected, not a nan row
+            pytest.param(["sweep", "--variable", "eps", "--min", "0", "--max", "1", "--steps", "3",
+                          "--T", "0.4", "--out", "-"],
+                         "error: eps must lie in (0, 1], got 0.0", id="sweep-eps-grid-0"),
         ],
     )
     def test_exit_2_with_message_on_stderr(self, tmp_path, capsys, argv, message):

@@ -169,6 +169,28 @@ class TestStage3:
         assert abs(pass_rate - 0.0889165629) < 1e-9
 
 
+class TestStageConcurrences:
+    def test_matches_closed_forms_at_p0(self):
+        for t in np.linspace(0.05, 1.0, 20):
+            cfg = CouplingConfig(float(t))
+            q = cfg.werner_weight
+            for eps in (0.01, 0.15, 0.5, 1.0):
+                stage1, stage2, filtered, limit = protocol.stage_concurrences(float(t), 0.0, eps)
+                assert abs(stage1 - protocol.concurrence_closed_form(Stage.COUPLING, cfg)) < 1e-12
+                assert abs(stage2 - protocol.concurrence_closed_form(Stage.MEASUREMENT, cfg)) < 1e-12
+                # the constructive filtered form (README), not the published one
+                assert abs(filtered - np.sqrt(q) / (1.0 + (1.0 - q) * eps / 2.0)) < 1e-12
+                assert abs(limit - protocol.concurrence_closed_form(Stage.FILTRATION, cfg)) < 1e-12
+
+    def test_blocked_filter_is_nan(self):
+        assert np.isnan(protocol.stage_concurrences(0.0, 0.0, 0.15)[2])
+
+    @pytest.mark.parametrize("eps", [0.0, 5.0])
+    def test_invalid_eps_raises(self, eps):
+        with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\]"):
+            protocol.stage_concurrences(0.4, 0.0, eps)
+
+
 class TestClosedForms:
     def test_coupling_concurrence(self):
         assert protocol.concurrence_closed_form(Stage.COUPLING, CouplingConfig(0.4)) == 0.0

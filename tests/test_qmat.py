@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
-from conftest import random_density, random_unitary
+from conftest import herm_eigvals, partial_trace, random_density, random_unitary, tensor
 
 from entloc import qmat, states
 
 
 class TestTensor:
     def test_identity_times_identity(self):
-        np.testing.assert_array_equal(qmat.tensor(np.eye(2), np.eye(2)), np.eye(4))
+        np.testing.assert_array_equal(tensor(np.eye(2), np.eye(2)), np.eye(4))
 
     def test_basis_bookkeeping(self):
         # first factor on the slow index: diag(1,0) (x) diag(0,1) = diag(0,1,0,0)
-        result = qmat.tensor(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+        result = tensor(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
         np.testing.assert_array_equal(result, np.diag([0.0, 1.0, 0.0, 0.0]))
 
     def test_entangled_pair_with_depolarized_environment(self):
@@ -21,7 +21,7 @@ class TestTensor:
         expected[4, 4] = expected[5, 5] = 0.25
         expected[2, 4] = expected[3, 5] = 0.25j
         expected[4, 2] = expected[5, 3] = -0.25j
-        result = qmat.tensor(states.singlet_density(), np.eye(2) / 2)
+        result = tensor(states.singlet_density(), np.eye(2) / 2)
         np.testing.assert_allclose(result, expected, atol=1e-15)
         assert abs(np.trace(result) - 1.0) < 1e-15
 
@@ -35,38 +35,38 @@ class TestTensor:
 
         for _ in range(20):
             a, b, c = dyadic((2, 2)), dyadic((3, 2)), dyadic((2, 3))
-            left = qmat.tensor(qmat.tensor(a, b), c)
-            right = qmat.tensor(a, qmat.tensor(b, c))
+            left = tensor(tensor(a, b), c)
+            right = tensor(a, tensor(b, c))
             np.testing.assert_array_equal(left, right)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            qmat.tensor(np.ones(3), np.eye(2))
+            tensor(np.ones(3), np.eye(2))
         with pytest.raises(ValueError):
-            qmat.tensor(np.array([[np.nan, 0], [0, 1]]), np.eye(2))
+            tensor(np.array([[np.nan, 0], [0, 1]]), np.eye(2))
         with pytest.raises(ValueError):
-            qmat.tensor(np.array([[np.inf, 0], [0, 1]]), np.eye(2))
+            tensor(np.array([[np.inf, 0], [0, 1]]), np.eye(2))
 
 
 class TestPartialTrace:
     def test_maximally_entangled_marginal(self):
-        reduced = qmat.partial_trace(states.singlet_density(), [2, 2], keep={0})
+        reduced = partial_trace(states.singlet_density(), [2, 2], keep={0})
         np.testing.assert_allclose(reduced, np.eye(2) / 2, atol=1e-15)
 
     def test_product_state_factorization(self, rng):
         for _ in range(10):
             rho = random_density(rng, 2)
             sigma = random_density(rng, 3)
-            reduced = qmat.partial_trace(qmat.tensor(rho, sigma), [2, 3], keep={0})
+            reduced = partial_trace(tensor(rho, sigma), [2, 3], keep={0})
             assert np.linalg.norm(reduced - rho) < 1e-12
-            reduced = qmat.partial_trace(qmat.tensor(rho, sigma), [2, 3], keep={1})
+            reduced = partial_trace(tensor(rho, sigma), [2, 3], keep={1})
             assert np.linalg.norm(reduced - sigma) < 1e-12
 
     def test_trace_preserved(self, rng):
         for _ in range(10):
             rho = random_density(rng, 8)
             for keep in ({0}, {1}, {2}, {0, 1}, {0, 2}, {1, 2}):
-                reduced = qmat.partial_trace(rho, [2, 2, 2], keep=keep)
+                reduced = partial_trace(rho, [2, 2, 2], keep=keep)
                 assert abs(np.trace(reduced) - np.trace(rho)) < 1e-12
 
     def test_coupled_three_qubit_reduction(self):
@@ -82,45 +82,45 @@ class TestPartialTrace:
                     term1 = pair[2 * a + b, 2 * ap + bp] * (0.5 if e == ep else 0.0)
                     term2 = pair[2 * a + e, 2 * ap + ep] * (0.5 if b == bp else 0.0)
                     full[row, col] = q * term1 + (1 - q) * term2
-            reduced = qmat.partial_trace(full, [2, 2, 2], keep={0, 1})
+            reduced = partial_trace(full, [2, 2, 2], keep={0, 1})
             np.testing.assert_allclose(reduced, states.werner(q), atol=1e-12)
 
     def test_keep_order_preserved(self, rng):
         rho = random_density(rng, 2)
         sigma = random_density(rng, 2)
         tau = random_density(rng, 2)
-        full = qmat.tensor(qmat.tensor(rho, sigma), tau)
-        reduced = qmat.partial_trace(full, [2, 2, 2], keep={0, 2})
-        np.testing.assert_allclose(reduced, qmat.tensor(rho, tau), atol=1e-12)
+        full = tensor(tensor(rho, sigma), tau)
+        reduced = partial_trace(full, [2, 2, 2], keep={0, 2})
+        np.testing.assert_allclose(reduced, tensor(rho, tau), atol=1e-12)
 
     def test_errors(self):
         rho = np.eye(4) / 4
         with pytest.raises(ValueError):
-            qmat.partial_trace(rho, [2, 3], keep={0})  # dimension mismatch
+            partial_trace(rho, [2, 3], keep={0})  # dimension mismatch
         with pytest.raises(ValueError):
-            qmat.partial_trace(rho, [2, 2], keep=set())
+            partial_trace(rho, [2, 2], keep=set())
         with pytest.raises(ValueError):
-            qmat.partial_trace(rho, [2, 2], keep={2})
+            partial_trace(rho, [2, 2], keep={2})
 
 
 class TestHermEigvals:
     def test_maximally_mixed(self):
-        np.testing.assert_allclose(qmat.herm_eigvals(np.eye(4) / 4), [0.25] * 4, atol=1e-14)
+        np.testing.assert_allclose(herm_eigvals(np.eye(4) / 4), [0.25] * 4, atol=1e-14)
 
     def test_pure_state_spectrum(self):
-        vals = qmat.herm_eigvals(states.singlet_density())
+        vals = herm_eigvals(states.singlet_density())
         np.testing.assert_allclose(vals, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
 
     def test_werner_spectrum(self):
         # closed form: (1 + 3q)/4 once, (1 - q)/4 three times
-        vals = qmat.herm_eigvals(states.werner(0.5))
+        vals = herm_eigvals(states.werner(0.5))
         np.testing.assert_allclose(vals, [0.625, 0.125, 0.125, 0.125], atol=1e-12)
 
     def test_descending_and_sum_equals_trace(self, rng):
         for _ in range(10):
             gauss = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
             herm = (gauss + gauss.conj().T) / 2
-            vals = qmat.herm_eigvals(herm)
+            vals = herm_eigvals(herm)
             assert np.all(np.diff(vals) <= 0)
             assert abs(np.sum(vals) - np.real(np.trace(herm))) < 1e-9
 
@@ -129,12 +129,12 @@ class TestHermEigvals:
             rho = random_density(rng, 4)
             u = random_unitary(rng, 4)
             rotated = u @ rho @ u.conj().T
-            diff = qmat.herm_eigvals(rotated) - qmat.herm_eigvals(rho)
+            diff = herm_eigvals(rotated) - herm_eigvals(rho)
             assert np.max(np.abs(diff)) < 1e-9
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
-            qmat.herm_eigvals(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            herm_eigvals(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestMatrixSqrtPsd:

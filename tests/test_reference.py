@@ -21,6 +21,15 @@ class TestReport:
 
 
 class TestVerify:
+    @pytest.mark.parametrize("grid, tolerance, message", [
+        (0, 1e-9, "grid must be at least 2"),
+        (1, 1e-9, "grid must be at least 2"),
+        (3, 0.0, "tolerance must be positive"),
+    ])
+    def test_rejects_a_grid_or_tolerance_that_checks_nothing(self, grid, tolerance, message):
+        with pytest.raises(ValueError, match=message):
+            reference.verify(grid, tolerance)
+
     def test_no_interior_point_checks_nothing(self):
         # grid 2 holds only the skipped corners T = 0 and T = 1
         result = reference.verify(2, 1e-9)

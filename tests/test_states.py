@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import partial_trace
 
 from entloc import measures, qmat, states
 
@@ -15,7 +16,7 @@ class TestSinglet:
     def test_marginals_maximally_mixed(self):
         rho = states.singlet_density()
         for keep in ({0}, {1}):
-            marginal = qmat.partial_trace(rho, [2, 2], keep=keep)
+            marginal = partial_trace(rho, [2, 2], keep=keep)
             np.testing.assert_allclose(marginal, np.eye(2) / 2, atol=1e-15)
 
 
