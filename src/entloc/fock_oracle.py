@@ -103,7 +103,9 @@ def beamsplitter_matrix(transmittivity: float) -> np.ndarray:
     t_amp = float(np.sqrt(t))
     r_amp = float(np.sqrt(1.0 - t))
     block = np.array([[t_amp, 1.0j * r_amp], [1.0j * r_amp, t_amp]])
-    return np.kron(block, np.eye(4))  # the arm is the slowest index of mode_index
+    u = np.zeros((2, 4, 2, 4), dtype=complex)  # the arm is the slowest index of mode_index
+    u[:, range(4), :, range(4)] = block  # block on every (pol, time) pair: kron(block, I4)
+    return u.reshape(N_MODES, N_MODES)
 
 
 def apply_beamsplitter(state: dict, transmittivity: float) -> dict:
@@ -115,17 +117,19 @@ def apply_beamsplitter(state: dict, transmittivity: float) -> dict:
     so the total norm is preserved.
     """
     u = beamsplitter_matrix(transmittivity)
+    rows, cols = np.nonzero(u)  # outputs[m]: (i, u[i, m]) for u[i, m] != 0, i ascending
+    outputs = [[] for _ in range(N_MODES)]
+    for i, m, entry in zip(rows.tolist(), cols.tolist(), u[rows, cols]):  # numpy scalars
+        outputs[m].append((i, entry))
     monomials: dict[tuple[int, int, int], complex] = {}
     for (a_pol, m1, m2), amp in state.items():
         # normalized occupation amplitude -> coefficient of the c+_m1 c+_m2 monomial
         coeff = amp / SQRT2 if m1 == m2 else amp
-        out1 = np.nonzero(u[:, m1])[0]
-        out2 = np.nonzero(u[:, m2])[0]
-        for i in out1:
-            ci = coeff * u[i, m1]
-            for j in out2:
+        for i, u1 in outputs[m1]:
+            ci = coeff * u1
+            for j, u2 in outputs[m2]:
                 key = (a_pol, i, j) if i <= j else (a_pol, j, i)
-                monomials[key] = monomials.get(key, 0.0) + ci * u[j, m2]
+                monomials[key] = monomials.get(key, 0.0) + ci * u2
     return {
         key: (value * SQRT2 if key[1] == key[2] else value)
         for key, value in monomials.items()

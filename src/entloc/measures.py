@@ -27,8 +27,7 @@ def concurrence(rho) -> float:
     eigenproblem, and no precision loss from taking square roots of nearly
     degenerate eigenvalues.
     """
-    arr = qmat.validate_density_matrix(rho, dim=4)
-    root = qmat.matrix_sqrt_psd(arr)
+    _, root = qmat.density_sqrt(rho, dim=4)
     lams = np.linalg.svd(root @ _YY @ root.conj(), compute_uv=False)
     value = float(lams[0] - lams[1] - lams[2] - lams[3])
     return max(0.0, value)
@@ -39,11 +38,10 @@ def fidelity(a, b) -> float:
 
     Symmetric in its arguments and equal to 1 exactly when a == b.
     """
-    mat_a = qmat.validate_density_matrix(a)
+    mat_a, root = qmat.density_sqrt(a)
     mat_b = qmat.validate_density_matrix(b)
     if mat_a.shape != mat_b.shape:
         raise ValueError(f"dimension mismatch: {mat_a.shape} vs {mat_b.shape}")
-    root = qmat.matrix_sqrt_psd(mat_a)
     inner = root @ mat_b @ root
     eigvals = np.clip(np.linalg.eigvalsh((inner + inner.conj().T) / 2.0), 0.0, None)
     value = float(np.sum(np.sqrt(eigvals)) ** 2)

@@ -88,5 +88,6 @@ class StageOutcome:
     def __post_init__(self):
         if not math.isfinite(self.probability) or not -1e-9 <= self.probability <= 1.0 + 1e-9:
             raise ValueError(f"probability must lie in [0, 1], got {self.probability}")
+        object.__setattr__(self, "probability", min(max(self.probability, 0.0), 1.0))
         if not isinstance(self.stage, Stage):
             raise ValueError(f"stage must be a Stage member, got {self.stage!r}")

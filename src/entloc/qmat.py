@@ -42,21 +42,37 @@ def hermiticity_defect(arr: np.ndarray) -> float:
     return float(np.max(np.abs(arr - arr.conj().T)))
 
 
-def matrix_sqrt_psd(m) -> np.ndarray:
-    """Hermitian PSD square root of a Hermitian positive-semidefinite matrix.
-
-    Eigenvalues in (-CLAMP_WINDOW, 0) are clamped to zero; anything more
-    negative raises.
-    """
-    arr = as_matrix(m)
-    defect = hermiticity_defect(arr)
-    if defect > EIG_HERM_TOL:
-        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
-    vals, vecs = np.linalg.eigh(arr)
+def _psd_root(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """PSD square root from an ascending `eigh` decomposition, with the CLAMP_WINDOW clamp."""
     if vals[0] < -CLAMP_WINDOW:
         raise ValueError(f"matrix is not PSD (eigenvalue {vals[0]:.3e})")
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
+
+
+def matrix_sqrt_psd(m) -> np.ndarray:
+    """Hermitian PSD square root; eigenvalues in (-CLAMP_WINDOW, 0) clamp to 0, lower ones raise."""
+    arr = as_matrix(m)
+    if (defect := hermiticity_defect(arr)) > EIG_HERM_TOL:
+        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
+    return _psd_root(*np.linalg.eigh(arr))
+
+
+def _checked_density(rho, dim: int | None, decompose) -> tuple:
+    """The density-matrix checks in order; the eigenvalue floor reads `decompose(arr)[0]`."""
+    arr = as_matrix(rho)
+    if arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"density matrix must be square, got shape {arr.shape}")
+    if dim is not None and arr.shape[0] != dim:
+        raise ValueError(f"expected a {dim}x{dim} density matrix, got {arr.shape}")
+    if (defect := hermiticity_defect(arr)) > HERM_TOL:
+        raise ValueError(f"density matrix is not Hermitian (defect {defect:.3e})")
+    tr = complex(np.trace(arr))
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ValueError(f"density matrix trace is {tr}, expected 1")
+    vals, vecs = decompose(arr)
+    if vals[0] < EIGVAL_FLOOR:
+        raise ValueError(f"density matrix has negative eigenvalue {vals[0]:.3e}")
+    return arr, vals, vecs
 
 
 def validate_density_matrix(rho, dim: int | None = None) -> np.ndarray:
@@ -65,18 +81,10 @@ def validate_density_matrix(rho, dim: int | None = None) -> np.ndarray:
     Requires hermiticity within HERM_TOL, trace 1 within TRACE_TOL and all
     eigenvalues above EIGVAL_FLOOR.  `dim` pins the expected dimension.
     """
-    arr = as_matrix(rho)
-    if arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"density matrix must be square, got shape {arr.shape}")
-    if dim is not None and arr.shape[0] != dim:
-        raise ValueError(f"expected a {dim}x{dim} density matrix, got {arr.shape}")
-    defect = hermiticity_defect(arr)
-    if defect > HERM_TOL:
-        raise ValueError(f"density matrix is not Hermitian (defect {defect:.3e})")
-    tr = complex(np.trace(arr))
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValueError(f"density matrix trace is {tr}, expected 1")
-    smallest = float(np.linalg.eigvalsh(arr)[0])
-    if smallest < EIGVAL_FLOOR:
-        raise ValueError(f"density matrix has negative eigenvalue {smallest:.3e}")
-    return arr
+    return _checked_density(rho, dim, lambda arr: (np.linalg.eigvalsh(arr), None))[0]
+
+
+def density_sqrt(rho, dim: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """`validate_density_matrix(rho, dim)` and its `matrix_sqrt_psd`, from one `eigh`."""
+    arr, vals, vecs = _checked_density(rho, dim, np.linalg.eigh)
+    return arr, _psd_root(vals, vecs)

@@ -33,8 +33,11 @@ def singlet() -> np.ndarray:
     return np.array([0.0, 1.0, -1.0j, 0.0]) / SQRT2
 
 
+_SINGLET_DENSITY = pure_density(singlet())
+
+
 def singlet_density() -> np.ndarray:
-    return pure_density(singlet())
+    return _SINGLET_DENSITY.copy()
 
 
 def depolarized_qubit() -> np.ndarray:
@@ -49,7 +52,7 @@ def werner(q: float) -> np.ndarray:
     q = T^2 / (T^2 + R^2); it is separable for q <= 1/3.
     """
     q = check_unit_interval(q, "q")
-    return q * singlet_density() + (1.0 - q) * np.eye(4, dtype=complex) / 4.0
+    return q * _SINGLET_DENSITY + (1.0 - q) * np.eye(4, dtype=complex) / 4.0
 
 
 def post_measurement_state(q: float, outcome: str = "H") -> np.ndarray:
@@ -67,4 +70,4 @@ def post_measurement_state(q: float, outcome: str = "H") -> np.ndarray:
         noise = np.diag(np.array([0.5, 0.5, 0.0, 0.0], dtype=complex))
     else:
         raise ValueError(f"outcome must be 'H' or 'V', got {outcome!r}")
-    return q * singlet_density() + (1.0 - q) * noise
+    return q * _SINGLET_DENSITY + (1.0 - q) * noise

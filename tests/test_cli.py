@@ -243,6 +243,13 @@ class TestRejectedInvocations:
             pytest.param(["sweep", "--variable", "eps", "--min", "0", "--max", "1", "--steps", "3",
                           "--T", "0.4", "--out", "-"],
                          "error: eps must lie in (0, 1], got 0.0", id="sweep-eps-grid-0"),
+            # a nan or infinite tolerance bounds nothing (and nan is not valid JSON)
+            pytest.param(["verify", "--grid", "3", "--tolerance", "nan", "--out", "-"],
+                         "error: tolerance must be positive and finite, got nan",
+                         id="verify-tolerance-nan"),
+            pytest.param(["verify", "--grid", "3", "--tolerance", "inf", "--out", "-"],
+                         "error: tolerance must be positive and finite, got inf",
+                         id="verify-tolerance-inf"),
         ],
     )
     def test_exit_2_with_message_on_stderr(self, tmp_path, capsys, argv, message):

@@ -102,6 +102,62 @@ class TestBeamsplitter:
         assert prob == 0.0
 
 
+def kron_beamsplitter_matrix(transmittivity):
+    t_amp, r_amp = float(np.sqrt(transmittivity)), float(np.sqrt(1.0 - transmittivity))
+    return np.kron(np.array([[t_amp, 1.0j * r_amp], [1.0j * r_amp, t_amp]]), np.eye(4))
+
+
+def reference_apply_beamsplitter(state, transmittivity):
+    """Reference propagation: np.kron matrix, two np.nonzero calls per amplitude."""
+    u = kron_beamsplitter_matrix(transmittivity)
+    monomials = {}
+    for (a_pol, m1, m2), amp in state.items():
+        coeff = amp / fo.SQRT2 if m1 == m2 else amp
+        out1 = np.nonzero(u[:, m1])[0]
+        out2 = np.nonzero(u[:, m2])[0]
+        for i in out1:
+            ci = coeff * u[i, m1]
+            for j in out2:
+                key = (a_pol, i, j) if i <= j else (a_pol, j, i)
+                monomials[key] = monomials.get(key, 0.0) + ci * u[j, m2]
+    return {
+        key: (value * fo.SQRT2 if key[1] == key[2] else value)
+        for key, value in monomials.items()
+        if value != 0.0
+    }
+
+
+class TestPropagationIsBitIdentical:
+    """`apply_beamsplitter` and its matrix reproduce the reference bit for bit."""
+
+    TS = [float(t) for t in np.linspace(0.0, 1.0, 11)]
+
+    @staticmethod
+    def assert_same_bits(out, expected):
+        assert list(out) == list(expected)  # same keys in the same order
+        for key, amp in out.items():
+            assert type(amp) is type(expected[key])
+            assert np.asarray(amp).tobytes() == np.asarray(expected[key]).tobytes()
+
+    def test_matrix_equals_kron(self):
+        for t in self.TS + [0.3, 0.37, 0.8]:
+            assert fo.beamsplitter_matrix(t).tobytes() == kron_beamsplitter_matrix(t).tobytes()
+
+    def test_random_states(self, rng):
+        for t in self.TS:
+            vec = fo.random_state(rng)
+            expected = reference_apply_beamsplitter(vec, t)
+            self.assert_same_bits(fo.apply_beamsplitter(vec, t), expected)
+
+    def test_pipeline_inputs(self):
+        for t in self.TS:
+            for p in (0.0, 0.5, 1.0):
+                for env_pol in (fo.POL_H, fo.POL_V):
+                    vec = fo.build_input(CouplingConfig(t, p), env_pol)
+                    self.assert_same_bits(fo.apply_beamsplitter(vec, t),
+                                          reference_apply_beamsplitter(vec, t))
+
+
 class TestPostselection:
     def test_full_transmission(self):
         vec = fo.apply_beamsplitter(fo.build_input(CouplingConfig(1.0), fo.POL_H), 1.0)
@@ -152,7 +208,7 @@ class TestReduceToAb:
     def test_phase_convention_is_unobservable(self, monkeypatch):
         def asymmetric_matrix(transmittivity):
             # real entries: sqrt(R) off-diagonal, -sqrt(T) on the MEAS output
-            t_amp, r_amp = np.sqrt(transmittivity), np.sqrt(1.0 - transmittivity)
+            t_amp, r_amp = float(np.sqrt(transmittivity)), float(np.sqrt(1.0 - transmittivity))
             return np.kron(np.array([[t_amp, r_amp], [r_amp, -t_amp]], dtype=complex), np.eye(4))
 
         for t in (0.0, 0.37, 0.5, 1.0):

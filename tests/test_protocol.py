@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from entloc import fock_oracle, measures, protocol, states
-from entloc.params import CouplingConfig, FilterConfig, Stage
+from entloc.params import CouplingConfig, FilterConfig, Stage, StageOutcome
 
 SQRT2 = np.sqrt(2.0)
 
@@ -26,6 +26,19 @@ class TestConfigs:
             FilterConfig(-0.1, 0.5)
         with pytest.raises(ValueError):
             FilterConfig(0.5, 1.5)
+
+    @pytest.mark.parametrize("probability, stored", [
+        (-5e-10, 0.0), (0.0, 0.0), (0.25, 0.25), (1.0, 1.0), (1.0 + 5e-10, 1.0),
+    ])
+    def test_outcome_probability_clamped_into_unit_interval(self, probability, stored):
+        outcome = StageOutcome(state=states.werner(0.5), probability=probability,
+                               stage=Stage.COUPLING)
+        assert outcome.probability == stored
+
+    @pytest.mark.parametrize("probability", [-2e-9, 1.0 + 2e-9, float("nan")])
+    def test_outcome_probability_outside_rounding_window_raises(self, probability):
+        with pytest.raises(ValueError, match="probability must lie in"):
+            StageOutcome(state=states.werner(0.5), probability=probability, stage=Stage.COUPLING)
 
 
 class TestStage1:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from conftest import herm_eigvals, partial_trace, random_density, random_unitary, tensor
+from conftest import (herm_eigvals, partial_trace, random_density, random_pure_density,
+                      random_unitary, tensor)
 
 from entloc import qmat, states
 
@@ -185,3 +186,31 @@ class TestValidateDensityMatrix:
     def test_rejects_wrong_dimension(self):
         with pytest.raises(ValueError):
             qmat.validate_density_matrix(np.eye(2) / 2, dim=4)
+
+
+INVALID_DENSITY_INPUTS = [
+    pytest.param(np.eye(4), None, id="trace"),
+    pytest.param(np.array([[0.5, 1e-3], [0.0, 0.5]]), None, id="non-Hermitian"),
+    pytest.param(np.diag([1.5, -0.5]), None, id="negative"),
+    pytest.param(np.eye(2) / 2, 4, id="dimension"),
+    pytest.param(np.ones((2, 3)) / 2, None, id="non-square"),
+    pytest.param(np.diag([np.nan, 1.0]), None, id="non-finite"),
+]
+
+
+class TestDensitySqrt:
+    def test_equals_validate_then_sqrt_bit_for_bit(self, rng):
+        for k in range(50):
+            rho = random_density(rng, 4) if k % 2 else random_pure_density(rng, 2 + k % 3)
+            arr, root = qmat.density_sqrt(rho)
+            expected = qmat.validate_density_matrix(rho)
+            assert arr.tobytes() == expected.tobytes()
+            assert root.tobytes() == qmat.matrix_sqrt_psd(expected).tobytes()
+
+    @pytest.mark.parametrize("rho, dim", INVALID_DENSITY_INPUTS)
+    def test_rejects_like_validate(self, rho, dim):
+        with pytest.raises(ValueError) as expected:
+            qmat.validate_density_matrix(rho, dim=dim)
+        with pytest.raises(ValueError) as raised:
+            qmat.density_sqrt(rho, dim=dim)
+        assert str(raised.value) == str(expected.value)

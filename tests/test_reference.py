@@ -25,6 +25,8 @@ class TestVerify:
         (0, 1e-9, "grid must be at least 2"),
         (1, 1e-9, "grid must be at least 2"),
         (3, 0.0, "tolerance must be positive"),
+        (3, float("nan"), "tolerance must be positive"),
+        (3, float("inf"), "tolerance must be positive"),
     ])
     def test_rejects_a_grid_or_tolerance_that_checks_nothing(self, grid, tolerance, message):
         with pytest.raises(ValueError, match=message):

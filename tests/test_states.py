@@ -19,6 +19,12 @@ class TestSinglet:
             marginal = partial_trace(rho, [2, 2], keep=keep)
             np.testing.assert_allclose(marginal, np.eye(2) / 2, atol=1e-15)
 
+    def test_returned_density_is_a_copy(self):
+        expected = states.pure_density(states.singlet())
+        states.singlet_density()[:] = 0.0
+        np.testing.assert_array_equal(states.singlet_density(), expected)
+        np.testing.assert_array_equal(states.werner(1.0), expected)
+
 
 class TestDepolarizedQubit:
     def test_matrix(self):
