@@ -225,8 +225,13 @@ def locate_separability_threshold(tol: float = 1e-8) -> float:
     """Locate the stage I concurrence zero crossing by bisection.
 
     Works on the constructed state via the concurrence functional, so it is
-    independent of the closed-form threshold it is compared against.
+    independent of the closed-form threshold it is compared against.  A `tol`
+    outside (0, inf) raises ValueError; a `tol` below the float spacing stops
+    once the bracket holds two adjacent floats.
     """
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+
     def entangled(t: float) -> bool:
         return measures.concurrence(stage1_couple(CouplingConfig(t)).state) > 0.0
 
@@ -235,6 +240,8 @@ def locate_separability_threshold(tol: float = 1e-8) -> float:
         raise RuntimeError("bisection bracket does not straddle the crossing")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if entangled(mid):
             hi = mid
         else:

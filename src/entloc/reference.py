@@ -35,121 +35,27 @@ def load_reference_values() -> dict:
 # reproduce
 # ----------------------------------------------------------------------
 
-def _row(key, stage, quantity, parameters, outcome, computed, reference_value,
-         tolerance, note=None) -> dict:
-    """One compared quantity with the state measures of the stage it belongs to."""
-    computed = float(computed)
-    reference_value = float(reference_value)
-    abs_error = abs(computed - reference_value)
-    row = {
-        "key": key,
-        "stage": stage,
-        "quantity": quantity,
-        "parameters": parameters,
-        "concurrence": measures.concurrence(outcome.state),
-        "probability": outcome.probability,
-        "chsh": measures.chsh_max(outcome.state),
-        "computed": computed,
-        "reference_value": reference_value,
-        "tolerance": tolerance,
-        "abs_error": abs_error,
-        "within_tolerance": abs_error <= tolerance,
-    }
-    if note is not None:
-        row["note"] = note
-    return row
+FORMULA_EPS = 1e-6  # filtering strength of the formulas table's stage III row
 
 
-def _table_report(table: str, att_a: float | None, att_b: float | None) -> dict:
-    data = load_reference_values()["tables"][table]
-    cfg = CouplingConfig(**data["coupling"])
-    filters = FilterConfig(
-        att_a=data["filters"]["att_a"] if att_a is None else att_a,
-        att_b=data["filters"]["att_b"] if att_b is None else att_b,
-    )
-    outcomes = {
-        "I": protocol.stage1_couple(cfg),
-        "II": protocol.stage2_measure(cfg, "H"),
-    }
-    outcomes["III"] = protocol.stage3_filter(outcomes["II"], filters)
-    pass_rate = outcomes["III"].probability / outcomes["II"].probability
-
+def _formula_rows(cfg: CouplingConfig) -> list:
+    """The closed-form stage table at one T (p = 0), as rows of a published table."""
     rows = []
-    for entry in data["rows"]:
-        outcome = outcomes[entry["stage"]]
-        convention = entry["convention"]
-        if convention == "pipeline":
-            if entry["quantity"] == "concurrence":
-                computed = measures.concurrence(outcome.state)
-            else:
-                computed = outcome.probability
-        elif convention == "schedule_formula_eps1":
-            computed = protocol.probability_closed_form(Stage.FILTRATION, cfg, eps=1.0)
-        elif convention == "filter_pass_rate":
-            computed = pass_rate
-        elif convention == "asymptotic_formula":
-            computed = protocol.concurrence_closed_form(Stage.FILTRATION, cfg, eps=None)
-        else:
-            raise ValueError(f"unknown comparison convention {convention!r}")
-
-        parameters = {"transmittivity": cfg.transmittivity, "overlap": cfg.overlap}
-        if entry["stage"] == "III":
-            parameters.update(att_a=filters.att_a, att_b=filters.att_b)
-        rows.append(
-            _row(
-                entry["key"], entry["stage"], entry["quantity"], parameters, outcome,
-                computed, entry["reference"], entry["tolerance"], entry["note"],
-            )
-        )
-    return {
-        "table": table,
-        "source": data["source"],
-        "coupling": {"transmittivity": cfg.transmittivity, "overlap": cfg.overlap},
-        "filters": {"att_a": filters.att_a, "att_b": filters.att_b},
-        "rows": rows,
-        "all_within_tolerance": all(row["within_tolerance"] for row in rows),
-    }
-
-
-def _formula_report(transmittivity: float) -> dict:
-    """Constructive pipeline versus the closed-form stage table at one T."""
-    cfg = CouplingConfig(transmittivity, 0.0)
-    stage1 = protocol.stage1_couple(cfg)
-    stage2 = protocol.stage2_measure(cfg, "H")
-    parameters = {"transmittivity": cfg.transmittivity, "overlap": 0.0}
-    rows = []
-    for key, stage, outcome in (("I", Stage.COUPLING, stage1), ("II", Stage.MEASUREMENT, stage2)):
-        rows.append(
-            _row(
-                f"C_{key}", key, "concurrence", parameters, outcome,
-                measures.concurrence(outcome.state),
-                protocol.concurrence_closed_form(stage, cfg), 1e-10,
-            )
-        )
-        rows.append(
-            _row(
-                f"P_{key}", key, "probability", parameters, outcome,
-                outcome.probability, protocol.probability_closed_form(stage, cfg), 1e-12,
-            )
-        )
-    if transmittivity > 0.0:
-        eps = 1e-6
-        stage3 = protocol.stage3_filter(stage2, protocol.eps_to_filter(eps, transmittivity))
-        rows.append(
-            _row(
-                "C_III_limit", "III", "concurrence", {**parameters, "eps": eps}, stage3,
-                measures.concurrence(stage3.state),
-                protocol.concurrence_closed_form(Stage.FILTRATION, cfg, eps=None), 1e-5,
-                "filtration limit approached constructively at eps = 1e-6",
-            )
-        )
-    return {
-        "table": "formulas",
-        "source": "closed-form stage table versus the constructive pipeline",
-        "coupling": {"transmittivity": cfg.transmittivity, "overlap": 0.0},
-        "rows": rows,
-        "all_within_tolerance": all(r["within_tolerance"] for r in rows),
-    }
+    for stage in ("I", "II"):
+        rows.append({"key": f"C_{stage}", "stage": stage, "quantity": "concurrence",
+                     "reference": protocol.concurrence_closed_form(stage, cfg),
+                     "tolerance": 1e-10, "convention": "pipeline"})
+        rows.append({"key": f"P_{stage}", "stage": stage, "quantity": "probability",
+                     "reference": protocol.probability_closed_form(stage, cfg),
+                     "tolerance": 1e-12, "convention": "pipeline"})
+    if cfg.transmittivity > 0.0:  # at T = 0 the filters block the stage II state
+        rows.append({
+            "key": "C_III_limit", "stage": "III", "quantity": "concurrence",
+            "reference": protocol.concurrence_closed_form(Stage.FILTRATION, cfg, eps=None),
+            "tolerance": 1e-5, "convention": "pipeline",
+            "note": "filtration limit approached constructively at eps = 1e-6",
+        })
+    return rows
 
 
 def report(table: str, transmittivity: float, att_a: float | None = None,
@@ -159,14 +65,68 @@ def report(table: str, transmittivity: float, att_a: float | None = None,
     `table` is "formulas" (the closed-form stage table at `transmittivity`,
     p = 0) or the name of a published table in the reference data file, whose
     filter attenuations `att_a`/`att_b` override when given; "I", "II" and
-    "III" are aliases.  Raises ValueError for an unknown table.
+    "III" are aliases.  Every row carries the concurrence, probability and
+    CHSH value of its stage.  Raises ValueError for an unknown table.
     """
     name = TABLE_ALIASES.get(table, table)
     if name == "formulas":
-        return _formula_report(transmittivity)
-    if name not in load_reference_values()["tables"]:
+        cfg = CouplingConfig(transmittivity, 0.0)
+        source = "closed-form stage table versus the constructive pipeline"
+        entries = _formula_rows(cfg)
+        filters = protocol.eps_to_filter(FORMULA_EPS, transmittivity)
+        stage3_parameters = {"eps": FORMULA_EPS}
+    elif name in load_reference_values()["tables"]:
+        data = load_reference_values()["tables"][name]
+        cfg = CouplingConfig(**data["coupling"])
+        source, entries = data["source"], data["rows"]
+        filters = FilterConfig(
+            att_a=data["filters"]["att_a"] if att_a is None else att_a,
+            att_b=data["filters"]["att_b"] if att_b is None else att_b,
+        )
+        stage3_parameters = {"att_a": filters.att_a, "att_b": filters.att_b}
+    else:
         raise ValueError(f"unknown table {table!r}")
-    return _table_report(name, att_a, att_b)
+    coupling = {"transmittivity": cfg.transmittivity, "overlap": cfg.overlap}
+    result = {"table": name, "source": source, "coupling": coupling}
+    if name != "formulas":
+        result["filters"] = stage3_parameters
+
+    outcomes = {"I": protocol.stage1_couple(cfg), "II": protocol.stage2_measure(cfg, "H")}
+    if any(entry["stage"] == "III" for entry in entries):
+        outcomes["III"] = protocol.stage3_filter(outcomes["II"], filters)
+    measured = {stage: {"concurrence": measures.concurrence(outcome.state),
+                        "probability": outcome.probability,
+                        "chsh": measures.chsh_max(outcome.state)}
+                for stage, outcome in outcomes.items()}
+
+    rows = []
+    for entry in entries:
+        stage, convention = entry["stage"], entry["convention"]
+        if convention == "pipeline":
+            computed = measured[stage][entry["quantity"]]
+        elif convention == "schedule_formula_eps1":
+            computed = protocol.probability_closed_form(Stage.FILTRATION, cfg, eps=1.0)
+        elif convention == "filter_pass_rate":
+            computed = outcomes["III"].probability / outcomes["II"].probability
+        elif convention == "asymptotic_formula":
+            computed = protocol.concurrence_closed_form(Stage.FILTRATION, cfg, eps=None)
+        else:
+            raise ValueError(f"unknown comparison convention {convention!r}")
+        computed, reference_value = float(computed), float(entry["reference"])
+        abs_error = abs(computed - reference_value)
+        rows.append({
+            "key": entry["key"], "stage": stage, "quantity": entry["quantity"],
+            "parameters": {**coupling, **(stage3_parameters if stage == "III" else {})},
+            **measured[stage],
+            "computed": computed, "reference_value": reference_value,
+            "tolerance": entry["tolerance"], "abs_error": abs_error,
+            "within_tolerance": abs_error <= entry["tolerance"],
+        })
+        if entry.get("note") is not None:
+            rows[-1]["note"] = entry["note"]
+    result["rows"] = rows
+    result["all_within_tolerance"] = all(row["within_tolerance"] for row in rows)
+    return result
 
 
 # ----------------------------------------------------------------------

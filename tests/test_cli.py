@@ -111,13 +111,27 @@ class TestSweep:
         assert cli.main(["sweep", "--T", "1.5", "--out", "-"]) == 2
 
 
+FORMULA_KEYS = ["C_I", "P_I", "C_II", "P_II"]
+TABLE_KEYS = ["C_I", "C_II", "P_II", "C_III", "P_III"]
+
+
 class TestReproduce:
-    @pytest.mark.parametrize("table", ["formulas", "distinguishable", "indistinguishable"])
-    def test_tables_pass(self, tmp_path, table):
-        out = tmp_path / f"{table}.json"
-        assert cli.main(["reproduce", "--table", table, "--out", str(out)]) == 0
+    @pytest.mark.parametrize("argv, keys", [
+        pytest.param(["--table", "formulas"], FORMULA_KEYS + ["C_III_limit"], id="formulas"),
+        pytest.param(["--table", "distinguishable"], TABLE_KEYS, id="distinguishable"),
+        pytest.param(["--table", "indistinguishable"], TABLE_KEYS + ["C_III_limit"],
+                     id="indistinguishable"),
+        # at T = 0 the filters block the stage II state, so stage III has no row
+        pytest.param(["--table", "formulas", "--T", "0"], FORMULA_KEYS, id="formulas-T-0"),
+        pytest.param(["--table", "formulas", "--T", "1"], FORMULA_KEYS + ["C_III_limit"],
+                     id="formulas-T-1"),
+    ])
+    def test_tables_pass(self, tmp_path, argv, keys):
+        out = tmp_path / "report.json"
+        assert cli.main(["reproduce", *argv, "--out", str(out)]) == 0
         report = json.loads(out.read_text(encoding="utf-8"))
         jsonschema.validate(report, load_schema("reproduce_report.schema.json"))
+        assert [row["key"] for row in report["rows"]] == keys
         assert report["all_within_tolerance"] is True
         assert all(row["within_tolerance"] for row in report["rows"])
 
@@ -243,6 +257,12 @@ class TestRejectedInvocations:
             pytest.param(["sweep", "--variable", "eps", "--min", "0", "--max", "1", "--steps", "3",
                           "--T", "0.4", "--out", "-"],
                          "error: eps must lie in (0, 1], got 0.0", id="sweep-eps-grid-0"),
+            pytest.param(["reproduce", "--table", "distinguishable", "--aa", "0", "--ab", "0",
+                          "--out", "-"],
+                         "error: filters fully blocked the state", id="reproduce-distinguishable-blocked"),
+            pytest.param(["reproduce", "--table", "indistinguishable", "--aa", "0", "--ab", "0",
+                          "--out", "-"],
+                         "error: filters fully blocked the state", id="reproduce-indistinguishable-blocked"),
             # a nan or infinite tolerance bounds nothing (and nan is not valid JSON)
             pytest.param(["verify", "--grid", "3", "--tolerance", "nan", "--out", "-"],
                          "error: tolerance must be positive and finite, got nan",

@@ -276,6 +276,15 @@ class TestThresholds:
         located = protocol.locate_separability_threshold(tol=1e-8)
         assert abs(located - (SQRT2 - 1.0)) < 1e-6
 
+    @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-8, float("inf")])
+    def test_bisection_rejects_a_tolerance_it_cannot_reach(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            protocol.locate_separability_threshold(tol)
+
+    def test_bisection_below_float_spacing_stops_at_adjacent_floats(self):
+        located = protocol.locate_separability_threshold(1e-17)
+        assert abs(located - (SQRT2 - 1.0)) < 1e-15
+
     def test_disappearance_threshold(self):
         assert protocol.disappearance_threshold(0.3) == protocol.ALWAYS_SEPARABLE
         assert abs(protocol.disappearance_threshold(0.5) - 0.5) < 1e-12

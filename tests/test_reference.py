@@ -1,6 +1,7 @@
 import pytest
 
-from entloc import reference
+from entloc import measures, protocol, reference
+from entloc.params import CouplingConfig, FilterConfig
 
 CHECK_NAMES = [
     "stage1_state_vs_analytic",
@@ -18,6 +19,38 @@ class TestReport:
     def test_rejects_unknown_table(self):
         with pytest.raises(ValueError, match="unknown table 'IV'"):
             reference.report("IV", 0.5)
+
+    @pytest.mark.parametrize("table, att_a, att_b", [
+        ("formulas", None, None),
+        ("distinguishable", None, None),
+        ("indistinguishable", None, None),
+        ("distinguishable", 0.5, 0.2),
+    ])
+    def test_every_row_carries_its_own_stage_measures(self, table, att_a, att_b):
+        result = reference.report(table, 0.5, att_a, att_b)
+        cfg = CouplingConfig(**result["coupling"])
+        if table == "formulas":
+            filters = protocol.eps_to_filter(1e-6, cfg.transmittivity)
+            conventions = {}  # every formulas row compares the pipeline value
+        else:
+            filters = FilterConfig(**result["filters"])
+            rows = reference.load_reference_values()["tables"][table]["rows"]
+            conventions = {row["key"]: row["convention"] for row in rows}
+        if att_a is not None:
+            assert result["filters"] == {"att_a": att_a, "att_b": att_b}
+        stage2 = protocol.stage2_measure(cfg, "H")
+        outcomes = {
+            "I": protocol.stage1_couple(cfg),
+            "II": stage2,
+            "III": protocol.stage3_filter(stage2, filters),
+        }
+        for row in result["rows"]:
+            outcome = outcomes[row["stage"]]
+            assert row["concurrence"] == measures.concurrence(outcome.state)
+            assert row["chsh"] == measures.chsh_max(outcome.state)
+            assert row["probability"] == outcome.probability
+            if conventions.get(row["key"], "pipeline") == "pipeline":
+                assert row["computed"] == row[row["quantity"]]
 
 
 class TestVerify:
