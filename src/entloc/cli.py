@@ -10,7 +10,8 @@ The computations live in the library (`protocol.stage_concurrences`,
 `reference.report`, `reference.verify`, `fock_oracle.hom_coincidence`).
 Each `cmd_*` validates its arguments, calls the library and maps the result
 to (exit status, output text), raising ValueError on invalid input; `main`
-alone writes the text to --out or stdout.
+alone writes the text to --out or stdout.  `sweep` hands its whole grid to
+one `stage_concurrences` call.
 Output is deterministic: identical invocations produce byte-identical files.
 Reals are rendered with 10 significant digits; CSV is UTF-8 with LF line
 endings and a single header row.  Exit codes: 0 success / within tolerance,
@@ -85,14 +86,11 @@ def cmd_sweep(args) -> tuple[int, str]:
     CouplingConfig(args.T, args.p)  # the fixed values are checked even when swept
     protocol.eps_to_filter(args.eps, args.T)
 
-    rows = []
-    for value in np.linspace(args.min, args.max, args.steps):
-        value = float(value)
-        t = value if args.variable == "T" else args.T
-        p = value if args.variable == "p" else args.p
-        eps = value if args.variable == "eps" else args.eps
-        rows.append((value, *protocol.stage_concurrences(t, p, eps)))
-    return 0, _csv_text(SWEEP_HEADER, rows)
+    grid = np.linspace(args.min, args.max, args.steps)
+    columns = protocol.stage_concurrences(grid if args.variable == "T" else args.T,
+                                          grid if args.variable == "p" else args.p,
+                                          grid if args.variable == "eps" else args.eps)
+    return 0, _csv_text(SWEEP_HEADER, zip(grid, *columns))
 
 
 def cmd_reproduce(args) -> tuple[int, str]:

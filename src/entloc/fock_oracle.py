@@ -198,18 +198,19 @@ def reduce_to_ab(branches: list[dict], outcome: str | None = None) -> StageOutco
     return StageOutcome(state=state, probability=probability, stage=stage)
 
 
-def simulate(cfg: CouplingConfig, outcome: str | None = None) -> StageOutcome:
-    """Run the full pipeline from first principles.
-
-    Builds both environment polarization inputs, couples them on the
-    beamsplitter, post-selects one photon per arm and reduces to the A-B
-    pair with the measured photon traced out (`outcome` None) or projected.
-    """
-    branches = [
+def coupled_branches(cfg: CouplingConfig) -> list[dict]:
+    """Both environment polarization inputs, coupled on the beamsplitter and
+    post-selected on one photon per arm: the branches `reduce_to_ab` takes."""
+    return [
         postselect_one_each(apply_beamsplitter(build_input(cfg, env_pol), cfg.transmittivity))
         for env_pol in (POL_H, POL_V)
     ]
-    return reduce_to_ab(branches, outcome)
+
+
+def simulate(cfg: CouplingConfig, outcome: str | None = None) -> StageOutcome:
+    """Run the full pipeline from first principles: `reduce_to_ab` of the `coupled_branches`,
+    with the measured photon traced out (`outcome` None) or projected."""
+    return reduce_to_ab(coupled_branches(cfg), outcome)
 
 
 def hom_coincidence(transmittivity: float, overlap: float) -> float:

@@ -17,7 +17,7 @@ _PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 _PAULI_PAIRS = [np.kron(si, sj) for si in _PAULIS for sj in _PAULIS]
 
 
-def concurrence(rho) -> float:
+def concurrence(rho) -> float | np.ndarray:
     """Wootters concurrence C = max(0, l1 - l2 - l3 - l4).
 
     The l_i are the descending square roots of the eigenvalues of
@@ -25,12 +25,15 @@ def concurrence(rho) -> float:
     fixed (HH, HV, VH, VV) basis.  They are computed as the singular values
     of sqrt(rho) (sy x sy) conj(sqrt(rho)): same spectrum, no non-Hermitian
     eigenproblem, and no precision loss from taking square roots of nearly
-    degenerate eigenvalues.
+    degenerate eigenvalues.  A 4x4 `rho` gives a float; a (..., 4, 4) stack
+    gives an array of the concurrence of each matrix.
     """
     _, root = qmat.density_sqrt(rho, dim=4)
     lams = np.linalg.svd(root @ _YY @ root.conj(), compute_uv=False)
-    value = float(lams[0] - lams[1] - lams[2] - lams[3])
-    return max(0.0, value)
+    l1, l2, l3, l4 = lams.T
+    value = (l1 - l2 - l3 - l4).T
+    clamped = np.where(value > 0.0, value, 0.0)  # max(0.0, value): -0.0 and nan give 0.0
+    return float(clamped) if clamped.ndim == 0 else clamped
 
 
 def fidelity(a, b) -> float:

@@ -102,26 +102,41 @@ def eps_to_filter(eps: float, transmittivity: float) -> FilterConfig:
     return FilterConfig(att_a=eps * cfg.werner_weight, att_b=eps)
 
 
-def stage_concurrences(transmittivity: float, overlap: float, eps: float) -> tuple:
-    """Concurrences (I, II, III at `eps`, III filtration limit) at one point.
+def coupled_stages(cfg: CouplingConfig) -> tuple[StageOutcome, StageOutcome]:
+    """`stage1_couple(cfg)` and `stage2_measure(cfg, "H")`, from one propagation when p > 0."""
+    if cfg.overlap == 0.0:
+        return stage1_couple(cfg), stage2_measure(cfg, "H")
+    branches = fock_oracle.coupled_branches(cfg)
+    return fock_oracle.reduce_to_ab(branches), fock_oracle.reduce_to_ab(branches, "H")
 
-    Stage III filters the H-outcome stage II state with the `eps_to_filter`
-    schedule; it is nan where the filters block the state completely (at
-    T = 0).  An eps outside (0, 1] raises.
+
+def stage_concurrences(transmittivity, overlap, eps) -> tuple:
+    """Concurrences (I, II, III at `eps`, III filtration limit) on a grid.
+
+    The arguments broadcast: scalars give the four floats of one point, arrays
+    four arrays of the broadcast shape.  Stage III filters the H-outcome stage
+    II state with the `eps_to_filter` schedule; it is nan where the filters
+    block the state completely (at T = 0).  An eps outside (0, 1] raises.  One
+    stacked `measures.concurrence` call measures every stage state of the grid.
     """
-    cfg = CouplingConfig(transmittivity, overlap)
-    stage2 = stage2_measure(cfg, "H")
-    filters = eps_to_filter(eps, transmittivity)
-    try:
-        filtered = measures.concurrence(stage3_filter(stage2, filters).state)
-    except ValueError:
-        filtered = float("nan")
-    return (
-        measures.concurrence(stage1_couple(cfg).state),
-        measures.concurrence(stage2.state),
-        filtered,
-        concurrence_closed_form(Stage.FILTRATION, cfg, eps=None),
-    )
+    grid = np.broadcast_arrays(transmittivity, overlap, eps)
+    coupled, filtered, unblocked, limits = [], [], [], []
+    for t, p, e in zip(*(axis.ravel().tolist() for axis in grid)):
+        cfg = CouplingConfig(t, p)
+        stage1, stage2 = coupled_stages(cfg)
+        filters = eps_to_filter(e, t)
+        try:
+            filtered.append(stage3_filter(stage2, filters).state)
+            unblocked.append(len(limits))
+        except ValueError:
+            pass
+        coupled += [stage1.state, stage2.state]
+        limits.append(concurrence_closed_form(Stage.FILTRATION, cfg, eps=None))
+    values = measures.concurrence(np.array(coupled + filtered))
+    stage3 = np.full(len(limits), np.nan)
+    stage3[unblocked] = values[len(coupled):]
+    columns = (values[:len(coupled):2], values[1:len(coupled):2], stage3, np.array(limits))
+    return tuple(col.reshape(grid[0].shape) if grid[0].ndim else float(col[0]) for col in columns)
 
 
 def concurrence_closed_form(stage: Stage, cfg: CouplingConfig, eps: float | None = None) -> float:

@@ -26,52 +26,58 @@ CLAMP_WINDOW = 1e-8
 
 
 def as_matrix(m) -> np.ndarray:
-    """Coerce to a 2-D complex array with finite entries."""
+    """Coerce a matrix or a (..., n, m) stack of matrices to a complex array with finite entries."""
     arr = np.asarray(m, dtype=complex)
-    if arr.ndim != 2:
+    if arr.ndim < 2:
         raise ValueError(f"expected a matrix, got array of shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("matrix entries must be finite")
     return arr
 
 
-def hermiticity_defect(arr: np.ndarray) -> float:
-    """max_ij |arr_ij - conj(arr_ji)| for a square matrix from `as_matrix`."""
-    if arr.shape[0] != arr.shape[1]:
+def hermiticity_defect(arr: np.ndarray):
+    """max_ij |arr_ij - conj(arr_ji)| of each square matrix of an `as_matrix` array."""
+    if arr.shape[-2] != arr.shape[-1]:
         raise ValueError(f"matrix is not square: shape {arr.shape}")
-    return float(np.max(np.abs(arr - arr.conj().T)))
+    return np.abs(arr - arr.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
 
 
 def _psd_root(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """PSD square root from an ascending `eigh` decomposition, with the CLAMP_WINDOW clamp."""
-    if vals[0] < -CLAMP_WINDOW:
-        raise ValueError(f"matrix is not PSD (eigenvalue {vals[0]:.3e})")
-    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
+    """PSD square root of each matrix from its `eigh` decomposition, eigenvalues clamped at 0."""
+    return (vecs * np.sqrt(np.maximum(vals, 0.0))[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 def matrix_sqrt_psd(m) -> np.ndarray:
-    """Hermitian PSD square root; eigenvalues in (-CLAMP_WINDOW, 0) clamp to 0, lower ones raise."""
+    """Hermitian PSD square root of a matrix or of each matrix of a stack, which reports its worst
+    matrix; eigenvalues in (-CLAMP_WINDOW, 0) clamp to 0, lower ones raise."""
     arr = as_matrix(m)
-    if (defect := hermiticity_defect(arr)) > EIG_HERM_TOL:
+    if (defect := hermiticity_defect(arr).max()) > EIG_HERM_TOL:
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
-    return _psd_root(*np.linalg.eigh(arr))
+    vals, vecs = np.linalg.eigh(arr)
+    if (low := vals[..., 0].min()) < -CLAMP_WINDOW:
+        raise ValueError(f"matrix is not PSD (eigenvalue {low:.3e})")
+    return _psd_root(vals, vecs)
 
 
 def _checked_density(rho, dim: int | None, decompose) -> tuple:
-    """The density-matrix checks in order; the eigenvalue floor reads `decompose(arr)[0]`."""
+    """The density-matrix checks of a matrix or of each matrix of a stack, which raises the message
+    of its first failing matrix; the eigenvalue floor reads `decompose(arr)[0]`."""
     arr = as_matrix(rho)
-    if arr.shape[0] != arr.shape[1]:
+    if arr.shape[-2] != arr.shape[-1]:
         raise ValueError(f"density matrix must be square, got shape {arr.shape}")
-    if dim is not None and arr.shape[0] != dim:
+    if dim is not None and arr.shape[-1] != dim:
         raise ValueError(f"expected a {dim}x{dim} density matrix, got {arr.shape}")
-    if (defect := hermiticity_defect(arr)) > HERM_TOL:
-        raise ValueError(f"density matrix is not Hermitian (defect {defect:.3e})")
-    tr = complex(np.trace(arr))
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValueError(f"density matrix trace is {tr}, expected 1")
+    defect = hermiticity_defect(arr)
+    tr = arr.trace(axis1=-2, axis2=-1)
     vals, vecs = decompose(arr)
-    if vals[0] < EIGVAL_FLOOR:
-        raise ValueError(f"density matrix has negative eigenvalue {vals[0]:.3e}")
+    failed = (defect > HERM_TOL) | (abs(tr - 1.0) > TRACE_TOL) | (vals[..., 0] < EIGVAL_FLOOR)
+    if np.count_nonzero(failed):  # the first failing matrix fails its checks in this order
+        i = np.flatnonzero(failed)[0]
+        defect, tr, low = np.ravel(defect)[i], complex(np.ravel(tr)[i]), np.ravel(vals[..., 0])[i]
+        raise ValueError(
+            f"density matrix is not Hermitian (defect {defect:.3e})" if defect > HERM_TOL
+            else f"density matrix trace is {tr}, expected 1" if abs(tr - 1.0) > TRACE_TOL
+            else f"density matrix has negative eigenvalue {low:.3e}")
     return arr, vals, vecs
 
 
@@ -85,6 +91,7 @@ def validate_density_matrix(rho, dim: int | None = None) -> np.ndarray:
 
 
 def density_sqrt(rho, dim: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """`validate_density_matrix(rho, dim)` and its `matrix_sqrt_psd`, from one `eigh`."""
+    """`validate_density_matrix(rho, dim)` and its PSD square root, from one `eigh`; for a
+    (..., n, n) stack, each matrix gets the checks and the root it would get alone."""
     arr, vals, vecs = _checked_density(rho, dim, np.linalg.eigh)
     return arr, _psd_root(vals, vecs)

@@ -66,10 +66,14 @@ def report(table: str, transmittivity: float, att_a: float | None = None,
     p = 0) or the name of a published table in the reference data file, whose
     filter attenuations `att_a`/`att_b` override when given; "I", "II" and
     "III" are aliases.  Every row carries the concurrence, probability and
-    CHSH value of its stage.  Raises ValueError for an unknown table.
+    CHSH value of its stage.  Raises ValueError for an unknown table, and for
+    attenuations given with the formulas table, which has no filters to override.
     """
     name = TABLE_ALIASES.get(table, table)
     if name == "formulas":
+        if att_a is not None or att_b is not None:
+            raise ValueError("filter attenuations (aa/ab) apply to the published tables, "
+                             "not to the formulas table")
         cfg = CouplingConfig(transmittivity, 0.0)
         source = "closed-form stage table versus the constructive pipeline"
         entries = _formula_rows(cfg)
@@ -91,7 +95,7 @@ def report(table: str, transmittivity: float, att_a: float | None = None,
     if name != "formulas":
         result["filters"] = stage3_parameters
 
-    outcomes = {"I": protocol.stage1_couple(cfg), "II": protocol.stage2_measure(cfg, "H")}
+    outcomes = dict(zip(("I", "II"), protocol.coupled_stages(cfg)))
     if any(entry["stage"] == "III" for entry in entries):
         outcomes["III"] = protocol.stage3_filter(outcomes["II"], filters)
     measured = {stage: {"concurrence": measures.concurrence(outcome.state),
@@ -182,8 +186,9 @@ def verify(grid: int, tolerance: float) -> dict:
         analytic1 = protocol.stage1_couple(cfg)
         analytic2 = protocol.stage2_measure(cfg, "H")
         prob1 = t * t + (1.0 - t) ** 2  # not T**2 as in protocol: the last bit can differ
-        oracle1 = fock_oracle.simulate(cfg)
-        oracle2 = fock_oracle.simulate(cfg, "H")
+        branches = fock_oracle.coupled_branches(cfg)  # one propagation for both stages
+        oracle1 = fock_oracle.reduce_to_ab(branches)
+        oracle2 = fock_oracle.reduce_to_ab(branches, "H")
 
         records["stage1_state_vs_analytic"].append(
             (1.0 - measures.fidelity(oracle1.state, analytic1.state), at))

@@ -1,10 +1,12 @@
-"""Shared test helpers: seeded random states and unitaries, and the tensor
-product, partial trace and sorted spectrum used to build and inspect them."""
+"""Shared test helpers: seeded random states and unitaries, the pipeline's
+stage states, and the tensor product, partial trace and sorted spectrum used
+to build and inspect them."""
 
 import numpy as np
 import pytest
 
-from entloc import qmat
+from entloc import protocol, qmat
+from entloc.params import CouplingConfig
 
 
 def random_density(rng, dim: int) -> np.ndarray:
@@ -26,6 +28,18 @@ def random_pure_density(rng, dim: int) -> np.ndarray:
     vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     vec /= np.linalg.norm(vec)
     return np.outer(vec, vec.conj())
+
+
+def pipeline_states() -> list:
+    """Stage I, II and (where the filters pass) III states at 21 T in [0, 1], p in {0, 0.5, 1}."""
+    found = []
+    for t in np.linspace(0.0, 1.0, 21):
+        for p in (0.0, 0.5, 1.0):
+            stage1, stage2 = protocol.coupled_stages(CouplingConfig(float(t), p))
+            found += [stage1.state, stage2.state]
+            if t > 0.0:  # at T = 0 the filters block the stage II state
+                found.append(protocol.stage3_filter(stage2, protocol.eps_to_filter(0.15, t)).state)
+    return found
 
 
 def tensor(a, b) -> np.ndarray:

@@ -8,7 +8,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from entloc import cli
+from entloc import cli, fock_oracle, measures, protocol
+from entloc.params import CouplingConfig, Stage
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA_DIR = ROOT / "schemas"
@@ -109,6 +110,63 @@ class TestSweep:
         assert cli.main(["sweep", "--min", "0.8", "--max", "0.2", "--out", "-"]) == 2
         assert cli.main(["sweep", "--min", "-0.5", "--max", "0.5", "--out", "-"]) == 2
         assert cli.main(["sweep", "--T", "1.5", "--out", "-"]) == 2
+
+
+def per_point_stage_concurrences(transmittivity, overlap, eps):
+    """The one-point evaluation a sweep made before it measured its grid in one call."""
+    cfg = CouplingConfig(transmittivity, overlap)
+    stage2 = protocol.stage2_measure(cfg, "H")
+    filters = protocol.eps_to_filter(eps, transmittivity)
+    try:
+        filtered = measures.concurrence(protocol.stage3_filter(stage2, filters).state)
+    except ValueError:
+        filtered = float("nan")
+    return (
+        measures.concurrence(protocol.stage1_couple(cfg).state),
+        measures.concurrence(stage2.state),
+        filtered,
+        protocol.concurrence_closed_form(Stage.FILTRATION, cfg, eps=None),
+    )
+
+
+GRID_SWEEPS = [
+    pytest.param("T", 0.0, 1.0, 21, 0.4, p, 0.15, id=f"T-p-{p}") for p in (0.0, 0.25, 0.5, 1.0)
+] + [
+    pytest.param("p", 0.0, 1.0, 11, 0.3, 0.0, 0.15, id="p"),
+    pytest.param("eps", 0.001, 1.0, 11, 0.4, 0.0, 0.15, id="eps"),
+    pytest.param("eps", 0.001, 1.0, 6, 0.0, 0.5, 0.15, id="eps-T-0-p-0.5"),
+]
+
+
+class TestSweepGrid:
+    @pytest.mark.parametrize("variable, lo, hi, steps, T, p, eps", GRID_SWEEPS)
+    def test_one_grid_call_gives_the_per_point_bytes(self, tmp_path, monkeypatch,
+                                                     variable, lo, hi, steps, T, p, eps):
+        rows = []
+        for value in np.linspace(lo, hi, steps):
+            value = float(value)
+            point = {"T": T, "p": p, "eps": eps, variable: value}
+            rows.append((value, *per_point_stage_concurrences(point["T"], point["p"], point["eps"])))
+        expected = cli._csv_text(cli.SWEEP_HEADER, rows)
+
+        calls = {"concurrence": 0, "apply_beamsplitter": 0}
+
+        def counted(name, func):
+            def wrapper(*args):
+                calls[name] += 1
+                return func(*args)
+            return wrapper
+
+        monkeypatch.setattr(measures, "concurrence", counted("concurrence", measures.concurrence))
+        monkeypatch.setattr(fock_oracle, "apply_beamsplitter",
+                            counted("apply_beamsplitter", fock_oracle.apply_beamsplitter))
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--variable", variable, "--min", repr(lo), "--max", repr(hi),
+                "--steps", str(steps), "--T", repr(T), "--p", repr(p), "--eps", repr(eps)]
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        assert out.read_bytes() == expected.encode("utf-8")
+        overlaps = np.linspace(lo, hi, steps) if variable == "p" else np.full(steps, p)
+        assert calls == {"concurrence": 1, "apply_beamsplitter": 2 * int(np.sum(overlaps > 0.0))}
 
 
 FORMULA_KEYS = ["C_I", "P_I", "C_II", "P_II"]
@@ -263,6 +321,13 @@ class TestRejectedInvocations:
             pytest.param(["reproduce", "--table", "indistinguishable", "--aa", "0", "--ab", "0",
                           "--out", "-"],
                          "error: filters fully blocked the state", id="reproduce-indistinguishable-blocked"),
+            # the formulas table has no filters whose attenuation could be overridden
+            pytest.param(["reproduce", "--table", "formulas", "--aa", "0.3", "--out", "-"],
+                         "error: filter attenuations (aa/ab) apply to the published tables",
+                         id="reproduce-formulas-aa"),
+            pytest.param(["reproduce", "--table", "I", "--ab", "0.3", "--out", "-"],
+                         "error: filter attenuations (aa/ab) apply to the published tables",
+                         id="reproduce-formulas-ab"),
             # a nan or infinite tolerance bounds nothing (and nan is not valid JSON)
             pytest.param(["verify", "--grid", "3", "--tolerance", "nan", "--out", "-"],
                          "error: tolerance must be positive and finite, got nan",
@@ -337,6 +402,19 @@ class TestConfigFile:
         no_section = tmp_path / "plain.ini"
         no_section.write_text("[other]\nT = 0.5\n", encoding="utf-8")
         assert cli.main(["--config", str(no_section), "hom", "--out", "-"]) == 2
+
+    def test_config_attenuation_rejected_for_the_formulas_table(self, tmp_path, capsys):
+        config = tmp_path / "filters.ini"
+        config.write_text("[defaults]\naa = 0.3\n", encoding="utf-8")
+        assert cli.main(["--config", str(config), "reproduce", "--table", "formulas",
+                         "--out", "-"]) == 2
+        assert "error: filter attenuations (aa/ab)" in capsys.readouterr().err
+        # a published table still takes the override
+        out = tmp_path / "rep.json"
+        assert cli.main(["--config", str(config), "reproduce", "--table", "distinguishable",
+                         "--out", str(out)]) in (0, 1)
+        report = json.loads(out.read_text(encoding="utf-8"))
+        assert report["filters"]["att_a"] == 0.3
 
     def test_config_value_checked_like_its_flag(self, tmp_path, capsys):
         config = tmp_path / "variable.ini"

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from conftest import random_density, random_pure_density, random_unitary, tensor
+from conftest import pipeline_states, random_density, random_pure_density, random_unitary, tensor
 
 from entloc import measures, states
 
@@ -63,6 +65,45 @@ class TestConcurrence:
             measures.concurrence(np.eye(4))  # trace 4
         with pytest.raises(ValueError):
             measures.concurrence(np.eye(2) / 2)  # wrong dimension
+
+
+class TestConcurrenceOfAStack:
+    def test_equals_each_matrix_bit_for_bit(self, rng):
+        mats = [random_density(rng, 4) for _ in range(50)] + pipeline_states()
+        values = measures.concurrence(np.array(mats))
+        assert values.shape == (len(mats),)
+        for rho, value in zip(mats, values):
+            single = measures.concurrence(rho)
+            assert type(single) is float
+            assert float(value).hex() == single.hex()
+
+    def test_keeps_leading_axes(self, rng):
+        mats = np.array([random_density(rng, 4) for _ in range(6)])
+        values = measures.concurrence(mats.reshape(3, 2, 4, 4))
+        assert values.tobytes() == measures.concurrence(mats).reshape(3, 2).tobytes()
+
+    def test_raises_the_first_invalid_matrix_message(self):
+        with pytest.raises(ValueError) as expected:
+            measures.concurrence(np.eye(4))
+        with pytest.raises(ValueError) as raised:
+            measures.concurrence(np.array([states.werner(0.6), np.eye(4), np.eye(4) / 2]))
+        assert str(raised.value) == str(expected.value)
+
+    @pytest.mark.parametrize("lams, expected", [
+        ([-0.0, 0.0, 0.0, 0.0], 0.0),  # -0.0 clamps to +0.0, like max(0.0, -0.0)
+        ([np.nan, 0.0, 0.0, 0.0], 0.0),  # like max(0.0, nan)
+        ([0.5, 0.25, 0.25, 0.25], 0.0),
+        ([0.75, 0.25, 0.0, 0.0], 0.5),
+    ])
+    def test_clamp_is_max_of_zero_and_value(self, monkeypatch, lams, expected):
+        def fake_svd(mats, compute_uv):
+            return np.broadcast_to(np.array(lams), mats.shape[:-1]).copy()
+
+        monkeypatch.setattr(np.linalg, "svd", fake_svd)
+        single = measures.concurrence(np.eye(4) / 4)
+        stacked = measures.concurrence(np.array([np.eye(4) / 4] * 2))
+        for value in (single, *stacked):
+            assert value == expected and math.copysign(1.0, value) == 1.0
 
 
 class TestFidelity:

@@ -195,6 +195,16 @@ class TestStageConcurrences:
                 assert abs(filtered - np.sqrt(q) / (1.0 + (1.0 - q) * eps / 2.0)) < 1e-12
                 assert abs(limit - protocol.concurrence_closed_form(Stage.FILTRATION, cfg)) < 1e-12
 
+    def test_grid_equals_its_points(self):
+        ts = np.linspace(0.0, 1.0, 6).reshape(2, 3)
+        for p in (0.0, 0.5):
+            columns = protocol.stage_concurrences(ts, p, 0.15)
+            for index in np.ndindex(ts.shape):
+                point = protocol.stage_concurrences(float(ts[index]), p, 0.15)
+                assert all(type(value) is float for value in point)
+                got = [float(column[index]) for column in columns]
+                assert np.array_equal(got, point, equal_nan=True)
+
     def test_blocked_filter_is_nan(self):
         assert np.isnan(protocol.stage_concurrences(0.0, 0.0, 0.15)[2])
 

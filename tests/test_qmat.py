@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
-from conftest import (herm_eigvals, partial_trace, random_density, random_pure_density,
-                      random_unitary, tensor)
+from conftest import (herm_eigvals, partial_trace, pipeline_states, random_density,
+                      random_pure_density, random_unitary, tensor)
 
 from entloc import qmat, states
 
@@ -163,6 +163,17 @@ class TestMatrixSqrtPsd:
             qmat.matrix_sqrt_psd(np.diag([1.0, -1e-6]))
 
 
+    def test_stack_equals_each_matrix_and_reports_its_worst(self, rng):
+        mats = [random_density(rng, 3) for _ in range(5)]
+        roots = qmat.matrix_sqrt_psd(np.array(mats))
+        for mat, root in zip(mats, roots):
+            assert root.tobytes() == qmat.matrix_sqrt_psd(mat).tobytes()
+        with pytest.raises(ValueError, match=r"eigenvalue -1\.000e-06"):
+            qmat.matrix_sqrt_psd(np.array([np.diag([1.0, -1e-7]), np.diag([1.0, -1e-6])]))
+        with pytest.raises(ValueError, match="Hermitian"):
+            qmat.matrix_sqrt_psd(np.array([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]]))
+
+
 class TestValidateDensityMatrix:
     def test_accepts_valid_states(self, rng):
         qmat.validate_density_matrix(states.werner(0.7), dim=4)
@@ -214,3 +225,54 @@ class TestDensitySqrt:
         with pytest.raises(ValueError) as raised:
             qmat.density_sqrt(rho, dim=dim)
         assert str(raised.value) == str(expected.value)
+
+
+# a valid state and three 4x4 matrices that each fail one density-matrix check
+VALID_4 = states.werner(0.6)
+FAILING_4 = {
+    "trace": np.eye(4),
+    "non-Hermitian": np.diag([0.25, 0.25, 0.25, 0.25]) + np.diag([1e-3], k=3),
+    "negative": np.diag([1.5, -0.5, 0.0, 0.0]),
+}
+
+
+class TestDensitySqrtOfAStack:
+    def test_equals_each_matrix_bit_for_bit(self, rng):
+        mats = [random_density(rng, 4) for _ in range(50)] + pipeline_states()
+        arr, root = qmat.density_sqrt(np.array(mats), dim=4)
+        assert arr.shape == root.shape == (len(mats), 4, 4)
+        for k, rho in enumerate(mats):
+            single_arr, single_root = qmat.density_sqrt(rho, dim=4)
+            assert arr[k].tobytes() == single_arr.tobytes()
+            assert root[k].tobytes() == single_root.tobytes()
+
+    def test_keeps_leading_axes(self, rng):
+        mats = np.array([random_density(rng, 4) for _ in range(6)]).reshape(2, 3, 4, 4)
+        _, root = qmat.density_sqrt(mats)
+        assert root.tobytes() == qmat.density_sqrt(mats.reshape(6, 4, 4))[1].tobytes()
+
+    @pytest.mark.parametrize("name", FAILING_4)
+    @pytest.mark.parametrize("position", [0, 2])
+    def test_raises_the_failing_matrix_message(self, name, position):
+        stack = [VALID_4] * 3
+        stack[position] = FAILING_4[name]
+        with pytest.raises(ValueError) as expected:
+            qmat.density_sqrt(FAILING_4[name], dim=4)
+        for check in (qmat.density_sqrt, qmat.validate_density_matrix):
+            with pytest.raises(ValueError) as raised:
+                check(np.array(stack), dim=4)
+            assert str(raised.value) == str(expected.value)
+
+    def test_first_failing_matrix_wins_over_check_order(self):
+        # matrix 1 fails only the last check, matrix 2 the first one
+        stack = np.array([VALID_4, FAILING_4["negative"], FAILING_4["non-Hermitian"]])
+        with pytest.raises(ValueError, match="negative eigenvalue -5.000e-01"):
+            qmat.density_sqrt(stack, dim=4)
+
+    def test_rejects_a_stack_of_the_wrong_shape(self):
+        with pytest.raises(ValueError, match="expected a 4x4 density matrix"):
+            qmat.density_sqrt(np.array([np.eye(2) / 2] * 3), dim=4)
+        with pytest.raises(ValueError, match="must be square"):
+            qmat.density_sqrt(np.ones((3, 2, 4)) / 2)
+        with pytest.raises(ValueError, match="finite"):
+            qmat.density_sqrt(np.array([VALID_4, np.full((4, 4), np.nan)]))

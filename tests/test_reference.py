@@ -20,6 +20,12 @@ class TestReport:
         with pytest.raises(ValueError, match="unknown table 'IV'"):
             reference.report("IV", 0.5)
 
+    @pytest.mark.parametrize("att_a, att_b", [(0.3, None), (None, 0.3), (0.0, 0.0)])
+    def test_rejects_attenuations_for_the_formulas_table(self, att_a, att_b):
+        for table in ("formulas", "I"):
+            with pytest.raises(ValueError, match="apply to the published tables"):
+                reference.report(table, 0.5, att_a, att_b)
+
     @pytest.mark.parametrize("table, att_a, att_b", [
         ("formulas", None, None),
         ("distinguishable", None, None),
