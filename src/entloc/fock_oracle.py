@@ -208,8 +208,7 @@ def coupled_branches(cfg: CouplingConfig) -> list[dict]:
 
 
 def simulate(cfg: CouplingConfig, outcome: str | None = None) -> StageOutcome:
-    """Run the full pipeline from first principles: `reduce_to_ab` of the `coupled_branches`,
-    with the measured photon traced out (`outcome` None) or projected."""
+    """Run the full pipeline from first principles: `reduce_to_ab(coupled_branches(cfg), outcome)`."""
     return reduce_to_ab(coupled_branches(cfg), outcome)
 
 

@@ -30,8 +30,7 @@ def concurrence(rho) -> float | np.ndarray:
     """
     _, root = qmat.density_sqrt(rho, dim=4)
     lams = np.linalg.svd(root @ _YY @ root.conj(), compute_uv=False)
-    l1, l2, l3, l4 = lams.T
-    value = (l1 - l2 - l3 - l4).T
+    value = lams[..., 0] - lams[..., 1] - lams[..., 2] - lams[..., 3]
     clamped = np.where(value > 0.0, value, 0.0)  # max(0.0, value): -0.0 and nan give 0.0
     return float(clamped) if clamped.ndim == 0 else clamped
 
@@ -41,7 +40,7 @@ def fidelity(a, b) -> float:
 
     Symmetric in its arguments and equal to 1 exactly when a == b.
     """
-    mat_a, root = qmat.density_sqrt(a)
+    mat_a, root = qmat.density_sqrt(qmat.as_matrix(a))  # one matrix, not a stack
     mat_b = qmat.validate_density_matrix(b)
     if mat_a.shape != mat_b.shape:
         raise ValueError(f"dimension mismatch: {mat_a.shape} vs {mat_b.shape}")

@@ -110,6 +110,9 @@ def coupled_stages(cfg: CouplingConfig) -> tuple[StageOutcome, StageOutcome]:
     return fock_oracle.reduce_to_ab(branches), fock_oracle.reduce_to_ab(branches, "H")
 
 
+GRID_BLOCK = 256  # points per stacked `measures.concurrence` call: bounds a grid's memory
+
+
 def stage_concurrences(transmittivity, overlap, eps) -> tuple:
     """Concurrences (I, II, III at `eps`, III filtration limit) on a grid.
 
@@ -117,25 +120,29 @@ def stage_concurrences(transmittivity, overlap, eps) -> tuple:
     four arrays of the broadcast shape.  Stage III filters the H-outcome stage
     II state with the `eps_to_filter` schedule; it is nan where the filters
     block the state completely (at T = 0).  An eps outside (0, 1] raises.  One
-    stacked `measures.concurrence` call measures every stage state of the grid.
+    stacked `measures.concurrence` call measures every stage state of a block
+    of up to GRID_BLOCK points.
     """
     grid = np.broadcast_arrays(transmittivity, overlap, eps)
-    coupled, filtered, unblocked, limits = [], [], [], []
-    for t, p, e in zip(*(axis.ravel().tolist() for axis in grid)):
-        cfg = CouplingConfig(t, p)
-        stage1, stage2 = coupled_stages(cfg)
-        filters = eps_to_filter(e, t)
-        try:
-            filtered.append(stage3_filter(stage2, filters).state)
-            unblocked.append(len(limits))
-        except ValueError:
-            pass
-        coupled += [stage1.state, stage2.state]
-        limits.append(concurrence_closed_form(Stage.FILTRATION, cfg, eps=None))
-    values = measures.concurrence(np.array(coupled + filtered))
-    stage3 = np.full(len(limits), np.nan)
-    stage3[unblocked] = values[len(coupled):]
-    columns = (values[:len(coupled):2], values[1:len(coupled):2], stage3, np.array(limits))
+    flat = [axis.ravel() for axis in grid]
+    columns = np.empty((4, flat[0].size))
+    for start in range(0, flat[0].size, GRID_BLOCK):
+        coupled, filtered, unblocked, limits = [], [], [], []
+        for t, p, e in zip(*(axis[start:start + GRID_BLOCK].tolist() for axis in flat)):
+            cfg, filters = CouplingConfig(t, p), eps_to_filter(e, t)
+            stage1, stage2 = coupled_stages(cfg)
+            try:
+                filtered.append(stage3_filter(stage2, filters).state)
+                unblocked.append(len(limits))
+            except ValueError:
+                pass
+            coupled += [stage1.state, stage2.state]
+            limits.append(concurrence_closed_form(Stage.FILTRATION, cfg, eps=None))
+        values = measures.concurrence(np.array(coupled + filtered))
+        block = columns[:, start:start + len(limits)]
+        block[:2] = values[:len(coupled)].reshape(-1, 2).T
+        block[2], block[3] = np.nan, limits
+        block[2, unblocked] = values[len(coupled):]
     return tuple(col.reshape(grid[0].shape) if grid[0].ndim else float(col[0]) for col in columns)
 
 

@@ -25,10 +25,10 @@ EIG_HERM_TOL = 1e-8
 CLAMP_WINDOW = 1e-8
 
 
-def as_matrix(m) -> np.ndarray:
-    """Coerce a matrix or a (..., n, m) stack of matrices to a complex array with finite entries."""
+def as_matrix(m, stack: bool = False) -> np.ndarray:
+    """Coerce to a 2-D complex array with finite entries; with `stack`, also a (..., n, m) stack."""
     arr = np.asarray(m, dtype=complex)
-    if arr.ndim < 2:
+    if arr.ndim != 2 and not (stack and arr.ndim > 2):
         raise ValueError(f"expected a matrix, got array of shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("matrix entries must be finite")
@@ -48,21 +48,18 @@ def _psd_root(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
 
 
 def matrix_sqrt_psd(m) -> np.ndarray:
-    """Hermitian PSD square root of a matrix or of each matrix of a stack, which reports its worst
-    matrix; eigenvalues in (-CLAMP_WINDOW, 0) clamp to 0, lower ones raise."""
+    """Hermitian PSD square root; eigenvalues in (-CLAMP_WINDOW, 0) clamp to 0, lower ones raise."""
     arr = as_matrix(m)
-    if (defect := hermiticity_defect(arr).max()) > EIG_HERM_TOL:
+    if (defect := hermiticity_defect(arr)) > EIG_HERM_TOL:
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
     vals, vecs = np.linalg.eigh(arr)
-    if (low := vals[..., 0].min()) < -CLAMP_WINDOW:
-        raise ValueError(f"matrix is not PSD (eigenvalue {low:.3e})")
+    if vals[0] < -CLAMP_WINDOW:
+        raise ValueError(f"matrix is not PSD (eigenvalue {vals[0]:.3e})")
     return _psd_root(vals, vecs)
 
 
-def _checked_density(rho, dim: int | None, decompose) -> tuple:
-    """The density-matrix checks of a matrix or of each matrix of a stack, which raises the message
-    of its first failing matrix; the eigenvalue floor reads `decompose(arr)[0]`."""
-    arr = as_matrix(rho)
+def _checked_density(arr: np.ndarray, dim: int | None, decompose) -> tuple:
+    """The density-matrix checks of each matrix of `arr`, raising the first failing one's message."""
     if arr.shape[-2] != arr.shape[-1]:
         raise ValueError(f"density matrix must be square, got shape {arr.shape}")
     if dim is not None and arr.shape[-1] != dim:
@@ -87,11 +84,11 @@ def validate_density_matrix(rho, dim: int | None = None) -> np.ndarray:
     Requires hermiticity within HERM_TOL, trace 1 within TRACE_TOL and all
     eigenvalues above EIGVAL_FLOOR.  `dim` pins the expected dimension.
     """
-    return _checked_density(rho, dim, lambda arr: (np.linalg.eigvalsh(arr), None))[0]
+    return _checked_density(as_matrix(rho), dim, lambda arr: (np.linalg.eigvalsh(arr), None))[0]
 
 
 def density_sqrt(rho, dim: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """`validate_density_matrix(rho, dim)` and its PSD square root, from one `eigh`; for a
     (..., n, n) stack, each matrix gets the checks and the root it would get alone."""
-    arr, vals, vecs = _checked_density(rho, dim, np.linalg.eigh)
+    arr, vals, vecs = _checked_density(as_matrix(rho, stack=True), dim, np.linalg.eigh)
     return arr, _psd_root(vals, vecs)

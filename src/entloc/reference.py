@@ -187,8 +187,7 @@ def verify(grid: int, tolerance: float) -> dict:
         analytic2 = protocol.stage2_measure(cfg, "H")
         prob1 = t * t + (1.0 - t) ** 2  # not T**2 as in protocol: the last bit can differ
         branches = fock_oracle.coupled_branches(cfg)  # one propagation for both stages
-        oracle1 = fock_oracle.reduce_to_ab(branches)
-        oracle2 = fock_oracle.reduce_to_ab(branches, "H")
+        oracle1, oracle2 = fock_oracle.reduce_to_ab(branches), fock_oracle.reduce_to_ab(branches, "H")
 
         records["stage1_state_vs_analytic"].append(
             (1.0 - measures.fidelity(oracle1.state, analytic1.state), at))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -104,6 +105,20 @@ class TestConcurrenceOfAStack:
         stacked = measures.concurrence(np.array([np.eye(4) / 4] * 2))
         for value in (single, *stacked):
             assert value == expected and math.copysign(1.0, value) == 1.0
+
+
+class TestSingleMatrixMeasures:
+    @pytest.mark.parametrize("measure", [
+        lambda stack: measures.fidelity(stack, stack),
+        lambda stack: measures.fidelity(stack, states.werner(0.6)),
+        measures.correlation_matrix, measures.chsh_max, measures.purity,
+    ], ids=["fidelity", "fidelity-first-argument", "correlation_matrix", "chsh_max", "purity"])
+    def test_reject_a_stack(self, measure):
+        # only concurrence measures a stack; the others take one matrix
+        for stack in (np.array([states.werner(0.6)]), np.array([states.werner(0.6)] * 4)):
+            shape = re.escape(str(stack.shape))
+            with pytest.raises(ValueError, match=f"expected a matrix, got array of shape {shape}"):
+                measure(stack)
 
 
 class TestFidelity:

@@ -205,6 +205,25 @@ class TestStageConcurrences:
                 got = [float(column[index]) for column in columns]
                 assert np.array_equal(got, point, equal_nan=True)
 
+    def test_a_grid_larger_than_a_block_is_measured_block_by_block(self, monkeypatch):
+        ts, ps = np.linspace(0.0, 1.0, 11)[:, None], np.array([0.0, 0.5])
+        whole = protocol.stage_concurrences(ts, ps, 0.15)
+        sizes = []
+        concurrence = measures.concurrence
+
+        def counted(rho):
+            sizes.append(len(rho))
+            return concurrence(rho)
+
+        monkeypatch.setattr(measures, "concurrence", counted)
+        monkeypatch.setattr(protocol, "GRID_BLOCK", 4)
+        blocked = protocol.stage_concurrences(ts, ps, 0.15)
+        # 22 points in blocks of 4, 4, 4, 4, 4 and 2, with two stage states per point and a
+        # stage III state where the filters pass: they block both T = 0 points of the first block
+        assert sizes == [10, 12, 12, 12, 12, 6]
+        for got, expected in zip(blocked, whole):
+            assert got.shape == (11, 2) and got.tobytes() == expected.tobytes()
+
     def test_blocked_filter_is_nan(self):
         assert np.isnan(protocol.stage_concurrences(0.0, 0.0, 0.15)[2])
 
