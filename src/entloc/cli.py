@@ -144,7 +144,10 @@ def load_config(path: str) -> dict:
 
 def build_parser(config: dict) -> argparse.ArgumentParser:
     """The full parser with `config` values as defaults, each converted with
-    the type of the flag it names and checked against that flag's choices."""
+    the type of the flag it names and checked against that flag's choices.
+    A string (every INI value) is parsed like the flag's argument; any other
+    TOML value must already be of the flag's type, and an integer also fits
+    a float flag."""
     parser = argparse.ArgumentParser(
         prog="entloc",
         description="Entanglement localization protocol: sweeps, benchmarks, verification.",
@@ -205,7 +208,15 @@ def build_parser(config: dict) -> argparse.ArgumentParser:
         if key not in flags:
             raise ValueError(f"unknown config key {key!r}")
         flag = flags[key]
-        defaults[key] = (flag.type or str)(value)
+        flag_type = flag.type or str
+        invalid = f"config key {key!r}: invalid {flag_type.__name__} value: {value!r}"
+        if not (isinstance(value, str) or type(value) is flag_type
+                or flag_type is float and type(value) is int):
+            raise ValueError(invalid)  # a TOML list, table, boolean, or float for an int flag
+        try:
+            defaults[key] = flag_type(value)
+        except ValueError:
+            raise ValueError(invalid) from None
         if flag.choices is not None and defaults[key] not in flag.choices:
             raise ValueError(f"config key {key!r}: invalid choice: {defaults[key]!r} "
                              f"(choose from {', '.join(map(repr, flag.choices))})")

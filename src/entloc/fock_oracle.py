@@ -18,6 +18,19 @@ mode_lo <= mode_hi, to the amplitude of the normalized occupation basis
 state; a doubled key (m, m) is the two-photon occupation of one mode.
 Branches may be sub-normalized after post-selection.
 
+The same dict carries a grid of points: a `CouplingConfig` whose T and p are
+(n,) arrays makes every amplitude an (n,) array, and `build_input`,
+`beamsplitter_matrix`, `apply_beamsplitter`, `coupled_branches` and
+`reduce_to_ab` then evaluate the n points in one call.  A grid state keeps a
+key that vanishes at some or all of its points; its zero entries leave every
+other amplitude unchanged.  One point stays numpy-scalar arithmetic: an
+elementwise complex product over an array need not round like the same
+products taken one at a time (the vectorised loop may fuse multiply and
+add), which would move the residuals `verify` reports for dense random
+states.  Pipeline amplitudes and matrix entries are purely real or purely
+imaginary, so their products round alike either way, and a grid gives each
+point the bits it gets alone.
+
 The surrounding photon's completely mixed polarization I/2 is realized as a
 uniform classical mixture over {H, V} inputs, which is exact for a linear
 network followed by measurement; its partial indistinguishability is an
@@ -57,10 +70,11 @@ def norm_squared(amps: dict) -> float:
     return float(sum(abs(a) ** 2 for a in amps.values()))
 
 
-def _time_bins(overlap: float) -> list[tuple[int, float]]:
-    """The surrounding photon's nonzero temporal amplitudes: sqrt(p) SIGNAL, sqrt(1 - p) ORTH."""
-    bins = ((TIME_SIGNAL, float(np.sqrt(overlap))), (TIME_ORTH, float(np.sqrt(1.0 - overlap))))
-    return [(t, t_amp) for t, t_amp in bins if t_amp != 0.0]
+def _time_bins(overlap) -> list:
+    """The surrounding photon's temporal amplitudes sqrt(p) SIGNAL and sqrt(1 - p) ORTH:
+    the nonzero ones of one point, both of a grid."""
+    bins = ((TIME_SIGNAL, np.sqrt(overlap)), (TIME_ORTH, np.sqrt(1.0 - overlap)))
+    return [(t, t_amp) for t, t_amp in bins if t_amp.ndim or t_amp != 0.0]
 
 
 def build_input(cfg: CouplingConfig, env_pol: int) -> dict:
@@ -69,7 +83,8 @@ def build_input(cfg: CouplingConfig, env_pol: int) -> dict:
     The A-B pair is (|H>_A |V>_B - i |V>_A |H>_B)/sqrt(2) with B on the BOB
     arm in the SIGNAL bin; the surrounding photon sits on the MEAS arm with
     amplitude sqrt(p) on SIGNAL and sqrt(1 - p) on ORTH.  Callers average
-    over env_pol in {H, V} to realize the depolarized environment.
+    over env_pol in {H, V} to realize the depolarized environment.  A grid
+    config gives (n,) arrays of amplitudes.
     """
     if env_pol not in (POL_H, POL_V):
         raise ValueError(f"env_pol must be 0 (H) or 1 (V), got {env_pol}")
@@ -93,19 +108,19 @@ def random_state(rng: np.random.Generator) -> dict:
     return {k: v / norm for k, v in amps.items()}
 
 
-def beamsplitter_matrix(transmittivity: float) -> np.ndarray:
+def beamsplitter_matrix(transmittivity) -> np.ndarray:
     """Single-photon mode map of the coupling beamsplitter.
 
     Transmission keeps the arm with amplitude sqrt(T); reflection swaps arms
     with amplitude i sqrt(R).  Polarization and temporal bin are untouched.
+    An (n,) array of T gives the n matrices along a trailing axis, (8, 8, n).
     """
     t = check_unit_interval(transmittivity, "transmittivity")
-    t_amp = float(np.sqrt(t))
-    r_amp = float(np.sqrt(1.0 - t))
-    block = np.array([[t_amp, 1.0j * r_amp], [1.0j * r_amp, t_amp]])
-    u = np.zeros((2, 4, 2, 4), dtype=complex)  # the arm is the slowest index of mode_index
+    t_amp, r_amp = np.sqrt(t), np.sqrt(1.0 - t)
+    block = np.array([[t_amp, 1.0j * r_amp], [1.0j * r_amp, t_amp]])  # (2, 2) + grid shape
+    u = np.zeros((2, 4, 2, 4) + block.shape[2:], dtype=complex)  # the arm is the slowest index
     u[:, range(4), :, range(4)] = block  # block on every (pol, time) pair: kron(block, I4)
-    return u.reshape(N_MODES, N_MODES)
+    return u.reshape((N_MODES, N_MODES) + block.shape[2:])
 
 
 def apply_beamsplitter(state: dict, transmittivity: float) -> dict:
@@ -114,10 +129,13 @@ def apply_beamsplitter(state: dict, transmittivity: float) -> dict:
     Each creation operator maps linearly under the single-photon matrix; the
     two-photon amplitudes are re-expanded in the normalized occupation basis
     (a doubly occupied mode carries the bosonic sqrt(2)).  The map is unitary,
-    so the total norm is preserved.
+    so the total norm is preserved.  A grid state takes an (n,) array of T
+    and keeps every key it reaches, zero or not.
     """
     u = beamsplitter_matrix(transmittivity)
-    rows, cols = np.nonzero(u)  # outputs[m]: (i, u[i, m]) for u[i, m] != 0, i ascending
+    grid = u.ndim > 2
+    # outputs[m]: (i, u[i, m]) for u[i, m] != 0 (at any grid point), i ascending
+    rows, cols = np.nonzero(u.any(axis=-1) if grid else u)
     outputs = [[] for _ in range(N_MODES)]
     for i, m, entry in zip(rows.tolist(), cols.tolist(), u[rows, cols]):  # numpy scalars
         outputs[m].append((i, entry))
@@ -133,7 +151,7 @@ def apply_beamsplitter(state: dict, transmittivity: float) -> dict:
     return {
         key: (value * SQRT2 if key[1] == key[2] else value)
         for key, value in monomials.items()
-        if value != 0.0
+        if grid or value != 0.0
     }
 
 
@@ -168,39 +186,47 @@ def reduce_to_ab(branches: list[dict], outcome: str | None = None) -> StageOutco
     environment mixture (one per env_pol input).  The temporal bins are
     always traced out; the MEAS-arm polarization is traced out or projected
     according to `outcome`.  The returned probability is cumulative over the
-    post-selection and, when projecting, the measurement outcome.
+    post-selection and, when projecting, the measurement outcome.  Grid
+    branches give a list with the outcome of each point, whose states are
+    checked in one stacked pass.
     """
     if not branches:
         raise ValueError("at least one branch is required")
     if outcome not in (None, "H", "V"):
         raise ValueError(f"outcome must be None, 'H' or 'V', got {outcome!r}")
 
-    rho = np.zeros((4, 4), dtype=complex)
+    shape = np.shape(next(iter(branches[0].values()), 0.0))  # () for one point, (n,) for a grid
+    rho = np.zeros(shape + (4, 4), dtype=complex)
     for branch in branches:
-        psi = np.zeros((2, 4, 4), dtype=complex)
+        psi = np.zeros((2, 4, 4) + shape, dtype=complex)
         for (a_pol, bob, meas), amp in branch.items():
             if bob // 4 != ARM_BOB or meas // 4 != ARM_MEAS:
                 raise ValueError("branch is not post-selected on one photon per arm")
             psi[a_pol, bob % 4, meas % 4] = amp  # index % 4 is 2 * pol + time
-        psi = psi.reshape(2, 2, 2, 2, 2)  # psi[a_pol, bob_pol, bob_time, meas_pol, meas_time]
+        psi = psi.reshape((2, 2, 2, 2, 2) + shape)  # [a_pol, bob_pol, bob_time, meas_pol, meas_time, ...]
         if outcome is None:
-            rho += np.einsum("abtcu,ABtcu->abAB", psi, psi.conj()).reshape(4, 4)
+            rho += np.einsum("abtcu...,ABtcu...->...abAB", psi, psi.conj()).reshape(rho.shape)
         else:
-            sel = psi[:, :, :, POL_H if outcome == "H" else POL_V, :]
-            rho += np.einsum("abtu,ABtu->abAB", sel, sel.conj()).reshape(4, 4)
+            sel = psi[:, :, :, POL_H if outcome == "H" else POL_V]
+            rho += np.einsum("abtu...,ABtu...->...abAB", sel, sel.conj()).reshape(rho.shape)
     rho /= len(branches)
 
-    probability = float(np.real(np.trace(rho)))
-    if probability <= 1e-15:
+    probability = np.real(np.trace(rho, axis1=-2, axis2=-1))
+    if (probability.min() if shape else probability) <= 1e-15:
         raise ValueError("post-selected branch has zero probability")
-    state = qmat.validate_density_matrix(rho / probability, dim=4)
     stage = Stage.COUPLING if outcome is None else Stage.MEASUREMENT
-    return StageOutcome(state=state, probability=probability, stage=stage)
+    if not shape:
+        state = qmat.validate_density_matrix(rho / probability, dim=4)
+        return StageOutcome(state=state, probability=float(probability), stage=stage)
+    states, _ = qmat.density_sqrt(rho / probability[:, None, None], dim=4)
+    return [StageOutcome(state=state, probability=prob, stage=stage)
+            for state, prob in zip(states, probability.tolist())]
 
 
 def coupled_branches(cfg: CouplingConfig) -> list[dict]:
     """Both environment polarization inputs, coupled on the beamsplitter and
-    post-selected on one photon per arm: the branches `reduce_to_ab` takes."""
+    post-selected on one photon per arm: the branches `reduce_to_ab` takes.
+    A grid config is propagated in one pass."""
     return [
         postselect_one_each(apply_beamsplitter(build_input(cfg, env_pol), cfg.transmittivity))
         for env_pol in (POL_H, POL_V)

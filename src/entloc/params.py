@@ -18,6 +18,13 @@ class Stage(str, Enum):
 
 
 def check_unit_interval(value, name: str) -> float:
+    """`value` as a float in [0, 1]; a 1-D or higher array is checked entry by entry and
+    returned as it is."""
+    if isinstance(value, np.ndarray) and value.ndim:
+        inside = (value >= 0.0) & (value <= 1.0)  # False for nan
+        if not inside.all():
+            raise ValueError(f"{name} must lie in [0, 1], got {value[~inside][0]}")
+        return value
     value = float(value)
     if not math.isfinite(value) or not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {value}")
@@ -34,6 +41,9 @@ class CouplingConfig:
     overlap: probability p that the surrounding photon is indistinguishable
         from the signal photon (squared wavepacket overlap).  0 means fully
         distinguishable, 1 fully indistinguishable.
+
+    Both may be (n,) arrays: a grid of points, which `fock_oracle` evaluates
+    in one call.
     """
 
     transmittivity: float

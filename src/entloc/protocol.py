@@ -7,7 +7,8 @@ probabilistic V-polarization filters on both arms.  For a distinguishable
 surrounding photon (overlap p = 0) every stage has an exact matrix form.
 For p > 0 the states come from the brute-force simulation in `fock_oracle`
 (only their concurrences have closed forms), so the analytic expressions in
-`concurrence_closed_form` stay available as an independent cross-check.
+`concurrence_closed_form` stay available as an independent cross-check; a
+grid's p > 0 points share one oracle call per block.
 """
 
 from __future__ import annotations
@@ -102,15 +103,19 @@ def eps_to_filter(eps: float, transmittivity: float) -> FilterConfig:
     return FilterConfig(att_a=eps * cfg.werner_weight, att_b=eps)
 
 
-def coupled_stages(cfg: CouplingConfig) -> tuple[StageOutcome, StageOutcome]:
-    """`stage1_couple(cfg)` and `stage2_measure(cfg, "H")`, from one propagation when p > 0."""
-    if cfg.overlap == 0.0:
-        return stage1_couple(cfg), stage2_measure(cfg, "H")
-    branches = fock_oracle.coupled_branches(cfg)
-    return fock_oracle.reduce_to_ab(branches), fock_oracle.reduce_to_ab(branches, "H")
+def coupled_stages(cfg: CouplingConfig) -> tuple:
+    """`stage1_couple(cfg)` and `stage2_measure(cfg, "H")`, from one propagation when p > 0.
+
+    A grid config (arrays of T and of p > 0) gives the two lists of its points'
+    outcomes, from one propagation of the whole grid.
+    """
+    if isinstance(cfg.overlap, np.ndarray) or cfg.overlap != 0.0:
+        branches = fock_oracle.coupled_branches(cfg)
+        return fock_oracle.reduce_to_ab(branches), fock_oracle.reduce_to_ab(branches, "H")
+    return stage1_couple(cfg), stage2_measure(cfg, "H")
 
 
-GRID_BLOCK = 256  # points per stacked `measures.concurrence` call: bounds a grid's memory
+GRID_BLOCK = 256  # points per oracle and stacked `measures.concurrence` call: bounds a grid's memory
 
 
 def stage_concurrences(transmittivity, overlap, eps) -> tuple:
@@ -119,18 +124,26 @@ def stage_concurrences(transmittivity, overlap, eps) -> tuple:
     The arguments broadcast: scalars give the four floats of one point, arrays
     four arrays of the broadcast shape.  Stage III filters the H-outcome stage
     II state with the `eps_to_filter` schedule; it is nan where the filters
-    block the state completely (at T = 0).  An eps outside (0, 1] raises.  One
-    stacked `measures.concurrence` call measures every stage state of a block
-    of up to GRID_BLOCK points.
+    block the state completely (at T = 0).  An eps outside (0, 1] raises.  The
+    grid is evaluated in blocks of up to GRID_BLOCK points: one oracle
+    propagation serves the block's p > 0 points, and one stacked
+    `measures.concurrence` call measures every stage state of the block.
     """
     grid = np.broadcast_arrays(transmittivity, overlap, eps)
     flat = [axis.ravel() for axis in grid]
     columns = np.empty((4, flat[0].size))
     for start in range(0, flat[0].size, GRID_BLOCK):
+        t, p, e = (axis[start:start + GRID_BLOCK] for axis in flat)
+        points = [(CouplingConfig(ti, pi), eps_to_filter(ei, ti))
+                  for ti, pi, ei in zip(t.tolist(), p.tolist(), e.tolist())]
+        overlapping = [i for i, (cfg, _) in enumerate(points) if cfg.overlap != 0.0]
+        oracle = {}
+        if overlapping:
+            oracle_stages = coupled_stages(CouplingConfig(t[overlapping], p[overlapping]))
+            oracle = dict(zip(overlapping, zip(*oracle_stages)))
         coupled, filtered, unblocked, limits = [], [], [], []
-        for t, p, e in zip(*(axis[start:start + GRID_BLOCK].tolist() for axis in flat)):
-            cfg, filters = CouplingConfig(t, p), eps_to_filter(e, t)
-            stage1, stage2 = coupled_stages(cfg)
+        for i, (cfg, filters) in enumerate(points):
+            stage1, stage2 = oracle[i] if i in oracle else coupled_stages(cfg)
             try:
                 filtered.append(stage3_filter(stage2, filters).state)
                 unblocked.append(len(limits))

@@ -166,7 +166,11 @@ class TestSweepGrid:
         assert cli.main([*argv, "--out", str(out)]) == 0
         assert out.read_bytes() == expected.encode("utf-8")
         overlaps = np.linspace(lo, hi, steps) if variable == "p" else np.full(steps, p)
-        assert calls == {"concurrence": 1, "apply_beamsplitter": 2 * int(np.sum(overlaps > 0.0))}
+        # one propagation (two apply_beamsplitter calls) per block that holds a p > 0 point
+        blocks = [overlaps[start:start + protocol.GRID_BLOCK]
+                  for start in range(0, steps, protocol.GRID_BLOCK)]
+        assert calls == {"concurrence": 1,
+                         "apply_beamsplitter": 2 * sum(bool(np.any(b > 0.0)) for b in blocks)}
 
 
 FORMULA_KEYS = ["C_I", "P_I", "C_II", "P_II"]
@@ -415,6 +419,30 @@ class TestConfigFile:
                          "--out", str(out)]) in (0, 1)
         report = json.loads(out.read_text(encoding="utf-8"))
         assert report["filters"]["att_a"] == 0.3
+
+    @pytest.mark.parametrize("line, message", [
+        ("T = [1]", "error: config key 'T': invalid float value: [1]"),
+        ("steps = 50.7", "error: config key 'steps': invalid int value: 50.7"),
+        ("T = true", "error: config key 'T': invalid float value: True"),
+    ])
+    def test_toml_value_of_the_wrong_kind(self, tmp_path, capsys, line, message):
+        pytest.importorskip("tomllib")
+        config = tmp_path / "typed.toml"
+        config.write_text(f"[defaults]\n{line}\n", encoding="utf-8")
+        assert cli.main(["--config", str(config), "sweep", "--out", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message + "\n"
+
+    def test_toml_integer_for_a_float_flag(self, tmp_path):
+        pytest.importorskip("tomllib")
+        config = tmp_path / "integer.toml"
+        config.write_text("[defaults]\nT = 0\n", encoding="utf-8")
+        out = tmp_path / "rep.json"
+        assert cli.main(["--config", str(config), "reproduce", "--table", "formulas",
+                         "--out", str(out)]) == 0
+        report = json.loads(out.read_text(encoding="utf-8"))
+        assert report["coupling"]["transmittivity"] == 0.0
 
     def test_config_value_checked_like_its_flag(self, tmp_path, capsys):
         config = tmp_path / "variable.ini"

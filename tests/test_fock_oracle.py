@@ -207,7 +207,10 @@ class TestReduceToAb:
 
     def test_phase_convention_is_unobservable(self, monkeypatch):
         def asymmetric_matrix(transmittivity):
-            # real entries: sqrt(R) off-diagonal, -sqrt(T) on the MEAS output
+            # real entries: sqrt(R) off-diagonal, -sqrt(T) on the MEAS output; a grid of T
+            # gives its matrices along a trailing axis, as beamsplitter_matrix does
+            if np.ndim(transmittivity):
+                return np.stack([asymmetric_matrix(t) for t in transmittivity], axis=-1)
             t_amp, r_amp = float(np.sqrt(transmittivity)), float(np.sqrt(1.0 - transmittivity))
             return np.kron(np.array([[t_amp, r_amp], [r_amp, -t_amp]], dtype=complex), np.eye(4))
 
@@ -220,14 +223,24 @@ class TestReduceToAb:
             for outcome in (None, "H", "V")
         ]
         symmetric = [fo.simulate(cfg, outcome) for cfg, outcome in cases]
+        grid = CouplingConfig(np.array([0.0, 0.37, 0.5, 1.0]), np.array([0.3, 0.6, 1.0, 0.2]))
+        symmetric_grid = [fo.simulate(grid, outcome) for outcome in (None, "H", "V")]
         probe = fo.build_input(CouplingConfig(0.37, 0.6), fo.POL_H)
         before = fo.apply_beamsplitter(probe, 0.37)
+        grid_probe = fo.build_input(grid, fo.POL_H)
+        grid_before = fo.apply_beamsplitter(grid_probe, grid.transmittivity)
         monkeypatch.setattr(fo, "beamsplitter_matrix", asymmetric_matrix)
         assert fo.apply_beamsplitter(probe, 0.37) != before  # the swap took effect
+        grid_after = fo.apply_beamsplitter(grid_probe, grid.transmittivity)  # for a grid too
+        assert any(np.any(grid_after[key] != value) for key, value in grid_before.items())
         for (cfg, outcome), sym in zip(cases, symmetric):
             asym = fo.simulate(cfg, outcome)
             assert np.max(np.abs(sym.state - asym.state)) < 1e-12
             assert abs(sym.probability - asym.probability) < 1e-12
+        for outcome, sym_points in zip((None, "H", "V"), symmetric_grid):
+            for sym, asym in zip(sym_points, fo.simulate(grid, outcome)):
+                assert np.max(np.abs(sym.state - asym.state)) < 1e-12
+                assert abs(sym.probability - asym.probability) < 1e-12
 
     def test_coupled_state_is_werner_at_partial_overlap(self):
         # a second route for stage I at p > 0: q |psi-><psi-| + (1 - q) I/4 with
@@ -316,6 +329,31 @@ class TestReduceToAb:
             from_analytic = protocol.stage3_filter(protocol.stage2_measure(cfg, "H"), filters)
             assert measures.fidelity(from_oracle.state, from_analytic.state) >= 1.0 - 1e-9
             assert abs(from_oracle.probability - from_analytic.probability) < 1e-10
+
+
+class TestGrid:
+    """A grid config gives each point the bits the point gets alone."""
+
+    TS = (0.0, 0.37, 0.5, 1.0)
+    PS = (1e-9, 0.25, 0.5, 1.0)
+
+    @pytest.mark.parametrize("outcome", [None, "H", "V"])
+    def test_grid_equals_its_points(self, outcome):
+        ts, ps = (axis.ravel() for axis in np.meshgrid(self.TS, self.PS))
+        points = fo.reduce_to_ab(fo.coupled_branches(CouplingConfig(ts, ps)), outcome)
+        assert len(points) == ts.size
+        for t, p, point in zip(ts.tolist(), ps.tolist(), points):
+            alone = fo.reduce_to_ab(fo.coupled_branches(CouplingConfig(t, p)), outcome)
+            assert point.stage is alone.stage
+            assert type(point.probability) is float
+            assert point.state.tobytes() == alone.state.tobytes()
+            assert np.float64(point.probability).tobytes() == np.float64(alone.probability).tobytes()
+
+    def test_grid_amplitudes_are_arrays_over_the_points(self):
+        grid = CouplingConfig(np.array([0.2, 0.7]), np.array([0.5, 1.0]))
+        for branch in fo.coupled_branches(grid):
+            assert branch and all(np.shape(amp) == (2,) for amp in branch.values())
+        assert fo.beamsplitter_matrix(grid.transmittivity).shape == (fo.N_MODES, fo.N_MODES, 2)
 
 
 class TestHom:

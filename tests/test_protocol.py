@@ -16,6 +16,14 @@ class TestConfigs:
         with pytest.raises(ValueError):
             CouplingConfig(float("nan"))
 
+    def test_grid_coupling_validation(self):
+        grid = CouplingConfig(np.array([0.0, 0.4, 1.0]), np.array([0.5, 1.0, 1e-9]))
+        np.testing.assert_array_equal(grid.reflectivity, [1.0, 0.6, 0.0])
+        with pytest.raises(ValueError, match=r"overlap must lie in \[0, 1\], got 1.5"):
+            CouplingConfig(np.array([0.4, 0.4]), np.array([0.5, 1.5]))
+        with pytest.raises(ValueError, match="transmittivity must lie in"):
+            CouplingConfig(np.array([0.4, float("nan")]), np.array([0.5, 0.5]))
+
     def test_derived_quantities(self):
         cfg = CouplingConfig(0.4)
         assert abs(cfg.reflectivity - 0.6) < 1e-15
@@ -223,6 +231,26 @@ class TestStageConcurrences:
         assert sizes == [10, 12, 12, 12, 12, 6]
         for got, expected in zip(blocked, whole):
             assert got.shape == (11, 2) and got.tobytes() == expected.tobytes()
+
+    def test_an_overlap_sweep_from_zero_in_blocks_equals_one_block(self, monkeypatch):
+        ps, ts = np.concatenate([np.zeros(2), np.linspace(0.0, 1.0, 11)])[:, None], np.array([0.3, 0.5])
+        whole = protocol.stage_concurrences(ts, ps, 0.15)
+        calls = []
+        apply_beamsplitter = fock_oracle.apply_beamsplitter
+
+        def counted(state, transmittivity):
+            calls.append(np.size(transmittivity))
+            return apply_beamsplitter(state, transmittivity)
+
+        monkeypatch.setattr(fock_oracle, "apply_beamsplitter", counted)
+        monkeypatch.setattr(protocol, "GRID_BLOCK", 4)
+        blocked = protocol.stage_concurrences(ts, ps, 0.15)
+        # 26 points, p-major, in blocks of 4: the first holds only p = 0 and makes no call, the
+        # second mixes two p = 0 and two p > 0 points; a block propagates its p > 0 points
+        # once, with one apply_beamsplitter call per environment polarization
+        assert calls == [2, 2] + [4, 4] * 4 + [2, 2]
+        for got, expected in zip(blocked, whole):
+            assert got.shape == (13, 2) and got.tobytes() == expected.tobytes()
 
     def test_blocked_filter_is_nan(self):
         assert np.isnan(protocol.stage_concurrences(0.0, 0.0, 0.15)[2])
