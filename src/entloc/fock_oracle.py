@@ -134,10 +134,11 @@ def apply_beamsplitter(state: dict, transmittivity: float) -> dict:
     """
     u = beamsplitter_matrix(transmittivity)
     grid = u.ndim > 2
-    # outputs[m]: (i, u[i, m]) for u[i, m] != 0 (at any grid point), i ascending
+    # outputs[m]: (i, u[i, m]) for u[i, m] != 0 (at any grid point), i ascending; each entry a
+    # numpy scalar, or an (n,) array for a grid
     rows, cols = np.nonzero(u.any(axis=-1) if grid else u)
     outputs = [[] for _ in range(N_MODES)]
-    for i, m, entry in zip(rows.tolist(), cols.tolist(), u[rows, cols]):  # numpy scalars
+    for i, m, entry in zip(rows.tolist(), cols.tolist(), u[rows, cols]):
         outputs[m].append((i, entry))
     monomials: dict[tuple[int, int, int], complex] = {}
     for (a_pol, m1, m2), amp in state.items():
@@ -179,7 +180,7 @@ def branch_probabilities(cfg: CouplingConfig) -> dict[str, float]:
     return totals
 
 
-def reduce_to_ab(branches: list[dict], outcome: str | None = None) -> StageOutcome:
+def reduce_to_ab(branches: list[dict], outcome: str | None = None) -> StageOutcome | list:
     """Reduce post-selected branches to the normalized A-B polarization state.
 
     `branches` are the equally weighted classical components of the
@@ -203,7 +204,8 @@ def reduce_to_ab(branches: list[dict], outcome: str | None = None) -> StageOutco
             if bob // 4 != ARM_BOB or meas // 4 != ARM_MEAS:
                 raise ValueError("branch is not post-selected on one photon per arm")
             psi[a_pol, bob % 4, meas % 4] = amp  # index % 4 is 2 * pol + time
-        psi = psi.reshape((2, 2, 2, 2, 2) + shape)  # [a_pol, bob_pol, bob_time, meas_pol, meas_time, ...]
+        # psi[a_pol, bob_pol, bob_time, meas_pol, meas_time], then the grid axis if any
+        psi = psi.reshape((2, 2, 2, 2, 2) + shape)
         if outcome is None:
             rho += np.einsum("abtcu...,ABtcu...->...abAB", psi, psi.conj()).reshape(rho.shape)
         else:

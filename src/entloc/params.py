@@ -17,7 +17,7 @@ class Stage(str, Enum):
     FILTRATION = "III"
 
 
-def check_unit_interval(value, name: str) -> float:
+def check_unit_interval(value, name: str) -> float | np.ndarray:
     """`value` as a float in [0, 1]; a 1-D or higher array is checked entry by entry and
     returned as it is."""
     if isinstance(value, np.ndarray) and value.ndim:

@@ -115,7 +115,7 @@ def coupled_stages(cfg: CouplingConfig) -> tuple:
     return stage1_couple(cfg), stage2_measure(cfg, "H")
 
 
-GRID_BLOCK = 256  # points per oracle and stacked `measures.concurrence` call: bounds a grid's memory
+GRID_BLOCK = 256  # points per oracle call and stacked `concurrence` call: bounds a grid's memory
 
 
 def stage_concurrences(transmittivity, overlap, eps) -> tuple:

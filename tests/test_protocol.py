@@ -233,7 +233,8 @@ class TestStageConcurrences:
             assert got.shape == (11, 2) and got.tobytes() == expected.tobytes()
 
     def test_an_overlap_sweep_from_zero_in_blocks_equals_one_block(self, monkeypatch):
-        ps, ts = np.concatenate([np.zeros(2), np.linspace(0.0, 1.0, 11)])[:, None], np.array([0.3, 0.5])
+        ps = np.concatenate([np.zeros(2), np.linspace(0.0, 1.0, 11)])[:, None]
+        ts = np.array([0.3, 0.5])
         whole = protocol.stage_concurrences(ts, ps, 0.15)
         calls = []
         apply_beamsplitter = fock_oracle.apply_beamsplitter
