@@ -19,8 +19,10 @@ class Stage(str, Enum):
 
 def check_unit_interval(value, name: str) -> float | np.ndarray:
     """`value` as a float in [0, 1]; a 1-D or higher array is checked entry by entry and
-    returned as it is."""
+    returned as it is, and must hold at least one point."""
     if isinstance(value, np.ndarray) and value.ndim:
+        if not value.size:
+            raise ValueError(f"{name} must hold at least one point, got an empty array")
         inside = (value >= 0.0) & (value <= 1.0)  # False for nan
         if not inside.all():
             raise ValueError(f"{name} must lie in [0, 1], got {value[~inside][0]}")

@@ -138,7 +138,8 @@ def report(table: str, transmittivity: float, att_a: float | None = None,
 # ----------------------------------------------------------------------
 
 def _summary(name: str, tolerance: float, records: list) -> dict:
-    """Worst value (the first maximum wins) and failures of (value, where) records."""
+    """Worst value (the first maximum wins) and failures of (value, where) records, as floats."""
+    records = [(float(value), where) for value, where in records]
     worst, worst_at = 0.0, {}
     for value, where in records:
         if value > worst:
@@ -159,7 +160,10 @@ def verify(grid: int, tolerance: float) -> dict:
     `tolerance` applies to the brute-force-vs-analytic comparisons; the
     unitarity, completeness and continuity checks use fixed tolerances set by
     the invariants they enforce.  T within 1e-12 of 0 or 1 is skipped.  A
-    grid below 2 or a tolerance outside (0, inf) raises ValueError.
+    grid below 2 or a tolerance outside (0, inf) raises ValueError.  Each
+    interior T gives a row of six p values; blocks of whole rows, at most
+    `protocol.GRID_BLOCK` points, take one oracle propagation and one stacked
+    `concurrence` call.  The dense random states stay one point at a time.
     """
     if grid < 2:
         raise ValueError(f"grid must be at least 2, got {grid}")
@@ -180,44 +184,52 @@ def verify(grid: int, tolerance: float) -> dict:
     }
     records = {name: [] for name in tolerances}
 
-    for t in interior:
-        at = {"transmittivity": t}
-        cfg = CouplingConfig(t, 0.0)
-        analytic1 = protocol.stage1_couple(cfg)
-        analytic2 = protocol.stage2_measure(cfg, "H")
-        prob1 = t * t + (1.0 - t) ** 2  # not T**2 as in protocol: the last bit can differ
-        branches = fock_oracle.coupled_branches(cfg)  # one propagation for both stages
-        oracle1, oracle2 = fock_oracle.reduce_to_ab(branches), fock_oracle.reduce_to_ab(branches, "H")
+    closed_ps = (0.25, 0.5, 0.75, 1.0)
+    overlaps = (0.0, 1e-9) + closed_ps  # each interior T's row of the oracle grid
+    rows = max(1, protocol.GRID_BLOCK // len(overlaps))  # whole T rows per oracle block
+    for start in range(0, len(interior), rows):
+        block = interior[start:start + rows]
+        points = CouplingConfig(np.repeat(block, len(overlaps)), np.tile(overlaps, len(block)))
+        branches = fock_oracle.coupled_branches(points)  # one propagation for the whole block
+        coupled, measured = (fock_oracle.reduce_to_ab(branches, outcome) for outcome in (None, "H"))
+        totals = sum(fock_oracle.branch_probabilities(points).values()).reshape(len(block), -1)
+        stage2 = np.array([outcome.state for outcome in measured]).reshape(len(block), -1, 4, 4)
+        concurrences = measures.concurrence(stage2[:, 2:])  # the closed_ps columns
 
-        records["stage1_state_vs_analytic"].append(
-            (1.0 - measures.fidelity(oracle1.state, analytic1.state), at))
-        records["stage2_state_vs_analytic"].append(
-            (1.0 - measures.fidelity(oracle2.state, analytic2.state), at))
-        records["probability_vs_analytic"] += [
-            (abs(oracle1.probability - prob1), {**at, "stage": "I"}),
-            (abs(oracle2.probability - prob1 / 2.0), {**at, "stage": "II"}),
-        ]
+        for row, t in enumerate(block):
+            at = {"transmittivity": t}
+            cfg = CouplingConfig(t, 0.0)
+            analytic1 = protocol.stage1_couple(cfg)
+            analytic2 = protocol.stage2_measure(cfg, "H")
+            prob1 = t * t + (1.0 - t) ** 2  # not T**2 as in protocol: the last bit can differ
+            first = row * len(overlaps)  # this T's p = 0 point
+            oracle1, oracle2, high = coupled[first], measured[first], measured[first + 1]
 
-        # filtering the simulated state must match filtering the analytic one
-        filters = protocol.eps_to_filter(0.15, t)
-        filtered_oracle = protocol.stage3_filter(oracle2, filters)
-        filtered_analytic = protocol.stage3_filter(analytic2, filters)
-        records["filtered_pipeline_consistency"].append(
-            (1.0 - measures.fidelity(filtered_oracle.state, filtered_analytic.state), at))
+            records["stage1_state_vs_analytic"].append(
+                (1.0 - measures.fidelity(oracle1.state, analytic1.state), at))
+            records["stage2_state_vs_analytic"].append(
+                (1.0 - measures.fidelity(oracle2.state, analytic2.state), at))
+            records["probability_vs_analytic"] += [
+                (abs(oracle1.probability - prob1), {**at, "stage": "I"}),
+                (abs(oracle2.probability - prob1 / 2.0), {**at, "stage": "II"}),
+            ]
 
-        high = fock_oracle.simulate(CouplingConfig(t, 1e-9), "H")
-        records["overlap_continuity"].append(
-            (float(np.max(np.abs(high.state - oracle2.state))), at))
+            # filtering the simulated state must match filtering the analytic one
+            filters = protocol.eps_to_filter(0.15, t)
+            filtered_oracle = protocol.stage3_filter(oracle2, filters)
+            filtered_analytic = protocol.stage3_filter(analytic2, filters)
+            records["filtered_pipeline_consistency"].append(
+                (1.0 - measures.fidelity(filtered_oracle.state, filtered_analytic.state), at))
 
-        for p in (0.25, 0.5, 0.75, 1.0):
-            pcfg = CouplingConfig(t, p)
-            where = {**at, "overlap": p}
-            simulated = fock_oracle.simulate(pcfg, "H")
-            closed = protocol.concurrence_closed_form(Stage.MEASUREMENT, pcfg)
-            records["stage2_concurrence_vs_closed_form"].append(
-                (abs(measures.concurrence(simulated.state) - closed), where))
-            records["branch_completeness"].append(
-                (abs(sum(fock_oracle.branch_probabilities(pcfg).values()) - 1.0), where))
+            records["overlap_continuity"].append(
+                (float(np.max(np.abs(high.state - oracle2.state))), at))
+
+            for p, concurrence, total in zip(closed_ps, concurrences[row], totals[row, 2:]):
+                where = {**at, "overlap": p}
+                closed = protocol.concurrence_closed_form(Stage.MEASUREMENT, CouplingConfig(t, p))
+                records["stage2_concurrence_vs_closed_form"].append(
+                    (abs(concurrence - closed), where))
+                records["branch_completeness"].append((abs(total - 1.0), where))
 
     rng = np.random.default_rng(20260810)
     for t in interior:

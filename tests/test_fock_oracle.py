@@ -335,7 +335,7 @@ class TestGrid:
     """A grid config gives each point the bits the point gets alone."""
 
     TS = (0.0, 0.37, 0.5, 1.0)
-    PS = (1e-9, 0.25, 0.5, 1.0)
+    PS = (0.0, 1e-9, 0.25, 0.5, 1.0)
 
     @pytest.mark.parametrize("outcome", [None, "H", "V"])
     def test_grid_equals_its_points(self, outcome):
@@ -348,6 +348,25 @@ class TestGrid:
             assert type(point.probability) is float
             assert point.state.tobytes() == alone.state.tobytes()
             assert point.probability.hex() == alone.probability.hex()
+
+    def test_grid_branch_probabilities_equal_its_points(self):
+        ts, ps = (axis.ravel() for axis in np.meshgrid(self.TS, self.PS))
+        grid = fo.branch_probabilities(CouplingConfig(ts, ps))
+        for i, (t, p) in enumerate(zip(ts.tolist(), ps.tolist())):
+            alone = fo.branch_probabilities(CouplingConfig(t, p))
+            assert list(grid) == list(alone)
+            for key, value in alone.items():
+                assert float(grid[key][i]).hex() == float(value).hex()
+            assert float(sum(grid.values())[i]).hex() == float(sum(alone.values())).hex()
+
+    def test_stacked_concurrence_of_grid_states_equals_its_points(self):
+        ts, ps = (axis.ravel() for axis in np.meshgrid(np.linspace(0.05, 0.95, 19), self.PS))
+        branches = fo.coupled_branches(CouplingConfig(ts, ps))
+        for outcome in (None, "H", "V"):
+            states = [point.state for point in fo.reduce_to_ab(branches, outcome)]
+            stacked = measures.concurrence(np.array(states))
+            for value, state in zip(stacked.tolist(), states):
+                assert value.hex() == measures.concurrence(state).hex()
 
     def test_grid_amplitudes_are_arrays_over_the_points(self):
         grid = CouplingConfig(np.array([0.2, 0.7]), np.array([0.5, 1.0]))

@@ -24,6 +24,15 @@ class TestConfigs:
         with pytest.raises(ValueError, match="transmittivity must lie in"):
             CouplingConfig(np.array([0.4, float("nan")]), np.array([0.5, 0.5]))
 
+    def test_empty_grid_is_rejected(self):
+        empty = np.array([])
+        with pytest.raises(ValueError, match="transmittivity must hold at least one point"):
+            CouplingConfig(empty, empty)
+        with pytest.raises(ValueError, match="overlap must hold at least one point"):
+            CouplingConfig(np.array([0.4]), empty)
+        with pytest.raises(ValueError, match="transmittivity must hold at least one point"):
+            fock_oracle.beamsplitter_matrix(empty)
+
     def test_derived_quantities(self):
         cfg = CouplingConfig(0.4)
         assert abs(cfg.reflectivity - 0.6) < 1e-15

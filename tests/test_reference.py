@@ -1,6 +1,8 @@
+import json
+
 import pytest
 
-from entloc import measures, protocol, reference
+from entloc import fock_oracle, measures, protocol, reference
 from entloc.params import CouplingConfig, FilterConfig
 
 CHECK_NAMES = [
@@ -97,3 +99,37 @@ class TestVerify:
             # the first maximum wins
             first = next(f for f in check["failures"] if f["value"] == check["worst"])
             assert check["worst_at"] == {k: v for k, v in first.items() if k != "value"}
+
+    @pytest.mark.parametrize("grid", [3, 4])
+    def test_report_is_plain_json(self, grid):
+        result = reference.verify(grid, 1e-18)
+        assert json.loads(json.dumps(result)) == result
+        assert type(result["passed"]) is bool
+        for check in result["checks"]:
+            assert type(check["passed"]) is bool
+            assert type(check["worst"]) is float
+            assert all(type(failure["value"]) is float for failure in check["failures"])
+
+    def test_no_interior_point_calls_no_oracle(self, monkeypatch):
+        def refuse(cfg):
+            raise AssertionError("oracle called")
+        monkeypatch.setattr(fock_oracle, "coupled_branches", refuse)
+        monkeypatch.setattr(fock_oracle, "branch_probabilities", refuse)
+        assert reference.verify(2, 1e-9)["passed"] is True
+
+    @pytest.mark.parametrize("grid, tolerance", [(10, 1e-9), (25, 1e-13)])
+    @pytest.mark.parametrize("block, rows", [(6, 1), (13, 2)])
+    def test_blocks_of_whole_rows_give_the_one_block_report(self, monkeypatch, grid, tolerance,
+                                                            block, rows):
+        expected = reference.verify(grid, tolerance)
+        calls = []
+        propagate = fock_oracle.coupled_branches
+        monkeypatch.setattr(fock_oracle, "coupled_branches",
+                            lambda cfg: calls.append(cfg.transmittivity.size) or propagate(cfg))
+        monkeypatch.setattr(protocol, "GRID_BLOCK", block)
+        result = reference.verify(grid, tolerance)
+        assert result.keys() == expected.keys()
+        for key in expected:
+            assert result[key] == expected[key], key
+        interior = grid - 2  # every T row holds 6 overlaps
+        assert calls == [6 * min(rows, interior - start) for start in range(0, interior, rows)]
