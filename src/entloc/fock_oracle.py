@@ -98,12 +98,16 @@ def build_input(cfg: CouplingConfig, env_pol: int) -> dict:
 
 
 def random_state(rng: np.random.Generator) -> dict:
-    """Normalized two-photon state with a complex Gaussian amplitude on every key."""
-    amps = {}
-    for a_pol in (POL_H, POL_V):
-        for lo in range(N_MODES):
-            for hi in range(lo, N_MODES):
-                amps[(a_pol, lo, hi)] = complex(rng.standard_normal(), rng.standard_normal())
+    """Normalized two-photon state with a complex Gaussian amplitude on every key.
+
+    The 72 keys run over a_pol, then mode_lo, then mode_hi, ascending; each
+    takes its real and then its imaginary part from one draw of 144
+    standard normals, which is the stream of 144 one-number draws.
+    """
+    keys = [(a_pol, lo, hi) for a_pol in (POL_H, POL_V)
+            for lo in range(N_MODES) for hi in range(lo, N_MODES)]
+    draws = rng.standard_normal(2 * len(keys)).tolist()
+    amps = {key: complex(re, im) for key, re, im in zip(keys, draws[::2], draws[1::2])}
     norm = np.sqrt(norm_squared(amps))
     return {k: v / norm for k, v in amps.items()}
 
@@ -188,8 +192,8 @@ def reduce_to_ab(branches: list[dict], outcome: str | None = None) -> StageOutco
     always traced out; the MEAS-arm polarization is traced out or projected
     according to `outcome`.  The returned probability is cumulative over the
     post-selection and, when projecting, the measurement outcome.  Grid
-    branches give a list with the outcome of each point, whose states are
-    checked in one stacked pass.
+    branches give a list with the outcome of each point.  The states of a
+    point or a grid are checked in one stacked eigenvalue pass.
     """
     if not branches:
         raise ValueError("at least one branch is required")
@@ -214,13 +218,12 @@ def reduce_to_ab(branches: list[dict], outcome: str | None = None) -> StageOutco
     rho /= len(branches)
 
     probability = np.real(np.trace(rho, axis1=-2, axis2=-1))
-    if (probability.min() if shape else probability) <= 1e-15:
+    if probability.min() <= 1e-15:
         raise ValueError("post-selected branch has zero probability")
     stage = Stage.COUPLING if outcome is None else Stage.MEASUREMENT
+    states = qmat.validate_density_matrix(rho / probability[..., None, None], dim=4, stack=True)
     if not shape:
-        state = qmat.validate_density_matrix(rho / probability, dim=4)
-        return StageOutcome(state=state, probability=float(probability), stage=stage)
-    states, _ = qmat.density_sqrt(rho / probability[:, None, None], dim=4)
+        return StageOutcome(state=states, probability=float(probability), stage=stage)
     return [StageOutcome(state=state, probability=prob, stage=stage)
             for state, prob in zip(states, probability.tolist())]
 

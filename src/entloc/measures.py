@@ -35,19 +35,26 @@ def concurrence(rho) -> float | np.ndarray:
     return float(clamped) if clamped.ndim == 0 else clamped
 
 
-def fidelity(a, b) -> float:
+def fidelity(a, b) -> float | np.ndarray:
     """Uhlmann fidelity F = (tr sqrt(sqrt(a) b sqrt(a)))^2, in [0, 1].
 
-    Symmetric in its arguments and equal to 1 exactly when a == b.
+    Symmetric in its arguments and equal to 1 exactly when a == b.  Two
+    n x n matrices give a float; two (..., n, n) stacks of the same shape
+    give an array of the fidelity of each pair, bit for bit the float of
+    that pair alone.  `a` is checked before `b`, and the first invalid
+    matrix raises the message it would raise alone.
     """
-    mat_a, root = qmat.density_sqrt(qmat.as_matrix(a))  # one matrix, not a stack
-    mat_b = qmat.validate_density_matrix(b)
+    mat_a, root = qmat.density_sqrt(a)
+    mat_b = qmat.validate_density_matrix(b, stack=True)
     if mat_a.shape != mat_b.shape:
         raise ValueError(f"dimension mismatch: {mat_a.shape} vs {mat_b.shape}")
     inner = root @ mat_b @ root
-    eigvals = np.clip(np.linalg.eigvalsh((inner + inner.conj().T) / 2.0), 0.0, None)
-    value = float(np.sum(np.sqrt(eigvals)) ** 2)
-    return min(value, 1.0)
+    hermitian = (inner + inner.conj().swapaxes(-1, -2)) / 2.0
+    sums = np.sum(np.sqrt(np.clip(np.linalg.eigvalsh(hermitian), 0.0, None)), axis=-1)
+    # square each sum as a Python float: C pow, like the scalar np.float64 ** 2, where an
+    # array ** 2 multiplies and can differ in the last bit
+    values = [min(total ** 2, 1.0) for total in sums.ravel().tolist()]
+    return values[0] if sums.ndim == 0 else np.array(values).reshape(sums.shape)
 
 
 def correlation_matrix(rho) -> np.ndarray:

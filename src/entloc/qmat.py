@@ -78,13 +78,17 @@ def _checked_density(arr: np.ndarray, dim: int | None, decompose) -> tuple:
     return arr, vals, vecs
 
 
-def validate_density_matrix(rho, dim: int | None = None) -> np.ndarray:
+def validate_density_matrix(rho, dim: int | None = None, stack: bool = False) -> np.ndarray:
     """Check that `rho` is a density matrix; return it as a complex array.
 
     Requires hermiticity within HERM_TOL, trace 1 within TRACE_TOL and all
-    eigenvalues above EIGVAL_FLOOR.  `dim` pins the expected dimension.
+    eigenvalues above EIGVAL_FLOOR.  `dim` pins the expected dimension.  With
+    `stack`, a (..., n, n) stack is also accepted, and its first failing
+    matrix raises the message it would raise alone.
     """
-    return _checked_density(as_matrix(rho), dim, lambda arr: (np.linalg.eigvalsh(arr), None))[0]
+    arr, _, _ = _checked_density(as_matrix(rho, stack=stack), dim,
+                                 lambda arr: (np.linalg.eigvalsh(arr), None))
+    return arr
 
 
 def density_sqrt(rho, dim: int | None = None) -> tuple[np.ndarray, np.ndarray]:

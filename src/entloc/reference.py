@@ -162,8 +162,10 @@ def verify(grid: int, tolerance: float) -> dict:
     the invariants they enforce.  T within 1e-12 of 0 or 1 is skipped.  A
     grid below 2 or a tolerance outside (0, inf) raises ValueError.  Each
     interior T gives a row of six p values; blocks of whole rows, at most
-    `protocol.GRID_BLOCK` points, take one oracle propagation and one stacked
-    `concurrence` call.  The dense random states stay one point at a time.
+    `protocol.GRID_BLOCK` points, take one oracle propagation, one stacked
+    `concurrence` call and one stacked `fidelity` call over the three state
+    comparisons of each of their T.  The dense random states of
+    `beamsplitter_unitarity` stay one point at a time.
     """
     if grid < 2:
         raise ValueError(f"grid must be at least 2, got {grid}")
@@ -183,6 +185,10 @@ def verify(grid: int, tolerance: float) -> dict:
         "filtered_pipeline_consistency": tolerance,
     }
     records = {name: [] for name in tolerances}
+    # each interior T's state comparisons, 1 - fidelity: oracle against analytic state at
+    # stage I and stage II, and the two stage II states filtered with eps_to_filter(0.15, T)
+    fidelity_checks = ("stage1_state_vs_analytic", "stage2_state_vs_analytic",
+                       "filtered_pipeline_consistency")
 
     closed_ps = (0.25, 0.5, 0.75, 1.0)
     overlaps = (0.0, 1e-9) + closed_ps  # each interior T's row of the oracle grid
@@ -195,6 +201,7 @@ def verify(grid: int, tolerance: float) -> dict:
         totals = sum(fock_oracle.branch_probabilities(points).values()).reshape(len(block), -1)
         stage2 = np.array([outcome.state for outcome in measured]).reshape(len(block), -1, 4, 4)
         concurrences = measures.concurrence(stage2[:, 2:])  # the closed_ps columns
+        oracles, analytics = [], []  # each T's fidelity_checks pairs, for one stacked call
 
         for row, t in enumerate(block):
             at = {"transmittivity": t}
@@ -205,10 +212,6 @@ def verify(grid: int, tolerance: float) -> dict:
             first = row * len(overlaps)  # this T's p = 0 point
             oracle1, oracle2, high = coupled[first], measured[first], measured[first + 1]
 
-            records["stage1_state_vs_analytic"].append(
-                (1.0 - measures.fidelity(oracle1.state, analytic1.state), at))
-            records["stage2_state_vs_analytic"].append(
-                (1.0 - measures.fidelity(oracle2.state, analytic2.state), at))
             records["probability_vs_analytic"] += [
                 (abs(oracle1.probability - prob1), {**at, "stage": "I"}),
                 (abs(oracle2.probability - prob1 / 2.0), {**at, "stage": "II"}),
@@ -216,10 +219,10 @@ def verify(grid: int, tolerance: float) -> dict:
 
             # filtering the simulated state must match filtering the analytic one
             filters = protocol.eps_to_filter(0.15, t)
-            filtered_oracle = protocol.stage3_filter(oracle2, filters)
-            filtered_analytic = protocol.stage3_filter(analytic2, filters)
-            records["filtered_pipeline_consistency"].append(
-                (1.0 - measures.fidelity(filtered_oracle.state, filtered_analytic.state), at))
+            oracles += [oracle1.state, oracle2.state,
+                        protocol.stage3_filter(oracle2, filters).state]
+            analytics += [analytic1.state, analytic2.state,
+                          protocol.stage3_filter(analytic2, filters).state]
 
             records["overlap_continuity"].append(
                 (float(np.max(np.abs(high.state - oracle2.state))), at))
@@ -230,6 +233,11 @@ def verify(grid: int, tolerance: float) -> dict:
                 records["stage2_concurrence_vs_closed_form"].append(
                     (abs(concurrence - closed), where))
                 records["branch_completeness"].append((abs(total - 1.0), where))
+
+        deficits = 1.0 - measures.fidelity(np.array(oracles), np.array(analytics))
+        for t, row_deficits in zip(block, deficits.reshape(len(block), -1).tolist()):
+            for name, deficit in zip(fidelity_checks, row_deficits):
+                records[name].append((deficit, {"transmittivity": t}))
 
     rng = np.random.default_rng(20260810)
     for t in interior:

@@ -127,8 +127,19 @@ def reference_apply_beamsplitter(state, transmittivity):
     }
 
 
+def reference_random_state(rng):
+    """Reference draw: two one-number draws per key, real part first, keys in order."""
+    amps = {}
+    for a_pol in (fo.POL_H, fo.POL_V):
+        for lo in range(fo.N_MODES):
+            for hi in range(lo, fo.N_MODES):
+                amps[(a_pol, lo, hi)] = complex(rng.standard_normal(), rng.standard_normal())
+    norm = np.sqrt(fo.norm_squared(amps))
+    return {k: v / norm for k, v in amps.items()}
+
+
 class TestPropagationIsBitIdentical:
-    """`apply_beamsplitter` and its matrix reproduce the reference bit for bit."""
+    """`apply_beamsplitter`, its matrix and `random_state` reproduce their references bit for bit."""
 
     TS = [float(t) for t in np.linspace(0.0, 1.0, 11)]
 
@@ -148,6 +159,13 @@ class TestPropagationIsBitIdentical:
             vec = fo.random_state(rng)
             expected = reference_apply_beamsplitter(vec, t)
             self.assert_same_bits(fo.apply_beamsplitter(vec, t), expected)
+
+    def test_random_state_equals_one_number_draws(self):
+        for seed in range(200):
+            rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(3):
+                self.assert_same_bits(fo.random_state(rng), reference_random_state(reference_rng))
+            assert rng.bit_generator.state == reference_rng.bit_generator.state
 
     def test_pipeline_inputs(self):
         for t in self.TS:

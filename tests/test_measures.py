@@ -109,12 +109,10 @@ class TestConcurrenceOfAStack:
 
 class TestSingleMatrixMeasures:
     @pytest.mark.parametrize("measure", [
-        lambda stack: measures.fidelity(stack, stack),
-        lambda stack: measures.fidelity(stack, states.werner(0.6)),
         measures.correlation_matrix, measures.chsh_max, measures.purity,
-    ], ids=["fidelity", "fidelity-first-argument", "correlation_matrix", "chsh_max", "purity"])
+    ], ids=["correlation_matrix", "chsh_max", "purity"])
     def test_reject_a_stack(self, measure):
-        # only concurrence measures a stack; the others take one matrix
+        # only concurrence and fidelity measure stacks; the others take one matrix
         for stack in (np.array([states.werner(0.6)]), np.array([states.werner(0.6)] * 4)):
             shape = re.escape(str(stack.shape))
             with pytest.raises(ValueError, match=f"expected a matrix, got array of shape {shape}"):
@@ -165,6 +163,84 @@ class TestFidelity:
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             measures.fidelity(np.eye(2) / 2, np.eye(4) / 4)
+
+
+def fidelity_pairs(rng):
+    """Pairs of same-size states, (a, b) lists per dimension: random full-rank and
+    rank-one states of 2, 3 and 4 dimensions, and the pipeline's (mostly rank-deficient)
+    states against each other and against themselves."""
+    pairs = {}
+    for k in range(600):
+        dim = 2 + k % 3
+        make = random_density if k % 2 else random_pure_density
+        pairs.setdefault(dim, []).append((make(rng, dim), random_density(rng, dim)))
+    found = pipeline_states()
+    pairs[4] += list(zip(found, found[1:] + found[:1])) + list(zip(found, found))
+    return {dim: tuple(np.array(side) for side in zip(*pair)) for dim, pair in pairs.items()}
+
+
+class TestFidelityOfAStack:
+    def test_equals_each_pair_bit_for_bit(self, rng):
+        # squaring the trace norms as an array (a multiply) instead of one by one (C pow)
+        # moves the last bit of a few of these values
+        for a, b in fidelity_pairs(rng).values():
+            values = measures.fidelity(a, b)
+            assert values.shape == (len(a),)
+            for left, right, value in zip(a, b, values.tolist()):
+                single = measures.fidelity(left, right)
+                assert type(single) is float
+                assert value.hex() == single.hex()
+
+    def test_squares_each_trace_norm_like_the_single_call(self, monkeypatch):
+        # eigenvalues whose trace norm squares differently by C pow and by a multiply, on a
+        # libm whose pow is not always correctly rounded (the first three of 10,001)
+        eigvals = np.linspace(0.25, 1.0, 10001).tolist()
+        norms = np.sqrt(eigvals).tolist()
+        trap = [e for e, norm in zip(eigvals, norms) if norm ** 2 != norm * norm]
+        mixed = np.eye(4) / 4
+        for e in trap[:3] + [0.5]:
+            monkeypatch.setattr(np.linalg, "eigvalsh", lambda mats: np.broadcast_to(
+                np.array([0.0, 0.0, 0.0, e]), mats.shape[:-1]).copy())
+            single = measures.fidelity(mixed, mixed)
+            assert single.hex() == float(np.sqrt(np.float64(e)) ** 2).hex()
+            stacked = measures.fidelity(np.array([mixed] * 2), np.array([mixed] * 2))
+            assert [value.hex() for value in stacked.tolist()] == [single.hex()] * 2
+
+    def test_a_stack_of_one(self):
+        a, b = states.werner(0.6), states.werner(0.9)
+        values = measures.fidelity(np.array([a]), np.array([b]))
+        assert values.shape == (1,)
+        assert values[0].hex() == measures.fidelity(a, b).hex()
+
+    def test_keeps_leading_axes(self, rng):
+        a = np.array([random_density(rng, 4) for _ in range(6)])
+        b = np.array([random_density(rng, 4) for _ in range(6)])
+        values = measures.fidelity(a.reshape(3, 2, 4, 4), b.reshape(3, 2, 4, 4))
+        assert values.tobytes() == measures.fidelity(a, b).reshape(3, 2).tobytes()
+
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_raises_the_first_invalid_matrix_message(self, side):
+        valid = np.array([states.werner(0.6)] * 3)
+        invalid = np.array([states.werner(0.6), np.eye(4), np.eye(4) / 2 + np.diag([1e-3], k=3)])
+        with pytest.raises(ValueError) as expected:
+            measures.fidelity(np.eye(4), states.werner(0.6))
+        with pytest.raises(ValueError) as raised:
+            measures.fidelity(*((invalid, valid) if side == "a" else (valid, invalid)))
+        assert str(raised.value) == str(expected.value)
+
+    @pytest.mark.parametrize("shape_a, shape_b", [
+        ((3, 4, 4), (2, 4, 4)),
+        ((3, 4, 4), (4, 4)),
+        ((4, 4), (3, 4, 4)),
+        ((2, 3, 4, 4), (3, 2, 4, 4)),
+        ((3, 2, 2), (3, 4, 4)),
+    ])
+    def test_rejects_stacks_of_different_shapes(self, shape_a, shape_b):
+        def maximally_mixed(shape):
+            return np.broadcast_to(np.eye(shape[-1]) / shape[-1], shape)
+        message = re.escape(f"dimension mismatch: {shape_a} vs {shape_b}")
+        with pytest.raises(ValueError, match=message):
+            measures.fidelity(maximally_mixed(shape_a), maximally_mixed(shape_b))
 
 
 class TestChshMax:

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from entloc import fock_oracle, measures, protocol, reference
@@ -133,3 +134,31 @@ class TestVerify:
             assert result[key] == expected[key], key
         interior = grid - 2  # every T row holds 6 overlaps
         assert calls == [6 * min(rows, interior - start) for start in range(0, interior, rows)]
+
+    @pytest.mark.parametrize("grid", [3, 17, 50])  # 50: two oracle blocks of 42 and 6 rows
+    def test_fidelity_records_equal_the_per_point_route(self, grid):
+        # a tolerance below every nonzero deficit lists every record but the exact zeros
+        result = reference.verify(grid, 1e-300)
+        checks = {check["name"]: check for check in result["checks"]}
+        names = ("stage1_state_vs_analytic", "stage2_state_vs_analytic",
+                 "filtered_pipeline_consistency")
+        expected = {name: [] for name in names}
+        for t in [float(t) for t in np.linspace(0.0, 1.0, grid)][1:-1]:
+            cfg = CouplingConfig(t, 0.0)
+            analytic1, analytic2 = protocol.stage1_couple(cfg), protocol.stage2_measure(cfg, "H")
+            oracle1, oracle2 = fock_oracle.simulate(cfg), fock_oracle.simulate(cfg, "H")
+            filters = protocol.eps_to_filter(0.15, t)
+            pairs = [(oracle1, analytic1), (oracle2, analytic2),
+                     (protocol.stage3_filter(oracle2, filters),
+                      protocol.stage3_filter(analytic2, filters))]
+            for name, (oracle, analytic) in zip(names, pairs):
+                expected[name].append((t, 1.0 - measures.fidelity(oracle.state, analytic.state)))
+        for name, records in expected.items():
+            assert [(failure["transmittivity"], failure["value"].hex())
+                    for failure in checks[name]["failures"]] == [
+                (t, value.hex()) for t, value in records if value > 1e-300]
+            worst = max(value for _, value in records)
+            assert checks[name]["worst"].hex() == worst.hex()
+            if worst > 0.0:
+                first = next(t for t, value in records if value == worst)
+                assert checks[name]["worst_at"] == {"transmittivity": first}
