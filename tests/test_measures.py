@@ -166,9 +166,9 @@ class TestFidelity:
 
 
 def fidelity_pairs(rng):
-    """Pairs of same-size states, (a, b) lists per dimension: random full-rank and
-    rank-one states of 2, 3 and 4 dimensions, and the pipeline's (mostly rank-deficient)
-    states against each other and against themselves."""
+    """Two stacks (a, b) of states per dimension: random rank-one and full-rank states
+    against full-rank ones in 2, 3 and 4 dimensions, and the pipeline's (mostly
+    rank-deficient) states against the next one and against themselves."""
     pairs = {}
     for k in range(600):
         dim = 2 + k % 3
@@ -181,8 +181,7 @@ def fidelity_pairs(rng):
 
 class TestFidelityOfAStack:
     def test_equals_each_pair_bit_for_bit(self, rng):
-        # squaring the trace norms as an array (a multiply) instead of one by one (C pow)
-        # moves the last bit of a few of these values
+        # the rounding case these pairs may miss, an array square, is forced in the next test
         for a, b in fidelity_pairs(rng).values():
             values = measures.fidelity(a, b)
             assert values.shape == (len(a),)
@@ -221,7 +220,8 @@ class TestFidelityOfAStack:
     @pytest.mark.parametrize("side", ["a", "b"])
     def test_raises_the_first_invalid_matrix_message(self, side):
         valid = np.array([states.werner(0.6)] * 3)
-        invalid = np.array([states.werner(0.6), np.eye(4), np.eye(4) / 2 + np.diag([1e-3], k=3)])
+        # a later invalid matrix, with another message, does not win
+        invalid = np.array([states.werner(0.6), np.eye(4), np.eye(4) / 4 + np.diag([1e-3], k=3)])
         with pytest.raises(ValueError) as expected:
             measures.fidelity(np.eye(4), states.werner(0.6))
         with pytest.raises(ValueError) as raised:
