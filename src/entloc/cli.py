@@ -234,6 +234,8 @@ def main(argv=None) -> int:
     preliminary, _ = pre.parse_known_args(argv)
     try:
         defaults = {} if preliminary.config is None else load_config(preliminary.config)
+        # built per call, not cached: `args.func` must be the `cmd_*` function this module
+        # holds at call time, which a tracer that wraps module functions (perfbench's) replaces
         args = build_parser(defaults).parse_args(argv)
         status, text = args.func(args)
     except ValueError as exc:

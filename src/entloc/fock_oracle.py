@@ -20,16 +20,19 @@ Branches may be sub-normalized after post-selection.
 
 The same dict carries a grid of points: a `CouplingConfig` whose T and p are
 (n,) arrays makes every amplitude an (n,) array, and `build_input`,
-`beamsplitter_matrix`, `apply_beamsplitter`, `coupled_branches` and
-`reduce_to_ab` then evaluate the n points in one call.  A grid state keeps a
+`beamsplitter_matrix`, `apply_beamsplitter`, `propagate`, `coupled_branches`
+and `reduce_to_ab` then evaluate the n points in one call.  A grid state keeps a
 key that vanishes at some or all of its points; its zero entries leave every
-other amplitude unchanged.  One point stays numpy-scalar arithmetic: an
-elementwise complex product over an array need not round like the same
-products taken one at a time (the vectorised loop may fuse multiply and
-add), which would move the residuals `verify` reports for dense random
-states.  Pipeline amplitudes and matrix entries are purely real or purely
-imaginary, so their products round alike either way, and a grid gives each
-point the bits it gets alone.
+other amplitude unchanged.  One point stays scalar arithmetic, on plain
+Python `complex` matrix entries: an elementwise complex product over an
+array need not round like the same products taken one at a time (numpy's
+vectorised loops may fuse multiply and add), which would move the residuals
+`verify` reports for dense random states.  Python's complex product and
+numpy's scalar one (built for the x86-64 baseline, which has no FMA) both
+round each real product and each sum once, so plain `complex` keeps numpy
+scalars' bits at a fraction of their cost.  Pipeline amplitudes and matrix
+entries are purely real or purely imaginary, so their products round alike
+either way, and a grid gives each point the bits it gets alone.
 
 The surrounding photon's completely mixed polarization I/2 is realized as a
 uniform classical mixture over {H, V} inputs, which is exact for a linear
@@ -67,7 +70,10 @@ def mode_index(arm: int, pol: int, time: int) -> int:
 
 def norm_squared(amps: dict) -> float:
     """Squared norm of a state: the probability of a post-selected branch."""
-    return float(sum(abs(a) ** 2 for a in amps.values()))
+    total = 0.0  # a left fold: from Python 3.12 on, the builtin sum of floats is compensated
+    for a in amps.values():
+        total += abs(a) ** 2
+    return float(total)
 
 
 def _time_bins(overlap) -> list:
@@ -139,10 +145,11 @@ def apply_beamsplitter(state: dict, transmittivity: float) -> dict:
     u = beamsplitter_matrix(transmittivity)
     grid = u.ndim > 2
     # outputs[m]: (i, u[i, m]) for u[i, m] != 0 (at any grid point), i ascending; each entry a
-    # numpy scalar, or an (n,) array for a grid
+    # Python complex, or an (n,) array for a grid
     rows, cols = np.nonzero(u.any(axis=-1) if grid else u)
     outputs = [[] for _ in range(N_MODES)]
-    for i, m, entry in zip(rows.tolist(), cols.tolist(), u[rows, cols]):
+    entries = u[rows, cols] if grid else u[rows, cols].tolist()
+    for i, m, entry in zip(rows.tolist(), cols.tolist(), entries):
         outputs[m].append((i, entry))
     monomials: dict[tuple[int, int, int], complex] = {}
     for (a_pol, m1, m2), amp in state.items():
@@ -169,19 +176,33 @@ def postselect_one_each(state: dict) -> dict:
     return {key: amp for key, amp in state.items() if key[1] // 4 != key[2] // 4}
 
 
-def branch_probabilities(cfg: CouplingConfig) -> dict[str, float]:
-    """Probabilities of the three detection patterns after the coupling.
+def propagate(cfg: CouplingConfig) -> list[dict]:
+    """Both environment polarization inputs (`build_input`), coupled on the
+    beamsplitter: the equally weighted components of the depolarized
+    environment, before any post-selection.  A grid config is propagated in
+    one pass."""
+    return [apply_beamsplitter(build_input(cfg, env_pol), cfg.transmittivity)
+            for env_pol in (POL_H, POL_V)]
+
+
+def pattern_probabilities(propagated: list[dict]) -> dict[str, float]:
+    """Probabilities of the three detection patterns of `propagate`'s states.
 
     Averaged over the depolarized environment: both photons toward Bob, both
     toward the measurement box, or one photon in each arm.  They sum to 1.
     """
     totals = {"both_bob": 0.0, "both_meas": 0.0, "one_each": 0.0}
     by_meas_count = ("both_bob", "one_each", "both_meas")  # photons on the MEAS arm
-    for env_pol in (POL_H, POL_V):
-        vec = apply_beamsplitter(build_input(cfg, env_pol), cfg.transmittivity)
+    for vec in propagated:
         for (_, m1, m2), amp in vec.items():
             totals[by_meas_count[m1 // 4 + m2 // 4]] += 0.5 * abs(amp) ** 2
     return totals
+
+
+def branch_probabilities(cfg: CouplingConfig) -> dict[str, float]:
+    """The detection pattern probabilities after the coupling:
+    `pattern_probabilities(propagate(cfg))`."""
+    return pattern_probabilities(propagate(cfg))
 
 
 def reduce_to_ab(branches: list[dict], outcome: str | None = None) -> StageOutcome | list:
@@ -229,13 +250,9 @@ def reduce_to_ab(branches: list[dict], outcome: str | None = None) -> StageOutco
 
 
 def coupled_branches(cfg: CouplingConfig) -> list[dict]:
-    """Both environment polarization inputs, coupled on the beamsplitter and
-    post-selected on one photon per arm: the branches `reduce_to_ab` takes.
-    A grid config is propagated in one pass."""
-    return [
-        postselect_one_each(apply_beamsplitter(build_input(cfg, env_pol), cfg.transmittivity))
-        for env_pol in (POL_H, POL_V)
-    ]
+    """`propagate(cfg)` post-selected on one photon per arm: the branches
+    `reduce_to_ab` takes."""
+    return [postselect_one_each(vec) for vec in propagate(cfg)]
 
 
 def simulate(cfg: CouplingConfig, outcome: str | None = None) -> StageOutcome:

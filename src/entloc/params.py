@@ -72,7 +72,9 @@ class FilterConfig:
     """Local polarization filtering |V>_i -> sqrt(A_i) |V>_i on both arms.
 
     att_a / att_b: intensity attenuation of the V component on Alice's / Bob's
-    arm.  1 means no filtering, 0 blocks V completely.
+    arm.  1 means no filtering, 0 blocks V completely.  Either may be an
+    array: the filters of a stack of states, which `protocol.filter_states`
+    applies in one pass.
     """
 
     att_a: float

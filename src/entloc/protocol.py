@@ -60,32 +60,55 @@ def filter_kraus(filters: FilterConfig) -> np.ndarray:
     """Kraus element of the two-arm V filter in the (HH, HV, VH, VV) basis.
 
     diag(1, sqrt(A_B), sqrt(A_A), sqrt(A_A A_B)): the V amplitude is scaled
-    by sqrt(A_A) on arm A and sqrt(A_B) on arm B.
+    by sqrt(A_A) on arm A and sqrt(A_B) on arm B.  Attenuation arrays give a
+    (..., 4, 4) stack of the Kraus elements of their broadcast shape.
     """
     a, b = filters.att_a, filters.att_b
-    return np.diag([1.0, np.sqrt(b), np.sqrt(a), np.sqrt(a * b)]).astype(complex)
+    root_ab = np.sqrt(a * b)
+    kraus = np.zeros(root_ab.shape + (4, 4), dtype=complex)
+    kraus[..., 0, 0] = 1.0
+    kraus[..., 1, 1] = np.sqrt(b)
+    kraus[..., 2, 2] = np.sqrt(a)
+    kraus[..., 3, 3] = root_ab
+    return kraus
+
+
+def filter_states(states, filters: FilterConfig) -> tuple:
+    """Apply the local V filters to a (..., 4, 4) stack of stage II states.
+
+    Each state is filtered from first principles: K rho K with the diagonal
+    Kraus element of `filter_kraus`, renormalized by its pass rate
+    tr(K rho K).  The attenuations of `filters` are floats or arrays that
+    broadcast against the stack's leading shape.  Returns the filtered
+    states, checked in one stacked `validate_density_matrix` pass, and their
+    pass rates; one 4x4 state gives a 4x4 state and a 0-d pass rate.  Raises
+    ValueError if the filters block any state completely.
+    """
+    kraus = filter_kraus(filters)
+    filtered = kraus @ states @ kraus  # kraus is real diagonal
+    pass_rates = filtered.trace(axis1=-2, axis2=-1).real
+    if np.count_nonzero(pass_rates <= 1e-15):
+        raise ValueError("filters fully blocked the state (zero pass rate)")
+    filtered = qmat.validate_density_matrix(filtered / pass_rates[..., None, None], dim=4,
+                                            stack=True)
+    return filtered, pass_rates
 
 
 def stage3_filter(prev: StageOutcome, filters: FilterConfig) -> StageOutcome:
     """Apply the local V filters to a post-measurement (stage II) state.
 
-    The state is filtered from first principles: K rho K with the diagonal
-    Kraus element above, renormalized.  The returned probability is
-    cumulative: prev.probability times the filter pass rate tr(K rho K).
+    `filter_states` of the one state: K rho K with the diagonal Kraus element
+    above, renormalized.  The returned probability is cumulative:
+    prev.probability times the filter pass rate tr(K rho K).
     """
     if prev.stage is not Stage.MEASUREMENT:
         raise ValueError(
             f"filtration applies to a stage II (post-measurement) outcome, got stage {prev.stage.value}"
         )
-    kraus = filter_kraus(filters)
-    filtered = kraus @ prev.state @ kraus  # kraus is real diagonal
-    pass_rate = float(np.real(np.trace(filtered)))
-    if pass_rate <= 1e-15:
-        raise ValueError("filters fully blocked the state (zero pass rate)")
-    state = qmat.validate_density_matrix(filtered / pass_rate, dim=4)
+    state, pass_rate = filter_states(prev.state, filters)
     return StageOutcome(
         state=state,
-        probability=prev.probability * pass_rate,
+        probability=prev.probability * float(pass_rate),
         stage=Stage.FILTRATION,
     )
 

@@ -30,7 +30,7 @@ def as_matrix(m, stack: bool = False) -> np.ndarray:
     arr = np.asarray(m, dtype=complex)
     if arr.ndim != 2 and not (stack and arr.ndim > 2):
         raise ValueError(f"expected a matrix, got array of shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("matrix entries must be finite")
     return arr
 

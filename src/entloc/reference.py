@@ -162,9 +162,11 @@ def verify(grid: int, tolerance: float) -> dict:
     the invariants they enforce.  T within 1e-12 of 0 or 1 is skipped.  A
     grid below 2 or a tolerance outside (0, inf) raises ValueError.  Each
     interior T gives a row of six p values; blocks of whole rows, at most
-    `protocol.GRID_BLOCK` points, take one oracle propagation, one stacked
-    `concurrence` call and one stacked `fidelity` call over the three state
-    comparisons of each of their T.  The dense random states of
+    `protocol.GRID_BLOCK` points, take one oracle propagation (the source of
+    both the post-selected branches and the branch totals), one stacked
+    `concurrence` call, one `protocol.filter_states` pass over the oracle and
+    analytic stage II states of their T, and one stacked `fidelity` call over
+    the three state comparisons of each T.  The dense random states of
     `beamsplitter_unitarity` stay one point at a time.
     """
     if grid < 2:
@@ -196,12 +198,16 @@ def verify(grid: int, tolerance: float) -> dict:
     for start in range(0, len(interior), rows):
         block = interior[start:start + rows]
         points = CouplingConfig(np.repeat(block, len(overlaps)), np.tile(overlaps, len(block)))
-        branches = fock_oracle.coupled_branches(points)  # one propagation for the whole block
+        propagated = fock_oracle.propagate(points)  # one propagation for the whole block
+        branches = [fock_oracle.postselect_one_each(vec) for vec in propagated]
         coupled, measured = (fock_oracle.reduce_to_ab(branches, outcome) for outcome in (None, "H"))
-        totals = sum(fock_oracle.branch_probabilities(points).values()).reshape(len(block), -1)
+        totals = sum(fock_oracle.pattern_probabilities(propagated).values()).reshape(len(block), -1)
         stage2 = np.array([outcome.state for outcome in measured]).reshape(len(block), -1, 4, 4)
         concurrences = measures.concurrence(stage2[:, 2:])  # the closed_ps columns
-        oracles, analytics = [], []  # each T's fidelity_checks pairs, for one stacked call
+        # compared[route, row, check]: each T's fidelity_checks states on the oracle (0) and
+        # the analytic (1) route, for one stacked stage III filter and one stacked fidelity
+        compared = np.empty((2, len(block), len(fidelity_checks), 4, 4), dtype=complex)
+        attenuations = []
 
         for row, t in enumerate(block):
             at = {"transmittivity": t}
@@ -217,12 +223,10 @@ def verify(grid: int, tolerance: float) -> dict:
                 (abs(oracle2.probability - prob1 / 2.0), {**at, "stage": "II"}),
             ]
 
-            # filtering the simulated state must match filtering the analytic one
+            compared[0, row, 0], compared[0, row, 1] = oracle1.state, oracle2.state
+            compared[1, row, 0], compared[1, row, 1] = analytic1.state, analytic2.state
             filters = protocol.eps_to_filter(0.15, t)
-            oracles += [oracle1.state, oracle2.state,
-                        protocol.stage3_filter(oracle2, filters).state]
-            analytics += [analytic1.state, analytic2.state,
-                          protocol.stage3_filter(analytic2, filters).state]
+            attenuations.append((filters.att_a, filters.att_b))
 
             records["overlap_continuity"].append(
                 (float(np.max(np.abs(high.state - oracle2.state))), at))
@@ -234,8 +238,11 @@ def verify(grid: int, tolerance: float) -> dict:
                     (abs(concurrence - closed), where))
                 records["branch_completeness"].append((abs(total - 1.0), where))
 
-        deficits = 1.0 - measures.fidelity(np.array(oracles), np.array(analytics))
-        for t, row_deficits in zip(block, deficits.reshape(len(block), -1).tolist()):
+        # filtering the simulated stage II state must match filtering the analytic one
+        att_a, att_b = np.array(attenuations).T  # each T's filters, for both routes
+        compared[:, :, 2], _ = protocol.filter_states(compared[:, :, 1], FilterConfig(att_a, att_b))
+        deficits = 1.0 - measures.fidelity(compared[0], compared[1])
+        for t, row_deficits in zip(block, deficits.tolist()):
             for name, deficit in zip(fidelity_checks, row_deficits):
                 records[name].append((deficit, {"transmittivity": t}))
 

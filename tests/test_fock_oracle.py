@@ -1,3 +1,6 @@
+import builtins
+import math
+
 import numpy as np
 import pytest
 
@@ -138,6 +141,16 @@ def reference_random_state(rng):
     return {k: v / norm for k, v in amps.items()}
 
 
+def reference_branch_probabilities(cfg):
+    """Reference pattern totals: one propagation per environment input, accumulated in order."""
+    totals = {"both_bob": 0.0, "both_meas": 0.0, "one_each": 0.0}
+    for env_pol in (fo.POL_H, fo.POL_V):
+        vec = fo.apply_beamsplitter(fo.build_input(cfg, env_pol), cfg.transmittivity)
+        for (_, m1, m2), amp in vec.items():
+            totals[("both_bob", "one_each", "both_meas")[m1 // 4 + m2 // 4]] += 0.5 * abs(amp) ** 2
+    return totals
+
+
 class TestPropagationIsBitIdentical:
     """`apply_beamsplitter`, its matrix and `random_state` reproduce their references bit for bit."""
 
@@ -147,7 +160,7 @@ class TestPropagationIsBitIdentical:
     def assert_same_bits(out, expected):
         assert list(out) == list(expected)  # same keys in the same order
         for key, amp in out.items():
-            assert type(amp) is type(expected[key])
+            assert isinstance(amp, complex)  # a plain complex or a numpy complex scalar
             assert np.asarray(amp).tobytes() == np.asarray(expected[key]).tobytes()
 
     def test_matrix_equals_kron(self):
@@ -158,7 +171,10 @@ class TestPropagationIsBitIdentical:
         for t in self.TS:
             vec = fo.random_state(rng)
             expected = reference_apply_beamsplitter(vec, t)
-            self.assert_same_bits(fo.apply_beamsplitter(vec, t), expected)
+            out = fo.apply_beamsplitter(vec, t)
+            self.assert_same_bits(out, expected)
+            # one point propagates on plain Python complex numbers, not numpy scalars
+            assert all(type(amp) is complex for amp in out.values())
 
     def test_random_state_equals_one_number_draws(self):
         for seed in range(200):
@@ -174,6 +190,23 @@ class TestPropagationIsBitIdentical:
                     vec = fo.build_input(CouplingConfig(t, p), env_pol)
                     self.assert_same_bits(fo.apply_beamsplitter(vec, t),
                                           reference_apply_beamsplitter(vec, t))
+
+
+class TestNormSquared:
+    def test_left_fold_whatever_the_builtin_sum(self, monkeypatch):
+        # squares 1, 1e-16, 1e-16: a left fold rounds each partial sum back to 1, while a
+        # correctly rounded sum, like the compensated builtin sum of Python 3.12, does not
+        amps = {(0, 0, 4): complex(1.0, 0.0), (0, 1, 5): complex(1e-8, 0.0),
+                (1, 2, 6): complex(0.0, -1e-8)}
+        fold = 0.0
+        for amp in amps.values():
+            fold += abs(amp) ** 2
+        assert math.fsum(abs(amp) ** 2 for amp in amps.values()).hex() != fold.hex()
+        with monkeypatch.context() as patch:
+            patch.setattr(builtins, "sum", lambda values, start=0: start + math.fsum(values))
+            value = fo.norm_squared(amps)
+        assert type(value) is float
+        assert value.hex() == fold.hex()
 
 
 class TestPostselection:
@@ -376,6 +409,26 @@ class TestGrid:
             for key, value in alone.items():
                 assert float(grid[key][i]).hex() == float(value).hex()
             assert float(sum(grid.values())[i]).hex() == float(sum(alone.values())).hex()
+
+    def test_one_propagation_gives_the_branches_and_the_pattern_totals(self):
+        # verify takes both from one `propagate` call per block
+        def same_bits(a, b):
+            return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+        ts, ps = (axis.ravel() for axis in np.meshgrid(self.TS, self.PS))
+        points = [CouplingConfig(t, p) for t, p in ((0.37, 0.5), (1.0, 0.0))]
+        for cfg in [CouplingConfig(ts, ps)] + points:
+            propagated = fo.propagate(cfg)
+            totals = fo.pattern_probabilities(propagated)
+            probabilities = fo.branch_probabilities(cfg)
+            expected = reference_branch_probabilities(cfg)
+            assert list(totals) == list(probabilities) == list(expected)
+            for key, value in expected.items():
+                assert same_bits(totals[key], value) and same_bits(probabilities[key], value)
+            assert same_bits(sum(totals.values()), sum(expected.values()))
+            for vec, branch in zip(propagated, fo.coupled_branches(cfg)):
+                assert list(fo.postselect_one_each(vec)) == list(branch)
+                assert all(same_bits(vec[key], amp) for key, amp in branch.items())
 
     def test_stacked_concurrence_of_grid_states_equals_its_points(self):
         ts, ps = (axis.ravel() for axis in np.meshgrid(np.linspace(0.05, 0.95, 19), self.PS))

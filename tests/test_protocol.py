@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import random_density, random_pure_density
 
 from entloc import fock_oracle, measures, protocol, states
 from entloc.params import CouplingConfig, FilterConfig, Stage, StageOutcome
@@ -197,6 +198,79 @@ class TestStage3:
         assert abs(measures.concurrence(outcome.state) - 0.4703555847) < 1e-9
         pass_rate = outcome.probability / prev.probability
         assert abs(pass_rate - 0.0889165629) < 1e-9
+
+
+def reference_stage3_filter(prev, filters):
+    """Reference filter of one state: a one-matrix Kraus element and a scalar pass rate."""
+    a, b = filters.att_a, filters.att_b
+    kraus = np.diag([1.0, np.sqrt(b), np.sqrt(a), np.sqrt(a * b)]).astype(complex)
+    filtered = kraus @ prev.state @ kraus
+    pass_rate = float(np.real(np.trace(filtered)))
+    return filtered / pass_rate, prev.probability * pass_rate
+
+
+class TestFilterStates:
+    """A stack of stage II states is filtered in one pass, each state with the bits
+    `stage3_filter` gives it alone, which are those of the one-matrix reference."""
+
+    @staticmethod
+    def assert_each_filtered_alone(prevs, filters):
+        att_a = np.array([f.att_a for f in filters])
+        att_b = np.array([f.att_b for f in filters])
+        stacked, pass_rates = protocol.filter_states(
+            np.array([prev.state for prev in prevs]), FilterConfig(att_a, att_b))
+        assert stacked.shape == (len(prevs), 4, 4) and pass_rates.shape == (len(prevs),)
+        for prev, f, state, pass_rate in zip(prevs, filters, stacked, pass_rates.tolist()):
+            alone = protocol.stage3_filter(prev, f)
+            expected_state, expected_probability = reference_stage3_filter(prev, f)
+            assert state.tobytes() == alone.state.tobytes() == expected_state.tobytes()
+            assert (prev.probability * pass_rate).hex() == alone.probability.hex()
+            assert alone.probability.hex() == expected_probability.hex()
+
+    def test_pipeline_states(self):
+        prevs, filters = [], []
+        for t in np.linspace(0.01, 0.99, 50).tolist():
+            for p in (0.0, 0.3, 1.0):
+                cfg = CouplingConfig(t, p)
+                found = [protocol.stage2_measure(cfg, "H"), fock_oracle.simulate(cfg, "V")]
+                if p == 0.0:
+                    found.append(fock_oracle.simulate(cfg, "H"))  # the oracle route at p = 0
+                for eps in (1e-6, 0.15, 1.0):
+                    prevs += found
+                    filters += [protocol.eps_to_filter(eps, t)] * len(found)
+        self.assert_each_filtered_alone(prevs, filters)
+
+    def test_random_states(self, rng):
+        prevs = [StageOutcome(make(rng, 4), float(rng.random()), Stage.MEASUREMENT)
+                 for make in (random_density, random_pure_density) for _ in range(200)]
+        filters = [FilterConfig(float(rng.random()), float(rng.random())) for _ in prevs]
+        self.assert_each_filtered_alone(prevs, filters)
+
+    def test_one_filter_for_a_stack_and_a_stack_of_one(self):
+        prev = protocol.stage2_measure(CouplingConfig(0.4), "H")
+        filters = FilterConfig(0.33, 1.0)
+        alone = protocol.stage3_filter(prev, filters)
+        for stack in (prev.state[None], np.array([prev.state] * 3).reshape(3, 1, 4, 4)):
+            states, pass_rates = protocol.filter_states(stack, filters)
+            assert states.shape == stack.shape and pass_rates.shape == stack.shape[:-2]
+            for state in states.reshape(-1, 4, 4):
+                assert state.tobytes() == alone.state.tobytes()
+        state, pass_rate = protocol.filter_states(prev.state, filters)
+        assert state.shape == (4, 4) and np.ndim(pass_rate) == 0
+
+    def test_kraus_stack_equals_its_points(self):
+        att_a, att_b = np.array([0.0, 0.12, 1.0]), np.array([0.3, 1.0, 0.0])
+        stacked = protocol.filter_kraus(FilterConfig(att_a, att_b))
+        for kraus, a, b in zip(stacked, att_a.tolist(), att_b.tolist()):
+            assert kraus.tobytes() == protocol.filter_kraus(FilterConfig(a, b)).tobytes()
+
+    def test_one_blocked_state_blocks_the_stack(self):
+        blocked = protocol.stage2_measure(CouplingConfig(0.0), "H")  # diag(0, 0, .5, .5)
+        passed = protocol.stage2_measure(CouplingConfig(0.4), "H")
+        stack = np.array([passed.state, blocked.state, passed.state])
+        message = r"^filters fully blocked the state \(zero pass rate\)$"
+        with pytest.raises(ValueError, match=message):
+            protocol.filter_states(stack, FilterConfig(np.array([0.5, 0.0, 0.5]), 1.0))
 
 
 class TestStageConcurrences:

@@ -114,8 +114,8 @@ class TestVerify:
     def test_no_interior_point_calls_no_oracle(self, monkeypatch):
         def refuse(cfg):
             raise AssertionError("oracle called")
-        monkeypatch.setattr(fock_oracle, "coupled_branches", refuse)
-        monkeypatch.setattr(fock_oracle, "branch_probabilities", refuse)
+        for name in ("propagate", "coupled_branches", "branch_probabilities"):
+            monkeypatch.setattr(fock_oracle, name, refuse)
         assert reference.verify(2, 1e-9)["passed"] is True
 
     @pytest.mark.parametrize("grid, tolerance", [(10, 1e-9), (25, 1e-13)])
@@ -124,8 +124,8 @@ class TestVerify:
                                                             block, rows):
         expected = reference.verify(grid, tolerance)
         calls = []
-        propagate = fock_oracle.coupled_branches
-        monkeypatch.setattr(fock_oracle, "coupled_branches",
+        propagate = fock_oracle.propagate
+        monkeypatch.setattr(fock_oracle, "propagate",
                             lambda cfg: calls.append(cfg.transmittivity.size) or propagate(cfg))
         monkeypatch.setattr(protocol, "GRID_BLOCK", block)
         result = reference.verify(grid, tolerance)
