@@ -123,23 +123,31 @@ def cmd_hom(args) -> tuple[int, str]:
 # ----------------------------------------------------------------------
 
 def load_config(path: str) -> dict:
-    """Read raw defaults from an INI file ([defaults] section) or a TOML file."""
+    """Read raw defaults from an INI file ([defaults] section) or a TOML file;
+    a file that cannot be read or parsed raises ValueError."""
     file = Path(path)
     if not file.is_file():
         raise ValueError(f"config file not found: {path}")
+    try:
+        text = file.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot read config file {path}: {exc}") from exc
     if file.suffix == ".toml":
         try:
             import tomllib
         except ImportError as exc:  # tomllib ships with Python 3.11+
             raise ValueError("TOML config requires Python 3.11+; use INI instead") from exc
-        raw = tomllib.loads(file.read_text(encoding="utf-8"))
+        raw = tomllib.loads(text)
         return raw["defaults"] if isinstance(raw.get("defaults"), dict) else raw
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keep key case: T and p are distinct flags
-    parser.read_string(file.read_text(encoding="utf-8"))
-    if not parser.has_section("defaults"):
-        raise ValueError("INI config must contain a [defaults] section")
-    return dict(parser.items("defaults"))
+    try:
+        parser.read_string(text, source=path)
+        if not parser.has_section("defaults"):
+            raise ValueError("INI config must contain a [defaults] section")
+        return dict(parser.items("defaults"))  # items() interpolates, which can fail too
+    except configparser.Error as exc:
+        raise ValueError("invalid INI config: " + " ".join(str(exc).split())) from exc
 
 
 def build_parser(config: dict) -> argparse.ArgumentParser:

@@ -7,8 +7,10 @@ probabilistic V-polarization filters on both arms.  For a distinguishable
 surrounding photon (overlap p = 0) every stage has an exact matrix form.
 For p > 0 the states come from the brute-force simulation in `fock_oracle`
 (only their concurrences have closed forms), so the analytic expressions in
-`concurrence_closed_form` stay available as an independent cross-check; a
-grid's p > 0 points share one oracle call per block.
+`concurrence_closed_form` stay available as an independent cross-check.  A
+grid is evaluated in blocks, each as stacks: its p = 0 states from one
+`states` call per stage, its p > 0 states from one oracle call, and its
+stage III states from one `filter_states` pass.
 """
 
 from __future__ import annotations
@@ -73,6 +75,14 @@ def filter_kraus(filters: FilterConfig) -> np.ndarray:
     return kraus
 
 
+class FilterBlockedError(ValueError):
+    """Raised by `filter_states`; `blocked` masks the states its filters block completely."""
+
+    def __init__(self, blocked: np.ndarray):
+        super().__init__("filters fully blocked the state (zero pass rate)")
+        self.blocked = blocked
+
+
 def filter_states(states, filters: FilterConfig) -> tuple:
     """Apply the local V filters to a (..., 4, 4) stack of stage II states.
 
@@ -82,13 +92,16 @@ def filter_states(states, filters: FilterConfig) -> tuple:
     broadcast against the stack's leading shape.  Returns the filtered
     states, checked in one stacked `validate_density_matrix` pass, and their
     pass rates; one 4x4 state gives a 4x4 state and a 0-d pass rate.  Raises
-    ValueError if the filters block any state completely.
+    FilterBlockedError, a ValueError that carries the mask of the blocked
+    states, if the filters block any state completely (pass rate at most
+    1e-15).
     """
     kraus = filter_kraus(filters)
     filtered = kraus @ states @ kraus  # kraus is real diagonal
     pass_rates = filtered.trace(axis1=-2, axis2=-1).real
-    if np.count_nonzero(pass_rates <= 1e-15):
-        raise ValueError("filters fully blocked the state (zero pass rate)")
+    blocked = pass_rates <= 1e-15
+    if np.count_nonzero(blocked):
+        raise FilterBlockedError(blocked)
     filtered = qmat.validate_density_matrix(filtered / pass_rates[..., None, None], dim=4,
                                             stack=True)
     return filtered, pass_rates
@@ -148,8 +161,10 @@ def stage_concurrences(transmittivity, overlap, eps) -> tuple:
     four arrays of the broadcast shape.  Stage III filters the H-outcome stage
     II state with the `eps_to_filter` schedule; it is nan where the filters
     block the state completely (at T = 0).  An eps outside (0, 1] raises.  The
-    grid is evaluated in blocks of up to GRID_BLOCK points: one oracle
-    propagation serves the block's p > 0 points, and one stacked
+    grid is evaluated in blocks of up to GRID_BLOCK points, each as stacks:
+    one `states` call per stage builds the block's p = 0 states, one oracle
+    propagation its p > 0 states, one `filter_states` pass filters them all
+    (one more filters the rest when some are blocked), and one stacked
     `measures.concurrence` call measures every stage state of the block.
     """
     grid = np.broadcast_arrays(transmittivity, overlap, eps)
@@ -159,26 +174,30 @@ def stage_concurrences(transmittivity, overlap, eps) -> tuple:
         t, p, e = (axis[start:start + GRID_BLOCK] for axis in flat)
         points = [(CouplingConfig(ti, pi), eps_to_filter(ei, ti))
                   for ti, pi, ei in zip(t.tolist(), p.tolist(), e.tolist())]
-        overlapping = [i for i, (cfg, _) in enumerate(points) if cfg.overlap != 0.0]
-        oracle = {}
-        if overlapping:
-            oracle_stages = coupled_stages(CouplingConfig(t[overlapping], p[overlapping]))
-            oracle = dict(zip(overlapping, zip(*oracle_stages)))
-        coupled, filtered, unblocked, limits = [], [], [], []
-        for i, (cfg, filters) in enumerate(points):
-            stage1, stage2 = oracle[i] if i in oracle else coupled_stages(cfg)
-            try:
-                filtered.append(stage3_filter(stage2, filters).state)
-                unblocked.append(len(limits))
-            except ValueError:
-                pass
-            coupled += [stage1.state, stage2.state]
-            limits.append(concurrence_closed_form(Stage.FILTRATION, cfg, eps=None))
-        values = measures.concurrence(np.array(coupled + filtered))
-        block = columns[:, start:start + len(limits)]
-        block[:2] = values[:len(coupled)].reshape(-1, 2).T
-        block[2], block[3] = np.nan, limits
-        block[2, unblocked] = values[len(coupled):]
+        # the p = 0 states of every point, q from its Python floats (an array square can
+        # differ in the last bit); the oracle's states replace them at p > 0
+        q = np.array([cfg.werner_weight for cfg, _ in points])
+        stage1, stage2 = states.werner(q), states.post_measurement_state(q, "H")
+        overlapping = p != 0.0
+        if overlapping.any():
+            oracle = coupled_stages(CouplingConfig(t[overlapping], p[overlapping]))
+            for stack, outcomes in zip((stage1, stage2), oracle):
+                stack[overlapping] = [outcome.state for outcome in outcomes]
+        att_a, att_b = np.array([(f.att_a, f.att_b) for _, f in points]).T
+        passed = np.ones(len(points), dtype=bool)
+        try:
+            filtered, _ = filter_states(stage2, FilterConfig(att_a, att_b))
+        except FilterBlockedError as exc:  # nan at the blocked points, the rest in one more pass
+            passed = ~exc.blocked
+            filtered = stage2[passed]  # empty if every point is blocked
+            if passed.any():
+                filtered, _ = filter_states(filtered, FilterConfig(att_a[passed], att_b[passed]))
+        values = measures.concurrence(np.concatenate([stage1, stage2, filtered]))
+        block = columns[:, start:start + len(points)]
+        block[:2] = values[:2 * len(points)].reshape(2, -1)
+        block[2], block[3] = np.nan, [concurrence_closed_form(Stage.FILTRATION, cfg, eps=None)
+                                      for cfg, _ in points]
+        block[2, passed] = values[2 * len(points):]
     return tuple(col.reshape(grid[0].shape) if grid[0].ndim else float(col[0]) for col in columns)
 
 

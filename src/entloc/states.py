@@ -45,25 +45,29 @@ def depolarized_qubit() -> np.ndarray:
     return np.eye(2, dtype=complex) / 2.0
 
 
-def werner(q: float) -> np.ndarray:
+def werner(q) -> np.ndarray:
     """Werner mixture q |psi-><psi-| + (1 - q) I/4.
 
     This is the signal-pair state after the coupling stage, with
-    q = T^2 / (T^2 + R^2); it is separable for q <= 1/3.
+    q = T^2 / (T^2 + R^2); it is separable for q <= 1/3.  An array of weights
+    gives a (..., 4, 4) stack, each matrix with the bits of its float `q`.
     """
     q = check_unit_interval(q, "q")
+    q = q[..., None, None] if isinstance(q, np.ndarray) else q  # an array weights a stack
     return q * _SINGLET_DENSITY + (1.0 - q) * np.eye(4, dtype=complex) / 4.0
 
 
-def post_measurement_state(q: float, outcome: str = "H") -> np.ndarray:
+def post_measurement_state(q, outcome: str = "H") -> np.ndarray:
     """Signal-pair state after the surrounding photon is detected.
 
     For detection outcome H the depolarized noise on arm A collapses to
     polarized noise: q |psi-><psi-| + (1 - q) |V>_A<V| (x) I_B/2, where the
     noise term is diag(0, 0, 1/2, 1/2).  Outcome V gives the mirror state
-    with |H>_A<H| noise, diag(1/2, 1/2, 0, 0), instead.
+    with |H>_A<H| noise, diag(1/2, 1/2, 0, 0), instead.  An array of weights
+    gives a (..., 4, 4) stack, like `werner`.
     """
     q = check_unit_interval(q, "q")
+    q = q[..., None, None] if isinstance(q, np.ndarray) else q  # an array weights a stack
     if outcome == "H":
         noise = np.diag(np.array([0.0, 0.0, 0.5, 0.5], dtype=complex))
     elif outcome == "V":

@@ -135,7 +135,35 @@ GRID_SWEEPS = [
     pytest.param("p", 0.0, 1.0, 11, 0.3, 0.0, 0.15, id="p"),
     pytest.param("eps", 0.001, 1.0, 11, 0.4, 0.0, 0.15, id="eps"),
     pytest.param("eps", 0.001, 1.0, 6, 0.0, 0.5, 0.15, id="eps-T-0-p-0.5"),
+] + [  # two blocks, the first with the blocked T = 0 point
+    pytest.param("T", 0.0, 1.0, 300, 0.4, p, 0.15, id=f"T-300-p-{p}") for p in (0.0, 0.5)
 ]
+
+
+def counting(monkeypatch, functions):
+    """Count the calls of the functions `functions` names ({module: names}) while the test
+    runs; the counts by name."""
+    calls = {}
+
+    def counted(name, func):
+        def wrapper(*args):
+            calls[name] += 1
+            return func(*args)
+        return wrapper
+
+    for module, names in functions.items():
+        for name in names:
+            calls[name] = 0
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return calls
+
+
+def per_point_columns(ts, ps, eps):
+    """`per_point_stage_concurrences` at each point of the broadcast grid, as four arrays."""
+    grid = np.broadcast_arrays(ts, ps, eps)
+    points = [per_point_stage_concurrences(*point)
+              for point in zip(*(axis.ravel().tolist() for axis in grid))]
+    return [np.array(column).reshape(grid[0].shape) for column in zip(*points)]
 
 
 class TestSweepGrid:
@@ -149,28 +177,62 @@ class TestSweepGrid:
             rows.append((value, *per_point_stage_concurrences(point["T"], point["p"], point["eps"])))
         expected = cli._csv_text(cli.SWEEP_HEADER, rows)
 
-        calls = {"concurrence": 0, "apply_beamsplitter": 0}
-
-        def counted(name, func):
-            def wrapper(*args):
-                calls[name] += 1
-                return func(*args)
-            return wrapper
-
-        monkeypatch.setattr(measures, "concurrence", counted("concurrence", measures.concurrence))
-        monkeypatch.setattr(fock_oracle, "apply_beamsplitter",
-                            counted("apply_beamsplitter", fock_oracle.apply_beamsplitter))
+        calls = counting(monkeypatch, {measures: ["concurrence"],
+                                       fock_oracle: ["apply_beamsplitter"],
+                                       protocol: ["stage3_filter", "filter_states"]})
         out = tmp_path / "sweep.csv"
         argv = ["sweep", "--variable", variable, "--min", repr(lo), "--max", repr(hi),
                 "--steps", str(steps), "--T", repr(T), "--p", repr(p), "--eps", repr(eps)]
         assert cli.main([*argv, "--out", str(out)]) == 0
         assert out.read_bytes() == expected.encode("utf-8")
         overlaps = np.linspace(lo, hi, steps) if variable == "p" else np.full(steps, p)
-        # one propagation (two apply_beamsplitter calls) per block that holds a p > 0 point
-        blocks = [overlaps[start:start + protocol.GRID_BLOCK]
+        blocked = np.isnan([row[3] for row in rows])  # the reference's nan: blocked filters
+        # each block: one propagation (two apply_beamsplitter calls) if it holds a p > 0 point,
+        # one filter_states call, and one more if it holds both blocked and passing points
+        blocks = [slice(start, start + protocol.GRID_BLOCK)
                   for start in range(0, steps, protocol.GRID_BLOCK)]
-        assert calls == {"concurrence": 1,
-                         "apply_beamsplitter": 2 * sum(bool(np.any(b > 0.0)) for b in blocks)}
+        assert calls == {
+            "concurrence": len(blocks),
+            "apply_beamsplitter": 2 * sum(bool(np.any(overlaps[b] > 0.0)) for b in blocks),
+            "stage3_filter": 0,
+            "filter_states": sum(1 + (blocked[b].any() and not blocked[b].all()) for b in blocks),
+        }
+
+    @pytest.mark.parametrize("p", [0.0, 0.5])
+    def test_tiny_transmittivity_and_eps_straddle_the_block_threshold(self, p):
+        # the pass rate is about eps T^2 at p = 0, so this grid holds pass rates on both
+        # sides of the 1e-15 threshold
+        ts = np.concatenate([[0.0], np.geomspace(1e-9, 1e-6, 25 if p else 60)])[:, None]
+        eps = np.array([1e-12, 1e-9, 1e-6, 1e-3, 0.15, 1.0])
+        columns = protocol.stage_concurrences(ts, p, eps)
+        expected = per_point_columns(ts, p, eps)
+        for got, want in zip(columns, expected):
+            assert got.shape == (len(ts), len(eps)) and got.tobytes() == want.tobytes()
+        blocked = np.isnan(columns[2])
+        assert blocked[0].all() and blocked[1:].any() and not blocked.all()
+
+    def test_a_blocked_point_after_the_first_block(self, monkeypatch):
+        ts = np.array([0.9, 0.5, 0.3, 0.1, 0.7, 0.0, 0.2, 0.6, 0.0, 0.0, 0.0, 0.0, 0.4])
+        expected = per_point_columns(ts, 0.0, 0.15)
+        monkeypatch.setattr(protocol, "GRID_BLOCK", 4)
+        sizes = []
+        filter_states = protocol.filter_states
+        monkeypatch.setattr(protocol, "filter_states", lambda stack, filters: (
+            sizes.append(len(stack)) or filter_states(stack, filters)))
+        columns = protocol.stage_concurrences(ts, 0.0, 0.15)
+        for got, want in zip(columns, expected):
+            assert got.tobytes() == want.tobytes()
+        assert np.isnan(columns[2]).tolist() == (ts == 0.0).tolist()
+        # blocks of 4, 4, 4 and 1: the second filters again without its T = 0 point, the
+        # third is blocked throughout and filters nothing more
+        assert sizes == [4, 4, 3, 4, 1]
+
+    def test_an_eps_sweep_at_zero_transmittivity_is_blocked_everywhere(self):
+        eps = np.concatenate([np.geomspace(1e-12, 1.0, 13), np.linspace(0.001, 1.0, 300)])
+        columns = protocol.stage_concurrences(0.0, 0.0, eps)
+        for got, want in zip(columns, per_point_columns(0.0, 0.0, eps)):
+            assert got.tobytes() == want.tobytes()
+        assert np.isnan(columns[2]).all()
 
 
 FORMULA_KEYS = ["C_I", "P_I", "C_II", "P_II"]
@@ -398,7 +460,7 @@ class TestConfigFile:
         _, rows = read_csv(out)
         assert len(rows) == 4
 
-    def test_config_errors(self, tmp_path):
+    def test_config_errors(self, tmp_path, monkeypatch, capsys):
         assert cli.main(["--config", str(tmp_path / "missing.ini"), "hom", "--out", "-"]) == 2
         bad = tmp_path / "bad.ini"
         bad.write_text("[defaults]\nunknown_key = 1\n", encoding="utf-8")
@@ -406,6 +468,32 @@ class TestConfigFile:
         no_section = tmp_path / "plain.ini"
         no_section.write_text("[other]\nT = 0.5\n", encoding="utf-8")
         assert cli.main(["--config", str(no_section), "hom", "--out", "-"]) == 2
+        capsys.readouterr()
+        # a malformed INI file is a usage error with a one-line message, not a traceback
+        malformed = {
+            "[defaults]\nT = 0.3\nT = 0.4\n": "option 'T' in section 'defaults' already exists",
+            "[defaults]\nT = 0.3\n[defaults]\nsteps = 3\n": "section 'defaults' already exists",
+            "[defaults]\nsteps 3\n": "Source contains parsing errors",
+            "T = 0.3\n": "File contains no section headers",
+            "[defaults]\nT = 50%\n": "'%' must be followed by '%' or '('",
+        }
+        for text, reason in malformed.items():
+            bad.write_text(text, encoding="utf-8")
+            assert cli.main(["--config", str(bad), "sweep", "--out", "-"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: invalid INI config: ") and reason in captured.err
+            assert captured.err.count("\n") == 1
+        # so is a file that exists but cannot be read
+        bad.write_text("[defaults]\nT = 0.3\n", encoding="utf-8")
+
+        def unreadable(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(Path, "read_text", unreadable)
+        assert cli.main(["--config", str(bad), "sweep", "--out", "-"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot read config file {bad}: [Errno 13] Permission denied\n")
 
     def test_config_attenuation_rejected_for_the_formulas_table(self, tmp_path, capsys):
         config = tmp_path / "filters.ini"

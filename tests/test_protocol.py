@@ -269,8 +269,31 @@ class TestFilterStates:
         passed = protocol.stage2_measure(CouplingConfig(0.4), "H")
         stack = np.array([passed.state, blocked.state, passed.state])
         message = r"^filters fully blocked the state \(zero pass rate\)$"
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=message) as raised:
             protocol.filter_states(stack, FilterConfig(np.array([0.5, 0.0, 0.5]), 1.0))
+        assert isinstance(raised.value, protocol.FilterBlockedError)
+        assert raised.value.blocked.tolist() == [False, True, False]
+
+    def test_the_error_marks_exactly_the_blocked_states(self):
+        # T = 0 states block when A_A = 0; tiny T at tiny eps straddles the 1e-15 threshold
+        ts = np.array([0.0, 1e-9, 1e-8, 1e-7, 1e-6, 0.4, 1.0, 0.0]).reshape(2, 4)
+        stack = np.array([[protocol.stage2_measure(CouplingConfig(t), "H").state for t in row]
+                          for row in ts.tolist()])
+        for eps in (1e-12, 1e-3, 1.0):
+            filters = [protocol.eps_to_filter(eps, t) for t in ts.ravel().tolist()]
+            att_a = np.array([f.att_a for f in filters]).reshape(ts.shape)
+            att_b = np.array([f.att_b for f in filters]).reshape(ts.shape)
+            expected = np.zeros(ts.shape, dtype=bool)
+            for index in np.ndindex(ts.shape):
+                try:
+                    protocol.filter_states(stack[index], FilterConfig(att_a[index], att_b[index]))
+                except protocol.FilterBlockedError as alone:
+                    assert alone.blocked.shape == () and alone.blocked
+                    expected[index] = True
+            assert expected.any() and not expected.all()
+            with pytest.raises(protocol.FilterBlockedError) as raised:
+                protocol.filter_states(stack, FilterConfig(att_a, att_b))
+            assert raised.value.blocked.tolist() == expected.tolist()
 
 
 class TestStageConcurrences:

@@ -135,6 +135,24 @@ class TestVerify:
         interior = grid - 2  # every T row holds 6 overlaps
         assert calls == [6 * min(rows, interior - start) for start in range(0, interior, rows)]
 
+    def test_one_filter_states_pass_per_block_that_blocks_nothing(self, monkeypatch):
+        # grid 50: two oracle blocks of 42 and 6 rows; T = 0 and 1 are skipped, so the
+        # eps = 0.15 filters pass every interior state, on both routes
+        shapes = []
+        filter_states = protocol.filter_states
+
+        def recorded(stack, filters):
+            shapes.append(stack.shape)
+            return filter_states(stack, filters)
+
+        def refuse(*args):
+            raise AssertionError("stage3_filter called")
+
+        monkeypatch.setattr(protocol, "filter_states", recorded)
+        monkeypatch.setattr(protocol, "stage3_filter", refuse)
+        assert reference.verify(50, 1e-9)["passed"] is True
+        assert shapes == [(2, 42, 4, 4), (2, 6, 4, 4)]
+
     @pytest.mark.parametrize("grid", [3, 17, 50])  # 50: two oracle blocks of 42 and 6 rows
     def test_fidelity_records_equal_the_per_point_route(self, grid):
         # a tolerance below every nonzero deficit lists every record but the exact zeros

@@ -95,6 +95,31 @@ class TestPostMeasurementState:
             states.post_measurement_state(0.5, outcome="X")
 
 
+class TestWeightArrays:
+    """An array of weights gives the stack of the per-weight matrices, bit for bit."""
+
+    WEIGHTS = np.concatenate([np.linspace(0.0, 1.0, 1001), [5e-324, 1e-300, 1.0 - 2.0**-53],
+                              np.random.default_rng(7).random(500)])
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(states.werner, id="werner"),
+        pytest.param(states.post_measurement_state, id="post-measurement-H"),
+        pytest.param(lambda q: states.post_measurement_state(q, "V"), id="post-measurement-V"),
+    ])
+    def test_stack_equals_its_points(self, make):
+        stack = make(self.WEIGHTS.reshape(2, -1))
+        assert stack.shape == (2, len(self.WEIGHTS) // 2, 4, 4)
+        for q, matrix in zip(self.WEIGHTS.tolist(), stack.reshape(-1, 4, 4)):
+            assert matrix.tobytes() == make(q).tobytes()
+
+    def test_rejects_out_of_range_and_empty_arrays(self):
+        for make in (states.werner, states.post_measurement_state):
+            with pytest.raises(ValueError, match=r"^q must lie in \[0, 1\], got 1.5$"):
+                make(np.array([0.2, 1.5, -1.0]))
+            with pytest.raises(ValueError, match="at least one point"):
+                make(np.array([]))
+
+
 class TestConstructorsAreValidStates:
     def test_all_valid(self):
         qmat.validate_density_matrix(states.singlet_density(), dim=4)
