@@ -24,7 +24,7 @@ from .protocol import (
     stage2_measure,
     stage3_filter,
 )
-from .states import depolarized_qubit, post_measurement_state, singlet, werner
+from .states import post_measurement_state, singlet, werner
 
 __version__ = "0.1.0"
 
@@ -36,7 +36,6 @@ __all__ = [
     "chsh_max",
     "concurrence",
     "concurrence_closed_form",
-    "depolarized_qubit",
     "disappearance_threshold",
     "eps_to_filter",
     "fidelity",

@@ -137,7 +137,10 @@ def load_config(path: str) -> dict:
             import tomllib
         except ImportError as exc:  # tomllib ships with Python 3.11+
             raise ValueError("TOML config requires Python 3.11+; use INI instead") from exc
-        raw = tomllib.loads(text)
+        try:
+            raw = tomllib.loads(text)
+        except tomllib.TOMLDecodeError as exc:
+            raise ValueError(f"invalid TOML config: {path}: {exc}") from exc
         return raw["defaults"] if isinstance(raw.get("defaults"), dict) else raw
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keep key case: T and p are distinct flags

@@ -21,9 +21,10 @@ Branches may be sub-normalized after post-selection.
 The same dict carries a grid of points: a `CouplingConfig` whose T and p are
 (n,) arrays makes every amplitude an (n,) array, and `build_input`,
 `beamsplitter_matrix`, `apply_beamsplitter`, `propagate`, `coupled_branches`
-and `reduce_to_ab` then evaluate the n points in one call.  A grid state keeps a
-key that vanishes at some or all of its points; its zero entries leave every
-other amplitude unchanged.  One point stays scalar arithmetic, on plain
+and `reduce_to_ab` then evaluate the n points in one call (`reduce_to_ab` as
+one `StageOutcome` of stacks).  A grid state keeps a key that vanishes at some
+or all of its points; its zero entries leave every other amplitude
+unchanged.  One point stays scalar arithmetic, on plain
 Python `complex` matrix entries: an elementwise complex product over an
 array need not round like the same products taken one at a time (numpy's
 vectorised loops may fuse multiply and add), which would move the residuals
@@ -205,7 +206,7 @@ def branch_probabilities(cfg: CouplingConfig) -> dict[str, float]:
     return pattern_probabilities(propagate(cfg))
 
 
-def reduce_to_ab(branches: list[dict], outcome: str | None = None) -> StageOutcome | list:
+def reduce_to_ab(branches: list[dict], outcome: str | None = None) -> StageOutcome:
     """Reduce post-selected branches to the normalized A-B polarization state.
 
     `branches` are the equally weighted classical components of the
@@ -213,8 +214,8 @@ def reduce_to_ab(branches: list[dict], outcome: str | None = None) -> StageOutco
     always traced out; the MEAS-arm polarization is traced out or projected
     according to `outcome`.  The returned probability is cumulative over the
     post-selection and, when projecting, the measurement outcome.  Grid
-    branches give a list with the outcome of each point.  The states of a
-    point or a grid are checked in one stacked eigenvalue pass.
+    branches give one outcome with an (n, 4, 4) stack of states and an (n,)
+    array of probabilities, checked in one stacked eigenvalue pass.
     """
     if not branches:
         raise ValueError("at least one branch is required")
@@ -241,12 +242,9 @@ def reduce_to_ab(branches: list[dict], outcome: str | None = None) -> StageOutco
     probability = np.real(np.trace(rho, axis1=-2, axis2=-1))
     if probability.min() <= 1e-15:
         raise ValueError("post-selected branch has zero probability")
-    stage = Stage.COUPLING if outcome is None else Stage.MEASUREMENT
     states = qmat.validate_density_matrix(rho / probability[..., None, None], dim=4, stack=True)
-    if not shape:
-        return StageOutcome(state=states, probability=float(probability), stage=stage)
-    return [StageOutcome(state=state, probability=prob, stage=stage)
-            for state, prob in zip(states, probability.tolist())]
+    return StageOutcome(state=states, probability=probability,  # a 0-d probability becomes a float
+                        stage=Stage.COUPLING if outcome is None else Stage.MEASUREMENT)
 
 
 def coupled_branches(cfg: CouplingConfig) -> list[dict]:

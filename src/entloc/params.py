@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -17,19 +16,20 @@ class Stage(str, Enum):
     FILTRATION = "III"
 
 
-def check_unit_interval(value, name: str) -> float | np.ndarray:
-    """`value` as a float in [0, 1]; a 1-D or higher array is checked entry by entry and
-    returned as it is, and must hold at least one point."""
-    if isinstance(value, np.ndarray) and value.ndim:
-        if not value.size:
-            raise ValueError(f"{name} must hold at least one point, got an empty array")
-        inside = (value >= 0.0) & (value <= 1.0)  # False for nan
-        if not inside.all():
-            raise ValueError(f"{name} must lie in [0, 1], got {value[~inside][0]}")
-        return value
-    value = float(value)
-    if not math.isfinite(value) or not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value}")
+def check_unit_interval(value, name: str, open_at_zero: bool = False,
+                        slack: float = 0.0) -> float | np.ndarray:
+    """`value` as a float in [0, 1], or in (0, 1] if `open_at_zero`, each end widened by
+    `slack`; a 1-D or higher array is checked entry by entry and returned as it is, and must
+    hold at least one point.  The message names the first value outside."""
+    array = isinstance(value, np.ndarray) and value.ndim
+    if array and not value.size:
+        raise ValueError(f"{name} must hold at least one point, got an empty array")
+    value = value if array else float(value)
+    inside = (value > 0.0 if open_at_zero else value >= -slack) & (value <= 1.0 + slack)
+    if not (inside.all() if array else inside):  # nan is never inside
+        interval = "(0, 1]" if open_at_zero else "[0, 1]"
+        raise ValueError(f"{name} must lie in {interval}, "
+                         f"got {value[~inside][0] if array else value}")
     return value
 
 
@@ -44,8 +44,8 @@ class CouplingConfig:
         from the signal photon (squared wavepacket overlap).  0 means fully
         distinguishable, 1 fully indistinguishable.
 
-    Both may be (n,) arrays: a grid of points, which `fock_oracle` evaluates
-    in one call.
+    Both may be (n,) arrays: a grid of points, which `protocol.coupled_stages`
+    evaluates in one call (p may also stay a float).
     """
 
     transmittivity: float
@@ -54,17 +54,21 @@ class CouplingConfig:
     def __post_init__(self):
         check_unit_interval(self.transmittivity, "transmittivity")
         check_unit_interval(self.overlap, "overlap")
+        if getattr(self.overlap, "ndim", 0) > getattr(self.transmittivity, "ndim", 0):
+            raise ValueError("a grid of overlaps needs a grid of transmittivities")
 
     @property
     def reflectivity(self) -> float:
         return 1.0 - self.transmittivity
 
     @property
-    def werner_weight(self) -> float:
-        """q = T^2 / (T^2 + R^2), the weight of the surviving entangled term."""
-        t2 = self.transmittivity**2
-        r2 = self.reflectivity**2
-        return t2 / (t2 + r2)
+    def werner_weight(self) -> float | np.ndarray:
+        """q = T^2 / (T^2 + R^2), the weight of the surviving entangled term.
+
+        Squared as products, which round correctly (a float's `**` calls C `pow`, which
+        need not), so a grid gives each point the bits of its float config."""
+        t, r = self.transmittivity, self.reflectivity
+        return t * t / (t * t + r * r)
 
 
 @dataclass(frozen=True)
@@ -92,16 +96,18 @@ class StageOutcome:
     `state` is a 4x4 density matrix over the fixed (HH, HV, VH, VV) basis of
     the A and B polarizations; `probability` is cumulative over every
     post-selection taken so far (branch selection, measurement outcome,
-    filtering pass).
+    filtering pass).  A grid has an (n, 4, 4) stack of states and an (n,)
+    array of probabilities, each checked and clamped alone.
     """
 
     state: np.ndarray
-    probability: float
+    probability: float | np.ndarray
     stage: Stage
 
     def __post_init__(self):
-        if not math.isfinite(self.probability) or not -1e-9 <= self.probability <= 1.0 + 1e-9:
-            raise ValueError(f"probability must lie in [0, 1], got {self.probability}")
-        object.__setattr__(self, "probability", min(max(self.probability, 0.0), 1.0))
+        probability = check_unit_interval(self.probability, "probability", slack=1e-9)
+        clamped = (np.clip(probability, 0.0, 1.0) if isinstance(probability, np.ndarray)
+                   else min(max(probability, 0.0), 1.0))  # a float stays a float
+        object.__setattr__(self, "probability", clamped)
         if not isinstance(self.stage, Stage):
             raise ValueError(f"stage must be a Stage member, got {self.stage!r}")

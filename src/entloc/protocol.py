@@ -7,10 +7,10 @@ probabilistic V-polarization filters on both arms.  For a distinguishable
 surrounding photon (overlap p = 0) every stage has an exact matrix form.
 For p > 0 the states come from the brute-force simulation in `fock_oracle`
 (only their concurrences have closed forms), so the analytic expressions in
-`concurrence_closed_form` stay available as an independent cross-check.  A
-grid is evaluated in blocks, each as stacks: its p = 0 states from one
-`states` call per stage, its p > 0 states from one oracle call, and its
-stage III states from one `filter_states` pass.
+`concurrence_closed_form` stay available as an independent cross-check.
+`coupled_stages` alone chooses between the two, for one point or a grid
+(a `CouplingConfig` of arrays, whose outcomes hold stacks); a grid's stage
+III states come from one `filter_states` pass.
 """
 
 from __future__ import annotations
@@ -26,36 +26,15 @@ NEVER_DISAPPEARS = "never-disappears"
 
 
 def stage1_couple(cfg: CouplingConfig) -> StageOutcome:
-    """Signal-pair state after the coupling, conditioned on one photon per arm.
-
-    Distinguishable surrounding photon (p = 0): a Werner state with
-    q = T^2/(T^2+R^2) and success probability T^2 + R^2.  For p > 0 the state
-    and probability come from the brute-force simulation; no closed matrix
-    form is assumed.
-    """
-    if cfg.overlap == 0.0:
-        state = states.werner(cfg.werner_weight)
-        probability = cfg.transmittivity**2 + cfg.reflectivity**2
-        return StageOutcome(state=state, probability=probability, stage=Stage.COUPLING)
-    return fock_oracle.simulate(cfg)
+    """Signal-pair state after the coupling, conditioned on one photon per arm:
+    `coupled_stages(cfg)[0]`."""
+    return coupled_stages(cfg)[0]
 
 
 def stage2_measure(cfg: CouplingConfig, outcome: str = "H") -> StageOutcome:
-    """State after the surrounding photon is detected with the given outcome.
-
-    For p = 0, outcome H yields q |psi-><psi-| + (1-q) |V>_A<V| (x) I_B/2
-    with probability (T^2 + R^2)/2; outcome V yields the mirror state with
-    the same probability.  Both outcomes carry the same concurrence, so no
-    feed-forward correction is modeled; the V-branch state is reported as is.
-    For p > 0 the state comes from the brute-force simulation.
-    """
-    if outcome not in ("H", "V"):
-        raise ValueError(f"outcome must be 'H' or 'V', got {outcome!r}")
-    if cfg.overlap == 0.0:
-        state = states.post_measurement_state(cfg.werner_weight, outcome)
-        probability = (cfg.transmittivity**2 + cfg.reflectivity**2) / 2.0
-        return StageOutcome(state=state, probability=probability, stage=Stage.MEASUREMENT)
-    return fock_oracle.simulate(cfg, outcome)
+    """State after the surrounding photon is detected with the given outcome:
+    `coupled_stages(cfg, outcome)[1]`."""
+    return coupled_stages(cfg, outcome)[1]
 
 
 def filter_kraus(filters: FilterConfig) -> np.ndarray:
@@ -126,29 +105,46 @@ def stage3_filter(prev: StageOutcome, filters: FilterConfig) -> StageOutcome:
     )
 
 
-def eps_to_filter(eps: float, transmittivity: float) -> FilterConfig:
+def eps_to_filter(eps, transmittivity) -> FilterConfig:
     """One-parameter attenuation schedule A_A = eps T^2/(T^2+R^2), A_B = eps.
 
     This is the schedule whose eps -> 0 limit maximizes the filtered
-    concurrence at p = 0; eps must lie in (0, 1].
+    concurrence at p = 0; eps must lie in (0, 1].  Arrays of eps or T give
+    the attenuation arrays of their points, each with the bits of its floats.
     """
-    eps = float(eps)
-    if not 0.0 < eps <= 1.0:
-        raise ValueError(f"eps must lie in (0, 1], got {eps}")
-    cfg = CouplingConfig(transmittivity)
-    return FilterConfig(att_a=eps * cfg.werner_weight, att_b=eps)
+    eps = check_unit_interval(eps, "eps", open_at_zero=True)
+    return FilterConfig(att_a=eps * CouplingConfig(transmittivity).werner_weight, att_b=eps)
 
 
-def coupled_stages(cfg: CouplingConfig) -> tuple:
-    """`stage1_couple(cfg)` and `stage2_measure(cfg, "H")`, from one propagation when p > 0.
+def coupled_stages(cfg: CouplingConfig, outcome: str = "H") -> tuple:
+    """The stage I outcome and the stage II outcome of a measured `outcome` (H or V).
 
-    A grid config (arrays of T and of p > 0) gives the two lists of its points'
-    outcomes, from one propagation of the whole grid.
+    Distinguishable surrounding photon (p = 0): stage I is a Werner state with
+    q = T^2/(T^2+R^2) and success probability T^2 + R^2.  Outcome H gives
+    q |psi-><psi-| + (1-q) |V>_A<V| (x) I_B/2 with probability (T^2 + R^2)/2,
+    outcome V the mirror state with the same probability.  Both outcomes carry
+    the same concurrence, so no feed-forward correction is modeled.  For p > 0
+    both stages come from one propagation of the brute-force simulation; no
+    closed matrix form is assumed.  A grid config gives two outcomes of stacks:
+    the closed form at every point, and the oracle's states and probabilities,
+    from one propagation, written into its p > 0 points.
     """
-    if isinstance(cfg.overlap, np.ndarray) or cfg.overlap != 0.0:
+    if outcome not in ("H", "V"):
+        raise ValueError(f"outcome must be 'H' or 'V', got {outcome!r}")
+    overlapping = cfg.overlap != 0.0  # a bool, or a mask of the grid
+    grid = isinstance(overlapping, np.ndarray)  # one point stays on Python bools and floats
+    if overlapping.all() if grid else overlapping:
         branches = fock_oracle.coupled_branches(cfg)
-        return fock_oracle.reduce_to_ab(branches), fock_oracle.reduce_to_ab(branches, "H")
-    return stage1_couple(cfg), stage2_measure(cfg, "H")
+        return fock_oracle.reduce_to_ab(branches), fock_oracle.reduce_to_ab(branches, outcome)
+    t, r, q = cfg.transmittivity, cfg.reflectivity, cfg.werner_weight
+    found = [(states.werner(q), t * t + r * r),
+             (states.post_measurement_state(q, outcome), (t * t + r * r) / 2.0)]
+    if grid and overlapping.any():
+        oracle = coupled_stages(CouplingConfig(t[overlapping], cfg.overlap[overlapping]), outcome)
+        for (state, probability), point in zip(found, oracle):
+            state[overlapping], probability[overlapping] = point.state, point.probability
+    return tuple(StageOutcome(state=state, probability=probability, stage=stage)
+                 for (state, probability), stage in zip(found, (Stage.COUPLING, Stage.MEASUREMENT)))
 
 
 GRID_BLOCK = 256  # points per oracle call and stacked `concurrence` call: bounds a grid's memory
@@ -162,42 +158,33 @@ def stage_concurrences(transmittivity, overlap, eps) -> tuple:
     II state with the `eps_to_filter` schedule; it is nan where the filters
     block the state completely (at T = 0).  An eps outside (0, 1] raises.  The
     grid is evaluated in blocks of up to GRID_BLOCK points, each as stacks:
-    one `states` call per stage builds the block's p = 0 states, one oracle
-    propagation its p > 0 states, one `filter_states` pass filters them all
-    (one more filters the rest when some are blocked), and one stacked
-    `measures.concurrence` call measures every stage state of the block.
+    one `coupled_stages` call gives the block's stage I and II states, one
+    `filter_states` pass filters them all (one more filters the rest when some
+    are blocked), and one stacked `measures.concurrence` call measures every
+    stage state of the block.
     """
     grid = np.broadcast_arrays(transmittivity, overlap, eps)
     flat = [axis.ravel() for axis in grid]
     columns = np.empty((4, flat[0].size))
     for start in range(0, flat[0].size, GRID_BLOCK):
         t, p, e = (axis[start:start + GRID_BLOCK] for axis in flat)
-        points = [(CouplingConfig(ti, pi), eps_to_filter(ei, ti))
-                  for ti, pi, ei in zip(t.tolist(), p.tolist(), e.tolist())]
-        # the p = 0 states of every point, q from its Python floats (an array square can
-        # differ in the last bit); the oracle's states replace them at p > 0
-        q = np.array([cfg.werner_weight for cfg, _ in points])
-        stage1, stage2 = states.werner(q), states.post_measurement_state(q, "H")
-        overlapping = p != 0.0
-        if overlapping.any():
-            oracle = coupled_stages(CouplingConfig(t[overlapping], p[overlapping]))
-            for stack, outcomes in zip((stage1, stage2), oracle):
-                stack[overlapping] = [outcome.state for outcome in outcomes]
-        att_a, att_b = np.array([(f.att_a, f.att_b) for _, f in points]).T
-        passed = np.ones(len(points), dtype=bool)
+        stage1, stage2 = (outcome.state for outcome in coupled_stages(CouplingConfig(t, p)))
+        filters = eps_to_filter(e, t)
+        passed = np.ones(t.size, dtype=bool)
         try:
-            filtered, _ = filter_states(stage2, FilterConfig(att_a, att_b))
+            filtered, _ = filter_states(stage2, filters)
         except FilterBlockedError as exc:  # nan at the blocked points, the rest in one more pass
             passed = ~exc.blocked
             filtered = stage2[passed]  # empty if every point is blocked
             if passed.any():
-                filtered, _ = filter_states(filtered, FilterConfig(att_a[passed], att_b[passed]))
+                filtered, _ = filter_states(filtered, FilterConfig(filters.att_a[passed],
+                                                                   filters.att_b[passed]))
         values = measures.concurrence(np.concatenate([stage1, stage2, filtered]))
-        block = columns[:, start:start + len(points)]
-        block[:2] = values[:2 * len(points)].reshape(2, -1)
-        block[2], block[3] = np.nan, [concurrence_closed_form(Stage.FILTRATION, cfg, eps=None)
-                                      for cfg, _ in points]
-        block[2, passed] = values[2 * len(points):]
+        block = columns[:, start:start + t.size]
+        block[:2] = values[:2 * t.size].reshape(2, -1)
+        block[2], block[3] = np.nan, [concurrence_closed_form(Stage.FILTRATION, CouplingConfig(*tp))
+                                      for tp in zip(t.tolist(), p.tolist())]
+        block[2, passed] = values[2 * t.size:]
     return tuple(col.reshape(grid[0].shape) if grid[0].ndim else float(col[0]) for col in columns)
 
 

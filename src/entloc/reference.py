@@ -163,11 +163,13 @@ def verify(grid: int, tolerance: float) -> dict:
     grid below 2 or a tolerance outside (0, inf) raises ValueError.  Each
     interior T gives a row of six p values; blocks of whole rows, at most
     `protocol.GRID_BLOCK` points, take one oracle propagation (the source of
-    both the post-selected branches and the branch totals), one stacked
-    `concurrence` call, one `protocol.filter_states` pass over the oracle and
-    analytic stage II states of their T, and one stacked `fidelity` call over
-    the three state comparisons of each T.  The dense random states of
-    `beamsplitter_unitarity` stay one point at a time.
+    both the post-selected branches and the branch totals), one
+    `protocol.coupled_stages` call for the analytic (p = 0) states and
+    probabilities of their T, one stacked `concurrence` call, one
+    `protocol.filter_states` pass over the oracle and analytic stage II states,
+    and one stacked `fidelity` call over the three state comparisons of each
+    T.  The dense random states of `beamsplitter_unitarity` stay one point at
+    a time.
     """
     if grid < 2:
         raise ValueError(f"grid must be at least 2, got {grid}")
@@ -202,34 +204,28 @@ def verify(grid: int, tolerance: float) -> dict:
         branches = [fock_oracle.postselect_one_each(vec) for vec in propagated]
         coupled, measured = (fock_oracle.reduce_to_ab(branches, outcome) for outcome in (None, "H"))
         totals = sum(fock_oracle.pattern_probabilities(propagated).values()).reshape(len(block), -1)
-        stage2 = np.array([outcome.state for outcome in measured]).reshape(len(block), -1, 4, 4)
+        stage2 = measured.state.reshape(len(block), -1, 4, 4)
         concurrences = measures.concurrence(stage2[:, 2:])  # the closed_ps columns
+        ts = np.array(block)
+        analytic = protocol.coupled_stages(CouplingConfig(ts))  # the closed form at p = 0
+        first = slice(None, None, len(overlaps))  # each T's p = 0 point of the oracle grid
         # compared[route, row, check]: each T's fidelity_checks states on the oracle (0) and
         # the analytic (1) route, for one stacked stage III filter and one stacked fidelity
         compared = np.empty((2, len(block), len(fidelity_checks), 4, 4), dtype=complex)
-        attenuations = []
+        for check, (oracle, expected) in enumerate(zip((coupled, measured), analytic)):
+            compared[0, :, check], compared[1, :, check] = oracle.state[first], expected.state
+        # filtering the simulated stage II state must match filtering the analytic one
+        compared[:, :, 2], _ = protocol.filter_states(compared[:, :, 1],
+                                                      protocol.eps_to_filter(0.15, ts))
+        oracle_probabilities = [coupled.probability[first], measured.probability[first]]
 
         for row, t in enumerate(block):
             at = {"transmittivity": t}
-            cfg = CouplingConfig(t, 0.0)
-            analytic1 = protocol.stage1_couple(cfg)
-            analytic2 = protocol.stage2_measure(cfg, "H")
-            prob1 = t * t + (1.0 - t) ** 2  # not T**2 as in protocol: the last bit can differ
-            first = row * len(overlaps)  # this T's p = 0 point
-            oracle1, oracle2, high = coupled[first], measured[first], measured[first + 1]
-
             records["probability_vs_analytic"] += [
-                (abs(oracle1.probability - prob1), {**at, "stage": "I"}),
-                (abs(oracle2.probability - prob1 / 2.0), {**at, "stage": "II"}),
-            ]
-
-            compared[0, row, 0], compared[0, row, 1] = oracle1.state, oracle2.state
-            compared[1, row, 0], compared[1, row, 1] = analytic1.state, analytic2.state
-            filters = protocol.eps_to_filter(0.15, t)
-            attenuations.append((filters.att_a, filters.att_b))
-
+                (abs(found[row] - expected.probability[row]), {**at, "stage": stage})
+                for found, expected, stage in zip(oracle_probabilities, analytic, ("I", "II"))]
             records["overlap_continuity"].append(
-                (float(np.max(np.abs(high.state - oracle2.state))), at))
+                (float(np.max(np.abs(stage2[row, 1] - stage2[row, 0]))), at))
 
             for p, concurrence, total in zip(closed_ps, concurrences[row], totals[row, 2:]):
                 where = {**at, "overlap": p}
@@ -238,9 +234,6 @@ def verify(grid: int, tolerance: float) -> dict:
                     (abs(concurrence - closed), where))
                 records["branch_completeness"].append((abs(total - 1.0), where))
 
-        # filtering the simulated stage II state must match filtering the analytic one
-        att_a, att_b = np.array(attenuations).T  # each T's filters, for both routes
-        compared[:, :, 2], _ = protocol.filter_states(compared[:, :, 1], FilterConfig(att_a, att_b))
         deficits = 1.0 - measures.fidelity(compared[0], compared[1])
         for t, row_deficits in zip(block, deficits.tolist()):
             for name, deficit in zip(fidelity_checks, row_deficits):

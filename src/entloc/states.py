@@ -40,11 +40,6 @@ def singlet_density() -> np.ndarray:
     return _SINGLET_DENSITY.copy()
 
 
-def depolarized_qubit() -> np.ndarray:
-    """Completely mixed single-photon polarization state I/2."""
-    return np.eye(2, dtype=complex) / 2.0
-
-
 def werner(q) -> np.ndarray:
     """Werner mixture q |psi-><psi-| + (1 - q) I/4.
 

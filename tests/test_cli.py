@@ -484,6 +484,12 @@ class TestConfigFile:
             assert captured.out == ""
             assert captured.err.startswith("error: invalid INI config: ") and reason in captured.err
             assert captured.err.count("\n") == 1
+        if sys.version_info >= (3, 11):  # so is a malformed TOML file; tomllib ships with 3.11+
+            malformed_toml = tmp_path / "bad.toml"
+            malformed_toml.write_text("T = = 1\n", encoding="utf-8")
+            assert cli.main(["--config", str(malformed_toml), "sweep", "--out", "-"]) == 2
+            assert capsys.readouterr() == ("", f"error: invalid TOML config: {malformed_toml}: "
+                                               "Invalid value (at line 1, column 5)\n")
         # so is a file that exists but cannot be read
         bad.write_text("[defaults]\nT = 0.3\n", encoding="utf-8")
 

@@ -288,10 +288,11 @@ class TestReduceToAb:
             asym = fo.simulate(cfg, outcome)
             assert np.max(np.abs(sym.state - asym.state)) < 1e-12
             assert abs(sym.probability - asym.probability) < 1e-12
-        for outcome, sym_points in zip((None, "H", "V"), symmetric_grid):
-            for sym, asym in zip(sym_points, fo.simulate(grid, outcome)):
-                assert np.max(np.abs(sym.state - asym.state)) < 1e-12
-                assert abs(sym.probability - asym.probability) < 1e-12
+        for outcome, sym in zip((None, "H", "V"), symmetric_grid):
+            asym = fo.simulate(grid, outcome)
+            assert sym.state.shape == asym.state.shape == (4, 4, 4)
+            assert np.max(np.abs(sym.state - asym.state)) < 1e-12
+            assert np.max(np.abs(sym.probability - asym.probability)) < 1e-12
 
     def test_coupled_state_is_werner_at_partial_overlap(self):
         # a second route for stage I at p > 0: q |psi-><psi-| + (1 - q) I/4 with
@@ -391,14 +392,16 @@ class TestGrid:
     @pytest.mark.parametrize("outcome", [None, "H", "V"])
     def test_grid_equals_its_points(self, outcome):
         ts, ps = (axis.ravel() for axis in np.meshgrid(self.TS, self.PS))
-        points = fo.reduce_to_ab(fo.coupled_branches(CouplingConfig(ts, ps)), outcome)
-        assert len(points) == ts.size
-        for t, p, point in zip(ts.tolist(), ps.tolist(), points):
+        grid = fo.reduce_to_ab(fo.coupled_branches(CouplingConfig(ts, ps)), outcome)
+        assert grid.state.shape == (ts.size, 4, 4) and grid.probability.shape == (ts.size,)
+        assert grid.probability.dtype == float
+        for t, p, state, probability in zip(ts.tolist(), ps.tolist(), grid.state,
+                                            grid.probability.tolist()):
             alone = fo.reduce_to_ab(fo.coupled_branches(CouplingConfig(t, p)), outcome)
-            assert point.stage is alone.stage
-            assert type(point.probability) is float
-            assert point.state.tobytes() == alone.state.tobytes()
-            assert point.probability.hex() == alone.probability.hex()
+            assert grid.stage is alone.stage
+            assert type(alone.probability) is float
+            assert state.tobytes() == alone.state.tobytes()
+            assert probability.hex() == alone.probability.hex()
 
     def test_grid_branch_probabilities_equal_its_points(self):
         ts, ps = (axis.ravel() for axis in np.meshgrid(self.TS, self.PS))
@@ -434,8 +437,8 @@ class TestGrid:
         ts, ps = (axis.ravel() for axis in np.meshgrid(np.linspace(0.05, 0.95, 19), self.PS))
         branches = fo.coupled_branches(CouplingConfig(ts, ps))
         for outcome in (None, "H", "V"):
-            states = [point.state for point in fo.reduce_to_ab(branches, outcome)]
-            stacked = measures.concurrence(np.array(states))
+            states = fo.reduce_to_ab(branches, outcome).state
+            stacked = measures.concurrence(states)
             for value, state in zip(stacked.tolist(), states):
                 assert value.hex() == measures.concurrence(state).hex()
 

@@ -24,6 +24,9 @@ class TestConfigs:
             CouplingConfig(np.array([0.4, 0.4]), np.array([0.5, 1.5]))
         with pytest.raises(ValueError, match="transmittivity must lie in"):
             CouplingConfig(np.array([0.4, float("nan")]), np.array([0.5, 0.5]))
+        for overlaps in (np.array([0.0, 0.0]), np.array([0.0, 0.5]), np.array([0.5, 0.7])):
+            with pytest.raises(ValueError, match="needs a grid of transmittivities"):
+                CouplingConfig(0.4, overlaps)
 
     def test_empty_grid_is_rejected(self):
         empty = np.array([])
@@ -57,6 +60,27 @@ class TestConfigs:
     def test_outcome_probability_outside_rounding_window_raises(self, probability):
         with pytest.raises(ValueError, match="probability must lie in"):
             StageOutcome(state=states.werner(0.5), probability=probability, stage=Stage.COUPLING)
+
+    def test_grid_outcome_probabilities_are_clamped_entry_by_entry(self):
+        stack = np.array([states.werner(0.5)] * 5)
+        outcome = StageOutcome(stack, np.array([-5e-10, 0.0, 0.25, 1.0, 1.0 + 5e-10]),
+                               Stage.COUPLING)
+        assert outcome.probability.tolist() == [0.0, 0.0, 0.25, 1.0, 1.0]
+
+    @pytest.mark.parametrize("probability", [-2e-9, 1.0 + 2e-9, float("nan")])
+    def test_grid_outcome_names_its_first_bad_probability_like_a_point(self, probability):
+        with pytest.raises(ValueError) as point:
+            StageOutcome(states.werner(0.5), probability, Stage.COUPLING)
+        with pytest.raises(ValueError) as grid:
+            StageOutcome(np.array([states.werner(0.5)] * 3), np.array([0.5, probability, -1.0]),
+                         Stage.COUPLING)
+        message = f"probability must lie in [0, 1], got {probability}"
+        assert str(grid.value) == str(point.value) == message
+
+    def test_grid_werner_weight_equals_its_points(self, rng):
+        ts = np.concatenate([[0.0, 0.1, 0.4, 0.5, 1.0], rng.random(20000)])
+        for t, q in zip(ts.tolist(), CouplingConfig(ts).werner_weight.tolist()):
+            assert q.hex() == CouplingConfig(t).werner_weight.hex()
 
 
 class TestStage1:
@@ -177,6 +201,23 @@ class TestStage3:
         with pytest.raises(ValueError):
             protocol.eps_to_filter(1.2, 0.4)
 
+    def test_schedule_on_a_grid_equals_its_points(self, rng):
+        ts = np.concatenate([[0.0, 0.4, 1.0], rng.random(500)])
+        for eps in (rng.random(ts.size) * 0.999 + 0.001, 0.15):
+            grid = protocol.eps_to_filter(eps, ts)
+            for i, t in enumerate(ts.tolist()):
+                alone = protocol.eps_to_filter(np.broadcast_to(eps, ts.shape)[i].item(), t)
+                assert float(grid.att_a[i]).hex() == alone.att_a.hex()
+                assert float(np.broadcast_to(grid.att_b, ts.shape)[i]).hex() == alone.att_b.hex()
+
+    @pytest.mark.parametrize("eps", [0.0, 5.0, float("nan")])
+    def test_grid_schedule_names_its_first_bad_eps_like_a_point(self, eps):
+        with pytest.raises(ValueError) as point:
+            protocol.eps_to_filter(eps, 0.4)
+        with pytest.raises(ValueError) as grid:
+            protocol.eps_to_filter(np.array([0.15, eps, -1.0]), np.full(3, 0.4))
+        assert str(grid.value) == str(point.value) == f"eps must lie in (0, 1], got {eps}"
+
     def test_filtration_limit(self):
         prev = protocol.stage2_measure(CouplingConfig(0.4), "H")
         limit = 0.4 / np.sqrt(0.52)
@@ -294,6 +335,43 @@ class TestFilterStates:
             with pytest.raises(protocol.FilterBlockedError) as raised:
                 protocol.filter_states(stack, FilterConfig(att_a, att_b))
             assert raised.value.blocked.tolist() == expected.tolist()
+
+
+class TestCoupledStages:
+    TS = (0.0, 0.2, 0.37, 0.5, 0.81, 1.0)
+
+    @pytest.mark.parametrize("outcome", ["H", "V"])
+    @pytest.mark.parametrize("overlaps", [(0.0, 1e-9, 0.5, 1.0), (0.0,), (0.25, 1.0), None])
+    def test_grid_equals_its_points(self, outcome, overlaps):
+        # p = 0 only takes the closed form, p > 0 only the oracle, and a mix both; None is
+        # verify's analytic route, an array of T at the float p = 0
+        ts, ps = (axis.ravel() for axis in np.meshgrid(self.TS, overlaps or (0.0,)))
+        grid_cfg = CouplingConfig(ts) if overlaps is None else CouplingConfig(ts, ps)
+        stage1, stage2 = protocol.coupled_stages(grid_cfg, outcome)
+        assert (stage1.stage, stage2.stage) == (Stage.COUPLING, Stage.MEASUREMENT)
+        for i, (t, p) in enumerate(zip(ts.tolist(), ps.tolist())):
+            cfg = CouplingConfig(t, p)
+            for grid, alone in ((stage1, protocol.stage1_couple(cfg)),
+                                (stage2, protocol.stage2_measure(cfg, outcome))):
+                assert type(alone.probability) is float
+                assert grid.state[i].tobytes() == alone.state.tobytes()
+                assert float(grid.probability[i]).hex() == alone.probability.hex()
+
+    @pytest.mark.parametrize("outcome", ["H", "V"])
+    def test_each_route_gives_its_own_outcomes(self, outcome):
+        # p = 0: the closed-form states; p > 0: the oracle's outcomes, for a point or a grid
+        cfg = CouplingConfig(0.37)
+        stage1, stage2 = protocol.coupled_stages(cfg, outcome)
+        assert stage1.state.tobytes() == states.werner(cfg.werner_weight).tobytes()
+        expected = states.post_measurement_state(cfg.werner_weight, outcome)
+        assert stage2.state.tobytes() == expected.tobytes()
+        for cfg in (CouplingConfig(0.37, 0.5),
+                    CouplingConfig(np.array([0.37, 0.81]), np.array([0.5, 1.0]))):
+            oracle = (fock_oracle.simulate(cfg), fock_oracle.simulate(cfg, outcome))
+            for found, expected in zip(protocol.coupled_stages(cfg, outcome), oracle):
+                assert found.state.tobytes() == expected.state.tobytes()
+                assert (np.asarray(found.probability).tobytes()
+                        == np.asarray(expected.probability).tobytes())
 
 
 class TestStageConcurrences:

@@ -27,14 +27,13 @@ class TestSinglet:
 
 
 class TestDepolarizedQubit:
-    def test_matrix(self):
-        np.testing.assert_array_equal(states.depolarized_qubit(), np.diag([0.5, 0.5]))
+    """The surrounding photon's completely mixed polarization I/2."""
 
     def test_purity(self):
-        assert abs(measures.purity(states.depolarized_qubit()) - 0.5) < 1e-12
+        assert abs(measures.purity(np.eye(2, dtype=complex) / 2.0) - 0.5) < 1e-12
 
     def test_bloch_vector_vanishes(self):
-        rho = states.depolarized_qubit()
+        rho = np.eye(2, dtype=complex) / 2.0
         for sigma in (measures.SIGMA_X, measures.SIGMA_Y, measures.SIGMA_Z):
             assert abs(np.trace(rho @ sigma)) < 1e-15
 
@@ -123,7 +122,7 @@ class TestWeightArrays:
 class TestConstructorsAreValidStates:
     def test_all_valid(self):
         qmat.validate_density_matrix(states.singlet_density(), dim=4)
-        qmat.validate_density_matrix(states.depolarized_qubit(), dim=2)
+        qmat.validate_density_matrix(np.eye(2, dtype=complex) / 2.0, dim=2)
         for q in np.linspace(0.0, 1.0, 21):
             qmat.validate_density_matrix(states.werner(q), dim=4)
             qmat.validate_density_matrix(states.post_measurement_state(q), dim=4)
