@@ -11,7 +11,8 @@ The computations live in the library (`protocol.stage_concurrences`,
 Each `cmd_*` validates its arguments, calls the library and maps the result
 to (exit status, output text), raising ValueError on invalid input; `main`
 alone writes the text to --out or stdout.  `sweep` hands its whole grid to
-one `stage_concurrences` call.
+one `stage_concurrences` call.  The parser is built once per config and
+reused; `main` looks up the `cmd_*` of the subcommand at call time.
 Output is deterministic: identical invocations produce byte-identical files.
 Reals are rendered with 10 significant digits; CSV is UTF-8 with LF line
 endings and a single header row.  Exit codes: 0 success / within tolerance,
@@ -25,6 +26,7 @@ import argparse
 import configparser
 import json
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -158,7 +160,32 @@ def build_parser(config: dict) -> argparse.ArgumentParser:
     the type of the flag it names and checked against that flag's choices.
     A string (every INI value) is parsed like the flag's argument; any other
     TOML value must already be of the flag's type, and an integer also fits
-    a float flag."""
+    a float flag.  The parser is cached on the converted defaults: do not modify it."""
+    flags = _parser()[1]
+    defaults = []
+    for key, value in config.items():
+        if key not in flags:
+            raise ValueError(f"unknown config key {key!r}")
+        flag = flags[key]
+        flag_type = flag.type or str
+        invalid = f"config key {key!r}: invalid {flag_type.__name__} value: {value!r}"
+        if not (isinstance(value, str) or type(value) is flag_type
+                or flag_type is float and type(value) is int):
+            raise ValueError(invalid)  # a TOML list, table, boolean, or float for an int flag
+        try:
+            value = flag_type(value)
+        except ValueError:
+            raise ValueError(invalid) from None
+        if flag.choices is not None and value not in flag.choices:
+            raise ValueError(f"config key {key!r}: invalid choice: {value!r} "
+                             f"(choose from {', '.join(map(repr, flag.choices))})")
+        defaults.append((key, value, repr(value)))  # the repr tells -0.0 from 0.0
+    return _parser(tuple(defaults))[0]
+
+
+@lru_cache(maxsize=16)
+def _parser(defaults: tuple = ()) -> tuple:
+    """The full parser, with each (flag, value, repr) of `defaults` as a default, and its flags."""
     parser = argparse.ArgumentParser(
         prog="entloc",
         description="Entanglement localization protocol: sweeps, benchmarks, verification.",
@@ -208,47 +235,27 @@ def build_parser(config: dict) -> argparse.ArgumentParser:
     hom.add_argument("--steps", type=int, default=101,
                      help="overlap grid points (default: 101)")
 
-    commands = ((sweep, cmd_sweep, "CSV"), (reproduce, cmd_reproduce, "JSON"),
-                (verify, cmd_verify, "JSON"), (hom, cmd_hom, "CSV"))
-    for sp, func, kind in commands:
+    commands = ((sweep, "CSV"), (reproduce, "JSON"), (verify, "JSON"), (hom, "CSV"))
+    for sp, kind in commands:
         sp.add_argument("--out", default="-", help=f"output {kind} path, '-' for stdout")
-        sp.set_defaults(func=func)
-    flags = {a.dest: a for sp, _, _ in commands for a in sp._actions if a.dest != "help"}
-    defaults = {}
-    for key, value in config.items():
-        if key not in flags:
-            raise ValueError(f"unknown config key {key!r}")
-        flag = flags[key]
-        flag_type = flag.type or str
-        invalid = f"config key {key!r}: invalid {flag_type.__name__} value: {value!r}"
-        if not (isinstance(value, str) or type(value) is flag_type
-                or flag_type is float and type(value) is int):
-            raise ValueError(invalid)  # a TOML list, table, boolean, or float for an int flag
-        try:
-            defaults[key] = flag_type(value)
-        except ValueError:
-            raise ValueError(invalid) from None
-        if flag.choices is not None and defaults[key] not in flag.choices:
-            raise ValueError(f"config key {key!r}: invalid choice: {defaults[key]!r} "
-                             f"(choose from {', '.join(map(repr, flag.choices))})")
-    for sp, _, _ in commands:
         dests = {action.dest for action in sp._actions}
-        sp.set_defaults(**{k: v for k, v in defaults.items() if k in dests})
-    return parser
+        sp.set_defaults(**{key: value for key, value, _ in defaults if key in dests})
+    return parser, {a.dest: a for sp, _ in commands for a in sp._actions if a.dest != "help"}
+
+
+_PRELIMINARY = argparse.ArgumentParser(add_help=False)  # reads --config before the full parse
+_PRELIMINARY.add_argument("--config", default=None)
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
 
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config", default=None)
-    preliminary, _ = pre.parse_known_args(argv)
+    preliminary, _ = _PRELIMINARY.parse_known_args(argv)
     try:
         defaults = {} if preliminary.config is None else load_config(preliminary.config)
-        # built per call, not cached: `args.func` must be the `cmd_*` function this module
-        # holds at call time, which a tracer that wraps module functions (perfbench's) replaces
         args = build_parser(defaults).parse_args(argv)
-        status, text = args.func(args)
+        # looked up at call time: a tracer that wraps module functions (perfbench's) replaces it
+        status, text = globals()[f"cmd_{args.command}"](args)
     except ValueError as exc:
         return _usage_error(str(exc))
     try:

@@ -160,15 +160,17 @@ def stage_concurrences(transmittivity, overlap, eps) -> tuple:
     grid is evaluated in blocks of up to GRID_BLOCK points, each as stacks:
     one `coupled_stages` call gives the block's stage I and II states, one
     `filter_states` pass filters them all (one more filters the rest when some
-    are blocked), and one stacked `measures.concurrence` call measures every
-    stage state of the block.
+    are blocked), one stacked `measures.concurrence` call measures every
+    stage state of the block, and one `concurrence_closed_form` call gives its
+    filtration limits.
     """
     grid = np.broadcast_arrays(transmittivity, overlap, eps)
     flat = [axis.ravel() for axis in grid]
     columns = np.empty((4, flat[0].size))
     for start in range(0, flat[0].size, GRID_BLOCK):
         t, p, e = (axis[start:start + GRID_BLOCK] for axis in flat)
-        stage1, stage2 = (outcome.state for outcome in coupled_stages(CouplingConfig(t, p)))
+        cfg = CouplingConfig(t, p)
+        stage1, stage2 = (outcome.state for outcome in coupled_stages(cfg))
         filters = eps_to_filter(e, t)
         passed = np.ones(t.size, dtype=bool)
         try:
@@ -182,13 +184,13 @@ def stage_concurrences(transmittivity, overlap, eps) -> tuple:
         values = measures.concurrence(np.concatenate([stage1, stage2, filtered]))
         block = columns[:, start:start + t.size]
         block[:2] = values[:2 * t.size].reshape(2, -1)
-        block[2], block[3] = np.nan, [concurrence_closed_form(Stage.FILTRATION, CouplingConfig(*tp))
-                                      for tp in zip(t.tolist(), p.tolist())]
+        block[2], block[3] = np.nan, concurrence_closed_form(Stage.FILTRATION, cfg)
         block[2, passed] = values[2 * t.size:]
     return tuple(col.reshape(grid[0].shape) if grid[0].ndim else float(col[0]) for col in columns)
 
 
-def concurrence_closed_form(stage: Stage, cfg: CouplingConfig, eps: float | None = None) -> float:
+def concurrence_closed_form(stage: Stage, cfg: CouplingConfig,
+                            eps: float | np.ndarray | None = None) -> float | np.ndarray:
     """Closed-form concurrence of a stage, evaluated verbatim.
 
     Distinguishable surrounding photon (p = 0):
@@ -210,41 +212,40 @@ def concurrence_closed_form(stage: Stage, cfg: CouplingConfig, eps: float | None
            limit of the supremum over filters; exactly at T = 0 no finite
            filter attains it.
       I    no closed form exists (only the disappearance threshold); raises.
+
+    A grid config or an array eps gives an array of their broadcast shape, each
+    point by its own formula with the bits of its float; a grid raises the
+    message of its first point that raises.
     """
     stage = Stage(stage)
-    t = cfg.transmittivity
-    r = cfg.reflectivity
-    p = cfg.overlap
-    if stage is Stage.COUPLING:
-        if eps is not None:
-            raise ValueError("eps does not apply to stage I")
-        if p != 0.0:
-            raise ValueError(
-                "stage I has no closed-form concurrence for overlap > 0; "
-                "use the simulation (see also disappearance_threshold)"
-            )
-        return max(0.0, (2.0 * t * t - r * r) / (2.0 * (r * r + t * t)))
-    if stage is Stage.MEASUREMENT:
-        if eps is not None:
-            raise ValueError("eps does not apply to stage II")
-        if p == 0.0:
-            return t * t / (t * t + r * r)
-        return t * abs(t - p * (1.0 - t)) / (1.0 - (2.0 + p) * t * (1.0 - t))
-    # Stage.FILTRATION
-    if p == 0.0:
-        if eps is None:
-            return float(t / np.sqrt(t * t + r * r))
-        if not 0.0 < eps <= 1.0:
-            raise ValueError(f"eps must lie in (0, 1], got {eps}")
-        if t == 0.0:
-            raise ValueError("the published finite-eps form is undefined at T = 0")
-        return float(t / ((1.0 + eps * r * r / (2.0 * t * t)) * np.sqrt(t * t + r * r)))
-    if eps is not None:
-        raise ValueError("no published finite-eps concurrence for overlap > 0")
-    numerator = abs(t - p * (1.0 - t))
-    if numerator == 0.0:
-        return 0.0
-    return float(numerator / np.sqrt(1.0 - 2.0 * (1.0 + p) * t * (1.0 - t)))
+    t, p = (np.asarray(value, dtype=float) for value in (cfg.transmittivity, cfg.overlap))
+    r = 1.0 - t  # numpy arithmetic for a point too, so T^2 underflowing to 0 divides like a grid
+    if eps is not None and stage is not Stage.FILTRATION:
+        raise ValueError(f"eps does not apply to stage {stage.value}")
+    if stage is Stage.COUPLING and np.any(p != 0.0):
+        raise ValueError("stage I has no closed-form concurrence for overlap > 0; "
+                         "use the simulation (see also disappearance_threshold)")
+    if eps is not None:  # each point's first failed check, 0 if it has none
+        bad = np.select([p != 0.0, np.logical_not((0.0 < eps) & (eps <= 1.0)), t == 0.0], [1, 2, 3])
+        if bad.any():
+            first = np.flatnonzero(bad)[0]
+            kind, bad_eps = bad.flat[first], np.broadcast_to(eps, bad.shape).flat[first]
+            raise ValueError(("no published finite-eps concurrence for overlap > 0",
+                              f"eps must lie in (0, 1], got {bad_eps}",
+                              "the published finite-eps form is undefined at T = 0")[kind - 1])
+    with np.errstate(divide="ignore", invalid="ignore"):  # the p > 0 limit is 0/0 at T = 1/2, p = 1
+        if stage is Stage.COUPLING:
+            value = np.maximum(0.0, (2.0 * t * t - r * r) / (2.0 * (r * r + t * t)))
+        elif stage is Stage.MEASUREMENT:
+            value = np.where(p == 0.0, t * t / (t * t + r * r),
+                             t * abs(t - p * (1.0 - t)) / (1.0 - (2.0 + p) * t * (1.0 - t)))
+        elif eps is not None:
+            value = t / ((1.0 + eps * r * r / (2.0 * t * t)) * np.sqrt(t * t + r * r))
+        else:
+            numerator = abs(t - p * (1.0 - t))
+            value = np.where(p == 0.0, t / np.sqrt(t * t + r * r), np.where(
+                numerator == 0.0, 0.0, numerator / np.sqrt(1.0 - 2.0 * (1.0 + p) * t * (1.0 - t))))
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def probability_closed_form(stage: Stage, cfg: CouplingConfig, eps: float | None = None) -> float:

@@ -206,6 +206,8 @@ def verify(grid: int, tolerance: float) -> dict:
         totals = sum(fock_oracle.pattern_probabilities(propagated).values()).reshape(len(block), -1)
         stage2 = measured.state.reshape(len(block), -1, 4, 4)
         concurrences = measures.concurrence(stage2[:, 2:])  # the closed_ps columns
+        closed_forms = protocol.concurrence_closed_form(Stage.MEASUREMENT, points).reshape(
+            len(block), -1)[:, 2:]  # the closed_ps columns, at the oracle grid's points
         ts = np.array(block)
         analytic = protocol.coupled_stages(CouplingConfig(ts))  # the closed form at p = 0
         first = slice(None, None, len(overlaps))  # each T's p = 0 point of the oracle grid
@@ -227,9 +229,9 @@ def verify(grid: int, tolerance: float) -> dict:
             records["overlap_continuity"].append(
                 (float(np.max(np.abs(stage2[row, 1] - stage2[row, 0]))), at))
 
-            for p, concurrence, total in zip(closed_ps, concurrences[row], totals[row, 2:]):
+            for p, concurrence, closed, total in zip(closed_ps, concurrences[row],
+                                                     closed_forms[row], totals[row, 2:]):
                 where = {**at, "overlap": p}
-                closed = protocol.concurrence_closed_form(Stage.MEASUREMENT, CouplingConfig(t, p))
                 records["stage2_concurrence_vs_closed_form"].append(
                     (abs(concurrence - closed), where))
                 records["branch_completeness"].append((abs(total - 1.0), where))

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -545,6 +546,62 @@ class TestConfigFile:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error: config key 'variable': invalid choice: 'q'" in captured.err
+
+
+class TestParserCache:
+    """One process: the parser cached for a config never leaks into another call."""
+
+    @staticmethod
+    def stdout(capsys, *argv):
+        assert cli.main([*argv, "--out", "-"]) == 0
+        return capsys.readouterr().out
+
+    def test_a_config_default_does_not_outlive_its_call(self, tmp_path, capsys):
+        config = tmp_path / "T.ini"
+        config.write_text("[defaults]\nT = 0.7\n", encoding="utf-8")
+        argv = ("sweep", "--variable", "p", "--steps", "5")
+        default = self.stdout(capsys, *argv, "--T", "0.4")
+        flagged = self.stdout(capsys, *argv, "--T", "0.7")
+        assert default != flagged
+        for _ in range(2):
+            assert self.stdout(capsys, "--config", str(config), *argv) == flagged
+            assert self.stdout(capsys, *argv) == default
+
+    def test_a_flag_beats_a_config_default_on_repeated_calls(self, tmp_path, capsys):
+        config = tmp_path / "T.ini"
+        config.write_text("[defaults]\nT = 0.7\n", encoding="utf-8")
+        argv = ("sweep", "--variable", "p", "--steps", "5", "--T", "0.2")
+        expected = self.stdout(capsys, *argv)
+        for _ in range(3):
+            assert self.stdout(capsys, "--config", str(config), *argv) == expected
+
+    def test_a_negative_zero_default_has_its_own_parser(self, tmp_path, capsys):
+        # -0.0 == 0.0, but a sweep at T = -0.0 prints other bytes than at T = 0
+        argv = ("sweep", "--variable", "p", "--steps", "3")
+        for value in ("-0.0", "0", "-0.0"):
+            config = tmp_path / "T.ini"
+            config.write_text(f"[defaults]\nT = {value}\n", encoding="utf-8")
+            assert (self.stdout(capsys, "--config", str(config), *argv)
+                    == self.stdout(capsys, *argv, "--T", value))
+        assert self.stdout(capsys, *argv, "--T", "-0.0") != self.stdout(capsys, *argv, "--T", "0")
+
+    def test_a_repeated_config_builds_no_parser(self, tmp_path, capsys, monkeypatch):
+        config = tmp_path / "steps.ini"
+        config.write_text("[defaults]\nsteps = 3\n", encoding="utf-8")
+        built = []
+        init = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+        for argv in (("sweep",), ("--config", str(config), "sweep")):
+            self.stdout(capsys, *argv)
+            count = len(built)
+            self.stdout(capsys, *argv)
+            assert len(built) == count
+
+    def test_main_runs_the_command_the_module_holds_at_call_time(self, capsys, monkeypatch):
+        self.stdout(capsys, "sweep", "--steps", "2")  # the parser is cached before the patch
+        monkeypatch.setattr(cli, "cmd_sweep", lambda args: (0, f"patched {args.steps}\n"))
+        assert self.stdout(capsys, "sweep", "--steps", "2") == "patched 2\n"
 
 
 class TestProcessInterface:

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from conftest import random_density, random_pure_density
@@ -397,6 +400,31 @@ class TestStageConcurrences:
                 got = [float(column[index]) for column in columns]
                 assert np.array_equal(got, point, equal_nan=True)
 
+    def test_a_block_takes_its_limit_column_from_one_closed_form_call(self, monkeypatch):
+        counts = {"configs": 0, "closed_forms": 0}
+
+        class CountedConfig(CouplingConfig):
+            def __post_init__(self):
+                counts["configs"] += 1
+                super().__post_init__()
+
+        def counted_closed_form(*args):
+            counts["closed_forms"] += 1
+            return closed_form(*args)
+
+        closed_form = protocol.concurrence_closed_form
+        monkeypatch.setattr(protocol, "CouplingConfig", CountedConfig)
+        monkeypatch.setattr(protocol, "concurrence_closed_form", counted_closed_form)
+        found = []
+        for steps in (2, 101):
+            columns = protocol.stage_concurrences(np.linspace(0.0, 1.0, steps), 0.3, 0.15)
+            found.append(dict(counts))
+            counts.update(configs=0, closed_forms=0)
+            assert columns[3].tobytes() == np.array(
+                [closed_form(Stage.FILTRATION, CouplingConfig(t, 0.3)) for t in
+                 np.linspace(0.0, 1.0, steps).tolist()]).tobytes()
+        assert found[0] == found[1] and found[0]["closed_forms"] == 1
+
     def test_a_grid_larger_than_a_block_is_measured_block_by_block(self, monkeypatch):
         ts, ps = np.linspace(0.0, 1.0, 11)[:, None], np.array([0.0, 0.5])
         whole = protocol.stage_concurrences(ts, ps, 0.15)
@@ -501,6 +529,118 @@ class TestClosedForms:
             p2 = protocol.stage2_measure(cfg, "H").probability
             assert abs(p1 - protocol.probability_closed_form(Stage.COUPLING, cfg)) < 1e-12
             assert abs(p2 - protocol.probability_closed_form(Stage.MEASUREMENT, cfg)) < 1e-12
+
+
+def verbatim_closed_form(stage, t, p, eps=None):
+    """The published concurrence of one point in Python float arithmetic, for bit comparisons."""
+    r = 1.0 - t
+    if stage is Stage.COUPLING:
+        return max(0.0, (2.0 * t * t - r * r) / (2.0 * (r * r + t * t)))
+    if stage is Stage.MEASUREMENT:
+        if p == 0.0:
+            return t * t / (t * t + r * r)
+        return t * abs(t - p * (1.0 - t)) / (1.0 - (2.0 + p) * t * (1.0 - t))
+    if eps is not None:
+        return t / ((1.0 + eps * r * r / (2.0 * t * t)) * math.sqrt(t * t + r * r))
+    if p == 0.0:
+        return t / math.sqrt(t * t + r * r)
+    numerator = abs(t - p * (1.0 - t))
+    return 0.0 if numerator == 0.0 else numerator / math.sqrt(1.0 - 2.0 * (1.0 + p) * t * (1.0 - t))
+
+
+def closed_form_message(stage, t, p, eps=None):
+    """The ValueError message of one point, or None if it has a value."""
+    try:
+        protocol.concurrence_closed_form(stage, CouplingConfig(t, p), eps)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestClosedFormGrid:
+    """A grid config (or an array eps) gives every point the bits, or the error, it gets alone."""
+
+    @staticmethod
+    def grid(rng, n=400):
+        ts = np.concatenate([[0.0, 0.5, 1.0, 0.5, 0.0, 1.0], rng.random(n)])
+        ps = rng.random(ts.size)
+        ps[::3], ps[1::7] = 0.0, 1.0  # p = 0 and p > 0 points mixed, p = 1 among them
+        ps[:6] = (0.0, 1.0, 1.0, 0.0, 1.0, 0.0)  # T = 1/2, p = 1 is the 0/0 point
+        return ts, ps
+
+    def assert_grid_equals_points(self, stage, ts, ps, eps=None):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning from the array division
+            got = protocol.concurrence_closed_form(stage, CouplingConfig(ts, ps), eps)
+        assert isinstance(got, np.ndarray) and got.shape == np.broadcast(ts, ps, eps).shape
+        points = np.broadcast_arrays(ts, ps, eps if eps is not None else 0.0)
+        for value, (t, p, e) in zip(got.tolist(), zip(*(a.tolist() for a in points))):
+            e = None if eps is None else e
+            point = protocol.concurrence_closed_form(stage, CouplingConfig(t, p), e)
+            assert type(point) is float
+            assert value.hex() == point.hex() == verbatim_closed_form(stage, t, p, e).hex()
+
+    def test_stage_II_and_the_filtration_limit(self, rng):
+        ts, ps = self.grid(rng)
+        for stage in (Stage.MEASUREMENT, Stage.FILTRATION):
+            self.assert_grid_equals_points(stage, ts, ps)
+            self.assert_grid_equals_points(stage, ts, 0.0)
+
+    def test_stage_I_at_p0(self, rng):
+        ts, _ = self.grid(rng)
+        self.assert_grid_equals_points(Stage.COUPLING, ts, 0.0)
+        self.assert_grid_equals_points(Stage.COUPLING, ts, np.zeros(ts.size))
+
+    def test_finite_eps_on_an_eps_grid(self, rng):
+        ts, _ = self.grid(rng)
+        ts = ts[ts > 0.0]
+        eps = np.concatenate([[1e-12, 1.0, 0.15], 10.0 ** rng.uniform(-12, 0, ts.size - 3)])
+        self.assert_grid_equals_points(Stage.FILTRATION, ts, 0.0, eps)  # an eps per point
+        self.assert_grid_equals_points(Stage.FILTRATION, ts, 0.0, 0.15)  # one eps for all
+        self.assert_grid_equals_points(Stage.FILTRATION, 0.4, 0.0, eps)  # an eps grid at one T
+        tiny = protocol.concurrence_closed_form(Stage.FILTRATION, CouplingConfig(1e-200), eps=0.5)
+        assert tiny == 0.0 and tiny == protocol.concurrence_closed_form(  # T^2 underflows to 0
+            Stage.FILTRATION, CouplingConfig(np.array([1e-200])), eps=0.5)[0]
+
+    def test_balanced_full_overlap_keeps_its_zero(self):
+        values = protocol.concurrence_closed_form(
+            Stage.FILTRATION, CouplingConfig(np.array([0.3, 0.5, 0.7]), np.array([1.0, 1.0, 1.0])))
+        assert values[1] == 0.0 and np.all(np.isfinite(values))
+
+    @pytest.mark.parametrize("stage, t, p, eps, message", [
+        (Stage.COUPLING, 0.4, 0.5, None, "stage I has no closed-form concurrence for overlap > 0; "
+                                         "use the simulation (see also disappearance_threshold)"),
+        (Stage.COUPLING, 0.4, 0.0, 0.3, "eps does not apply to stage I"),
+        (Stage.MEASUREMENT, 0.4, 0.0, 0.3, "eps does not apply to stage II"),
+        (Stage.FILTRATION, 0.3, 0.85, 0.5, "no published finite-eps concurrence for overlap > 0"),
+        (Stage.FILTRATION, 0.0, 0.0, 0.5, "the published finite-eps form is undefined at T = 0"),
+        (Stage.FILTRATION, 0.4, 0.0, 0.0, "eps must lie in (0, 1], got 0.0"),
+        (Stage.FILTRATION, 0.4, 0.0, 1.5, "eps must lie in (0, 1], got 1.5"),
+        (Stage.FILTRATION, 0.4, 0.0, 2, "eps must lie in (0, 1], got 2"),
+        (Stage.FILTRATION, 0.4, 0.0, float("nan"), "eps must lie in (0, 1], got nan"),
+        (Stage.FILTRATION, 0.0, 0.0, -1e-300, "eps must lie in (0, 1], got -1e-300"),
+    ])
+    def test_point_messages(self, stage, t, p, eps, message):
+        assert closed_form_message(stage, t, p, eps) == message
+
+    def test_a_grid_raises_the_message_of_its_first_bad_point(self, rng):
+        for _ in range(200):
+            n = int(rng.integers(1, 8))
+            ts = rng.choice([0.0, 0.3, 0.5, 1.0], n)
+            ps = rng.choice([0.0, 0.0, 0.25, 1.0], n)
+            eps = rng.choice([0.15, 1.0, 0.0, 1.5, np.nan], n)
+            for stage, e in ((Stage.FILTRATION, eps), (Stage.COUPLING, None)):
+                points = [closed_form_message(stage, t, p, None if e is None else e[i])
+                          for i, (t, p) in enumerate(zip(ts.tolist(), ps.tolist()))]
+                expected = next((message for message in points if message), None)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    try:
+                        protocol.concurrence_closed_form(stage, CouplingConfig(ts, ps), e)
+                        found = None
+                    except ValueError as exc:
+                        found = str(exc)
+                assert found == expected
 
 
 class TestThresholds:
