@@ -11,8 +11,8 @@ The computations live in the library (`protocol.stage_concurrences`,
 Each `cmd_*` validates its arguments, calls the library and maps the result
 to (exit status, output text), raising ValueError on invalid input; `main`
 alone writes the text to --out or stdout.  `sweep` hands its whole grid to
-one `stage_concurrences` call.  The parser is built once per config and
-reused; `main` looks up the `cmd_*` of the subcommand at call time.
+one `stage_concurrences` call.  Calls without a config share one parser;
+`main` looks up the subcommand's `cmd_*` at call time.
 Output is deterministic: identical invocations produce byte-identical files.
 Reals are rendered with 10 significant digits; CSV is UTF-8 with LF line
 endings and a single header row.  Exit codes: 0 success / within tolerance,
@@ -26,7 +26,7 @@ import argparse
 import configparser
 import json
 import sys
-from functools import lru_cache
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -160,32 +160,7 @@ def build_parser(config: dict) -> argparse.ArgumentParser:
     the type of the flag it names and checked against that flag's choices.
     A string (every INI value) is parsed like the flag's argument; any other
     TOML value must already be of the flag's type, and an integer also fits
-    a float flag.  The parser is cached on the converted defaults: do not modify it."""
-    flags = _parser()[1]
-    defaults = []
-    for key, value in config.items():
-        if key not in flags:
-            raise ValueError(f"unknown config key {key!r}")
-        flag = flags[key]
-        flag_type = flag.type or str
-        invalid = f"config key {key!r}: invalid {flag_type.__name__} value: {value!r}"
-        if not (isinstance(value, str) or type(value) is flag_type
-                or flag_type is float and type(value) is int):
-            raise ValueError(invalid)  # a TOML list, table, boolean, or float for an int flag
-        try:
-            value = flag_type(value)
-        except ValueError:
-            raise ValueError(invalid) from None
-        if flag.choices is not None and value not in flag.choices:
-            raise ValueError(f"config key {key!r}: invalid choice: {value!r} "
-                             f"(choose from {', '.join(map(repr, flag.choices))})")
-        defaults.append((key, value, repr(value)))  # the repr tells -0.0 from 0.0
-    return _parser(tuple(defaults))[0]
-
-
-@lru_cache(maxsize=16)
-def _parser(defaults: tuple = ()) -> tuple:
-    """The full parser, with each (flag, value, repr) of `defaults` as a default, and its flags."""
+    a float flag."""
     parser = argparse.ArgumentParser(
         prog="entloc",
         description="Entanglement localization protocol: sweeps, benchmarks, verification.",
@@ -238,9 +213,33 @@ def _parser(defaults: tuple = ()) -> tuple:
     commands = ((sweep, "CSV"), (reproduce, "JSON"), (verify, "JSON"), (hom, "CSV"))
     for sp, kind in commands:
         sp.add_argument("--out", default="-", help=f"output {kind} path, '-' for stdout")
+    flags = {a.dest: a for sp, _ in commands for a in sp._actions if a.dest != "help"}
+    defaults = {}
+    for key, value in config.items():
+        if key not in flags:
+            raise ValueError(f"unknown config key {key!r}")
+        flag = flags[key]
+        flag_type = flag.type or str
+        invalid = f"config key {key!r}: invalid {flag_type.__name__} value: {value!r}"
+        if not (isinstance(value, str) or type(value) is flag_type
+                or flag_type is float and type(value) is int):
+            raise ValueError(invalid)  # a TOML list, table, boolean, or float for an int flag
+        try:
+            defaults[key] = flag_type(value)
+        except ValueError:
+            raise ValueError(invalid) from None
+        if flag.choices is not None and defaults[key] not in flag.choices:
+            raise ValueError(f"config key {key!r}: invalid choice: {defaults[key]!r} "
+                             f"(choose from {', '.join(map(repr, flag.choices))})")
+    for sp, _ in commands:
         dests = {action.dest for action in sp._actions}
-        sp.set_defaults(**{key: value for key, value, _ in defaults if key in dests})
-    return parser, {a.dest: a for sp, _ in commands for a in sp._actions if a.dest != "help"}
+        sp.set_defaults(**{k: v for k, v in defaults.items() if k in dests})
+    return parser
+
+
+@cache  # the parser of every call without a config; only `main` uses it, unmodified
+def _default_parser() -> argparse.ArgumentParser:
+    return build_parser({})
 
 
 _PRELIMINARY = argparse.ArgumentParser(add_help=False)  # reads --config before the full parse
@@ -253,7 +252,7 @@ def main(argv=None) -> int:
     preliminary, _ = _PRELIMINARY.parse_known_args(argv)
     try:
         defaults = {} if preliminary.config is None else load_config(preliminary.config)
-        args = build_parser(defaults).parse_args(argv)
+        args = (build_parser(defaults) if defaults else _default_parser()).parse_args(argv)
         # looked up at call time: a tracer that wraps module functions (perfbench's) replaces it
         status, text = globals()[f"cmd_{args.command}"](args)
     except ValueError as exc:

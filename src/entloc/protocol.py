@@ -190,7 +190,7 @@ def stage_concurrences(transmittivity, overlap, eps) -> tuple:
 
 
 def concurrence_closed_form(stage: Stage, cfg: CouplingConfig,
-                            eps: float | np.ndarray | None = None) -> float | np.ndarray:
+                            eps: float | None = None) -> float | np.ndarray:
     """Closed-form concurrence of a stage, evaluated verbatim.
 
     Distinguishable surrounding photon (p = 0):
@@ -213,38 +213,39 @@ def concurrence_closed_form(stage: Stage, cfg: CouplingConfig,
            filter attains it.
       I    no closed form exists (only the disappearance threshold); raises.
 
-    A grid config or an array eps gives an array of their broadcast shape, each
-    point by its own formula with the bits of its float; a grid raises the
-    message of its first point that raises.
+    A grid config gives an array, each point with its own bits; finite eps takes a point.
     """
     stage = Stage(stage)
     t, p = (np.asarray(value, dtype=float) for value in (cfg.transmittivity, cfg.overlap))
-    r = 1.0 - t  # numpy arithmetic for a point too, so T^2 underflowing to 0 divides like a grid
-    if eps is not None and stage is not Stage.FILTRATION:
-        raise ValueError(f"eps does not apply to stage {stage.value}")
-    if stage is Stage.COUPLING and np.any(p != 0.0):
-        raise ValueError("stage I has no closed-form concurrence for overlap > 0; "
-                         "use the simulation (see also disappearance_threshold)")
-    if eps is not None:  # each point's first failed check, 0 if it has none
-        bad = np.select([p != 0.0, np.logical_not((0.0 < eps) & (eps <= 1.0)), t == 0.0], [1, 2, 3])
-        if bad.any():
-            first = np.flatnonzero(bad)[0]
-            kind, bad_eps = bad.flat[first], np.broadcast_to(eps, bad.shape).flat[first]
-            raise ValueError(("no published finite-eps concurrence for overlap > 0",
-                              f"eps must lie in (0, 1], got {bad_eps}",
-                              "the published finite-eps form is undefined at T = 0")[kind - 1])
-    with np.errstate(divide="ignore", invalid="ignore"):  # the p > 0 limit is 0/0 at T = 1/2, p = 1
-        if stage is Stage.COUPLING:
-            value = np.maximum(0.0, (2.0 * t * t - r * r) / (2.0 * (r * r + t * t)))
-        elif stage is Stage.MEASUREMENT:
-            value = np.where(p == 0.0, t * t / (t * t + r * r),
-                             t * abs(t - p * (1.0 - t)) / (1.0 - (2.0 + p) * t * (1.0 - t)))
-        elif eps is not None:
+    r = 1.0 - t
+    if stage is Stage.COUPLING:
+        if eps is not None:
+            raise ValueError("eps does not apply to stage I")
+        if np.any(p != 0.0):
+            raise ValueError("stage I has no closed-form concurrence for overlap > 0; "
+                             "use the simulation (see also disappearance_threshold)")
+        value = np.maximum(0.0, (2.0 * t * t - r * r) / (2.0 * (r * r + t * t)))
+    elif stage is Stage.MEASUREMENT:
+        if eps is not None:
+            raise ValueError("eps does not apply to stage II")
+        value = np.where(p == 0.0, t * t / (t * t + r * r),
+                         t * abs(t - p * (1.0 - t)) / (1.0 - (2.0 + p) * t * (1.0 - t)))
+    elif eps is not None:
+        if t.ndim:
+            raise ValueError("the finite-eps form takes a point config, not a grid")
+        if p != 0.0:
+            raise ValueError("no published finite-eps concurrence for overlap > 0")
+        if not 0.0 < eps <= 1.0:
+            raise ValueError(f"eps must lie in (0, 1], got {eps}")
+        if t == 0.0:
+            raise ValueError("the published finite-eps form is undefined at T = 0")
+        with np.errstate(divide="ignore", over="ignore"):  # below T ~ 1e-154 the ratio is inf
             value = t / ((1.0 + eps * r * r / (2.0 * t * t)) * np.sqrt(t * t + r * r))
-        else:
-            numerator = abs(t - p * (1.0 - t))
-            value = np.where(p == 0.0, t / np.sqrt(t * t + r * r), np.where(
-                numerator == 0.0, 0.0, numerator / np.sqrt(1.0 - 2.0 * (1.0 + p) * t * (1.0 - t))))
+    else:
+        numerator = abs(t - p * (1.0 - t))  # 0 at T = 1/2, p = 1, where the root is 0 too
+        limit = np.divide(numerator, np.sqrt(1.0 - 2.0 * (1.0 + p) * t * (1.0 - t)),
+                          out=np.zeros_like(numerator), where=numerator != 0.0)
+        value = np.where(p == 0.0, t / np.sqrt(t * t + r * r), limit)
     return float(value) if np.ndim(value) == 0 else value
 
 

@@ -558,7 +558,7 @@ def closed_form_message(stage, t, p, eps=None):
 
 
 class TestClosedFormGrid:
-    """A grid config (or an array eps) gives every point the bits, or the error, it gets alone."""
+    """A grid config gives every point the bits it gets alone; the finite-eps form takes points."""
 
     @staticmethod
     def grid(rng, n=400):
@@ -568,17 +568,16 @@ class TestClosedFormGrid:
         ps[:6] = (0.0, 1.0, 1.0, 0.0, 1.0, 0.0)  # T = 1/2, p = 1 is the 0/0 point
         return ts, ps
 
-    def assert_grid_equals_points(self, stage, ts, ps, eps=None):
+    def assert_grid_equals_points(self, stage, ts, ps):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no RuntimeWarning from the array division
-            got = protocol.concurrence_closed_form(stage, CouplingConfig(ts, ps), eps)
-        assert isinstance(got, np.ndarray) and got.shape == np.broadcast(ts, ps, eps).shape
-        points = np.broadcast_arrays(ts, ps, eps if eps is not None else 0.0)
-        for value, (t, p, e) in zip(got.tolist(), zip(*(a.tolist() for a in points))):
-            e = None if eps is None else e
-            point = protocol.concurrence_closed_form(stage, CouplingConfig(t, p), e)
+            got = protocol.concurrence_closed_form(stage, CouplingConfig(ts, ps))
+        assert isinstance(got, np.ndarray) and got.shape == np.broadcast(ts, ps).shape
+        points = zip(*(axis.tolist() for axis in np.broadcast_arrays(ts, ps)))
+        for value, (t, p) in zip(got.tolist(), points):
+            point = protocol.concurrence_closed_form(stage, CouplingConfig(t, p))
             assert type(point) is float
-            assert value.hex() == point.hex() == verbatim_closed_form(stage, t, p, e).hex()
+            assert value.hex() == point.hex() == verbatim_closed_form(stage, t, p).hex()
 
     def test_stage_II_and_the_filtration_limit(self, rng):
         ts, ps = self.grid(rng)
@@ -591,16 +590,18 @@ class TestClosedFormGrid:
         self.assert_grid_equals_points(Stage.COUPLING, ts, 0.0)
         self.assert_grid_equals_points(Stage.COUPLING, ts, np.zeros(ts.size))
 
-    def test_finite_eps_on_an_eps_grid(self, rng):
-        ts, _ = self.grid(rng)
-        ts = ts[ts > 0.0]
-        eps = np.concatenate([[1e-12, 1.0, 0.15], 10.0 ** rng.uniform(-12, 0, ts.size - 3)])
-        self.assert_grid_equals_points(Stage.FILTRATION, ts, 0.0, eps)  # an eps per point
-        self.assert_grid_equals_points(Stage.FILTRATION, ts, 0.0, 0.15)  # one eps for all
-        self.assert_grid_equals_points(Stage.FILTRATION, 0.4, 0.0, eps)  # an eps grid at one T
-        tiny = protocol.concurrence_closed_form(Stage.FILTRATION, CouplingConfig(1e-200), eps=0.5)
-        assert tiny == 0.0 and tiny == protocol.concurrence_closed_form(  # T^2 underflows to 0
-            Stage.FILTRATION, CouplingConfig(np.array([1e-200])), eps=0.5)[0]
+    def test_finite_eps_at_points(self, rng):
+        ts = np.concatenate([[1.0, 0.5], rng.random(200)]).tolist()
+        eps = np.concatenate([[1e-12, 1.0], 10.0 ** rng.uniform(-12, 0, 200)]).tolist()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t, e in zip(ts, eps):
+                got = protocol.concurrence_closed_form(Stage.FILTRATION, CouplingConfig(t), e)
+                assert type(got) is float
+                assert got.hex() == verbatim_closed_form(Stage.FILTRATION, t, 0.0, e).hex()
+            for t in (1e-150, 1e-160, 1e-200):  # the ratio overflows, or T^2 underflows to 0
+                assert protocol.concurrence_closed_form(
+                    Stage.FILTRATION, CouplingConfig(t), eps=0.5) == 0.0
 
     def test_balanced_full_overlap_keeps_its_zero(self):
         values = protocol.concurrence_closed_form(
@@ -623,24 +624,12 @@ class TestClosedFormGrid:
     def test_point_messages(self, stage, t, p, eps, message):
         assert closed_form_message(stage, t, p, eps) == message
 
-    def test_a_grid_raises_the_message_of_its_first_bad_point(self, rng):
-        for _ in range(200):
-            n = int(rng.integers(1, 8))
-            ts = rng.choice([0.0, 0.3, 0.5, 1.0], n)
-            ps = rng.choice([0.0, 0.0, 0.25, 1.0], n)
-            eps = rng.choice([0.15, 1.0, 0.0, 1.5, np.nan], n)
-            for stage, e in ((Stage.FILTRATION, eps), (Stage.COUPLING, None)):
-                points = [closed_form_message(stage, t, p, None if e is None else e[i])
-                          for i, (t, p) in enumerate(zip(ts.tolist(), ps.tolist()))]
-                expected = next((message for message in points if message), None)
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    try:
-                        protocol.concurrence_closed_form(stage, CouplingConfig(ts, ps), e)
-                        found = None
-                    except ValueError as exc:
-                        found = str(exc)
-                assert found == expected
+    def test_grid_messages(self):
+        ts, ps = np.array([0.3, 0.5, 0.7]), np.array([0.0, 0.2, 0.0])
+        with pytest.raises(ValueError, match="^stage I has no closed-form concurrence for overlap"):
+            protocol.concurrence_closed_form(Stage.COUPLING, CouplingConfig(ts, ps))
+        with pytest.raises(ValueError, match="^the finite-eps form takes a point config, not a grid"):
+            protocol.concurrence_closed_form(Stage.FILTRATION, CouplingConfig(ts), eps=0.15)
 
 
 class TestThresholds:
