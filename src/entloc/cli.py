@@ -92,7 +92,8 @@ def cmd_sweep(args) -> tuple[int, str]:
     columns = protocol.stage_concurrences(grid if args.variable == "T" else args.T,
                                           grid if args.variable == "p" else args.p,
                                           grid if args.variable == "eps" else args.eps)
-    return 0, _csv_text(SWEEP_HEADER, zip(grid, *columns))
+    # Python floats format faster than numpy scalars, to the same text
+    return 0, _csv_text(SWEEP_HEADER, zip(grid.tolist(), *(column.tolist() for column in columns)))
 
 
 def cmd_reproduce(args) -> tuple[int, str]:
@@ -165,7 +166,8 @@ def build_parser(config: dict) -> argparse.ArgumentParser:
         prog="entloc",
         description="Entanglement localization protocol: sweeps, benchmarks, verification.",
     )
-    parser.add_argument("--config", help="INI/TOML file with default parameter values")
+    config_help = "INI/TOML file with default parameter values"
+    parser.add_argument("--config", help=config_help)
     sub = parser.add_subparsers(dest="command", required=True)
 
     sweep = sub.add_parser("sweep", help="concurrence of each stage along a parameter grid (CSV)")
@@ -213,7 +215,10 @@ def build_parser(config: dict) -> argparse.ArgumentParser:
     commands = ((sweep, "CSV"), (reproduce, "JSON"), (verify, "JSON"), (hom, "CSV"))
     for sp, kind in commands:
         sp.add_argument("--out", default="-", help=f"output {kind} path, '-' for stdout")
-    flags = {a.dest: a for sp, _ in commands for a in sp._actions if a.dest != "help"}
+        # also after the subcommand; the preliminary parse in `main` has read it already
+        sp.add_argument("--config", default=argparse.SUPPRESS, help=config_help)
+    flags = {a.dest: a for sp, _ in commands for a in sp._actions
+             if a.dest not in ("help", "config")}  # a config file cannot set `config`
     defaults = {}
     for key, value in config.items():
         if key not in flags:

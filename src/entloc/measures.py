@@ -16,6 +16,8 @@ _YY = np.kron(SIGMA_Y, SIGMA_Y)
 _PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 _PAULI_PAIRS = [np.kron(si, sj) for si in _PAULIS for sj in _PAULIS]
 
+_OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])  # off both diagonals
+
 
 def concurrence(rho) -> float | np.ndarray:
     """Wootters concurrence C = max(0, l1 - l2 - l3 - l4).
@@ -31,6 +33,26 @@ def concurrence(rho) -> float | np.ndarray:
     _, root = qmat.density_sqrt(rho, dim=4)
     lams = np.linalg.svd(root @ _YY @ root.conj(), compute_uv=False)
     value = lams[..., 0] - lams[..., 1] - lams[..., 2] - lams[..., 3]
+    clamped = np.where(value > 0.0, value, 0.0)  # max(0.0, value): -0.0 and nan give 0.0
+    return float(clamped) if clamped.ndim == 0 else clamped
+
+
+def x_concurrence(rho) -> float | np.ndarray:
+    """Concurrence of an X state read off its entries: no PSD root and no SVD.
+
+    C = 2 max(0, |rho_HV,VH| - sqrt(rho_HH rho_VV), |rho_HH,VV| - sqrt(rho_HV rho_VH))
+    (Yu and Eberly, Quantum Inf. Comput. 7, 459 (2007)).  `rho` gets the
+    density-matrix checks of `concurrence`, with the same messages, and a
+    nonzero entry off the diagonal and the anti-diagonal raises.  A 4x4 `rho`
+    gives a float; a (..., 4, 4) stack gives an array.
+    """
+    arr = qmat.validate_density_matrix(rho, dim=4, stack=True)
+    if np.count_nonzero(arr[..., _OFF_X]):
+        raise ValueError("not an X state: an entry off the diagonal and anti-diagonal is nonzero")
+    d = arr.diagonal(axis1=-2, axis2=-1).real
+    outer = np.sqrt(np.maximum(d[..., 0] * d[..., 3], 0.0))  # a diagonal may round below 0
+    inner = np.sqrt(np.maximum(d[..., 1] * d[..., 2], 0.0))
+    value = 2.0 * np.maximum(abs(arr[..., 1, 2]) - outer, abs(arr[..., 0, 3]) - inner)
     clamped = np.where(value > 0.0, value, 0.0)  # max(0.0, value): -0.0 and nan give 0.0
     return float(clamped) if clamped.ndim == 0 else clamped
 

@@ -10,7 +10,9 @@ For p > 0 the states come from the brute-force simulation in `fock_oracle`
 `concurrence_closed_form` stay available as an independent cross-check.
 `coupled_stages` alone chooses between the two, for one point or a grid
 (a `CouplingConfig` of arrays, whose outcomes hold stacks); a grid's stage
-III states come from one `filter_states` pass.
+III states come from one `filter_states` pass.  Every stage state is an X
+state, so `stage_concurrences` measures them with `measures.x_concurrence`;
+`reference` keeps the Wootters `measures.concurrence` as the second route.
 """
 
 from __future__ import annotations
@@ -147,7 +149,7 @@ def coupled_stages(cfg: CouplingConfig, outcome: str = "H") -> tuple:
                  for (state, probability), stage in zip(found, (Stage.COUPLING, Stage.MEASUREMENT)))
 
 
-GRID_BLOCK = 256  # points per oracle call and stacked `concurrence` call: bounds a grid's memory
+GRID_BLOCK = 256  # points per oracle call and stacked concurrence call: bounds a grid's memory
 
 
 def stage_concurrences(transmittivity, overlap, eps) -> tuple:
@@ -160,9 +162,9 @@ def stage_concurrences(transmittivity, overlap, eps) -> tuple:
     grid is evaluated in blocks of up to GRID_BLOCK points, each as stacks:
     one `coupled_stages` call gives the block's stage I and II states, one
     `filter_states` pass filters them all (one more filters the rest when some
-    are blocked), one stacked `measures.concurrence` call measures every
-    stage state of the block, and one `concurrence_closed_form` call gives its
-    filtration limits.
+    are blocked), one stacked `measures.x_concurrence` call measures every
+    stage state of the block from its X-state entries, and one
+    `concurrence_closed_form` call gives its filtration limits.
     """
     grid = np.broadcast_arrays(transmittivity, overlap, eps)
     flat = [axis.ravel() for axis in grid]
@@ -181,7 +183,7 @@ def stage_concurrences(transmittivity, overlap, eps) -> tuple:
             if passed.any():
                 filtered, _ = filter_states(filtered, FilterConfig(filters.att_a[passed],
                                                                    filters.att_b[passed]))
-        values = measures.concurrence(np.concatenate([stage1, stage2, filtered]))
+        values = measures.x_concurrence(np.concatenate([stage1, stage2, filtered]))
         block = columns[:, start:start + t.size]
         block[:2] = values[:2 * t.size].reshape(2, -1)
         block[2], block[3] = np.nan, concurrence_closed_form(Stage.FILTRATION, cfg)
@@ -208,7 +210,10 @@ def concurrence_closed_form(stage: Stage, cfg: CouplingConfig,
       III  (eps None only) the asymptotic-filtration limit
            |T - p (1 - T)| / sqrt(1 - 2 (1 + p) T (1 - T)).  At the single
            point T = 1/2, p = 1 both numerator and denominator vanish and the
-           constructive value 0 is returned.  The formula is also the T -> 0
+           constructive value 0 is returned.  Where the radicand rounds to 0
+           or below (T within about 1e-8 of 1/2 at p = 1) its equal form
+           |(2T - 1) + (1 - p)(1 - T)| / sqrt((2T - 1)^2 + 2 (1 - p) T (1 - T))
+           is evaluated instead.  The formula is also the T -> 0
            limit of the supremum over filters; exactly at T = 0 no finite
            filter attains it.
       I    no closed form exists (only the disappearance threshold); raises.
@@ -243,7 +248,12 @@ def concurrence_closed_form(stage: Stage, cfg: CouplingConfig,
             value = t / ((1.0 + eps * r * r / (2.0 * t * t)) * np.sqrt(t * t + r * r))
     else:
         numerator = abs(t - p * (1.0 - t))  # 0 at T = 1/2, p = 1, where the root is 0 too
-        limit = np.divide(numerator, np.sqrt(1.0 - 2.0 * (1.0 + p) * t * (1.0 - t)),
+        radicand = 1.0 - 2.0 * (1.0 + p) * t * (1.0 - t)
+        cancelled = (radicand <= 0.0) & (numerator != 0.0)  # the equal form of the docstring
+        d = 2.0 * t - 1.0
+        numerator = np.where(cancelled, abs(d + (1.0 - p) * (1.0 - t)), numerator)
+        radicand = np.where(cancelled, d * d + 2.0 * (1.0 - p) * t * (1.0 - t), radicand)
+        limit = np.divide(numerator, np.sqrt(radicand),
                           out=np.zeros_like(numerator), where=numerator != 0.0)
         value = np.where(p == 0.0, t / np.sqrt(t * t + r * r), limit)
     return float(value) if np.ndim(value) == 0 else value

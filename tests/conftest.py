@@ -1,6 +1,9 @@
 """Shared test helpers: seeded random states and unitaries, the pipeline's
-stage states, and the tensor product, partial trace and sorted spectrum used
-to build and inspect them."""
+stage states, an exact decimal evaluation of their concurrences, and the
+tensor product, partial trace and sorted spectrum used to build and inspect
+them."""
+
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -40,6 +43,40 @@ def pipeline_states() -> list:
             if t > 0.0:  # at T = 0 the filters block the stage II state
                 found.append(protocol.stage3_filter(stage2, protocol.eps_to_filter(0.15, t)).state)
     return found
+
+
+def exact_stage_concurrences(transmittivity: float, overlap: float, eps: float) -> tuple:
+    """Stage I, II (outcome H) and III concurrences at `eps`, and the stage III pass rate, of
+    one point, as Decimals evaluated to 60 digits from the stage states' X-state entries.
+
+    With R = 1 - T and w = T^2 - pTR, the unnormalised states in the (HH, HV, VH, VV)
+    basis have the diagonal d and the HV-VH coherence c (no HH-VV coherence):
+      stage I   d = (R^2/4, w/2 + R^2/4, w/2 + R^2/4, R^2/4), |c| = |w|/2
+      stage II  d = (0, T^2/4, (T^2 + R^2)/4 - pTR/2, R^2/4), |c| = |w|/4
+      stage III d of stage II scaled by (1, A_B, A_A, A_A A_B), |c| by sqrt(A_A A_B),
+                with the `eps_to_filter` schedule A_A = eps T^2/(T^2 + R^2), A_B = eps,
+    and C = 2 max(0, |c| - sqrt(d_HH d_VV)) / tr d.  The stage III concurrence is nan
+    where the pass rate tr d_III / tr d_II is 0 (at T = 0).  The float inputs are taken
+    exactly, so the only rounding is at the 60th digit.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        t, p, e = (Decimal(float(value)) for value in (transmittivity, overlap, eps))
+        r = 1 - t
+        w = t * t - p * t * r
+        stage1 = (r * r / 4, w / 2 + r * r / 4, w / 2 + r * r / 4, r * r / 4), abs(w) / 2
+        stage2 = (Decimal(0), t * t / 4, (t * t + r * r) / 4 - p * t * r / 2, r * r / 4), abs(w) / 4
+        att_a, att_b = e * t * t / (t * t + r * r), e
+        scale = (1, att_b, att_a, att_a * att_b)
+        stage3 = (tuple(d * s for d, s in zip(stage2[0], scale)),
+                  stage2[1] * (att_a * att_b).sqrt())
+
+        def concurrence(diag, coherence):
+            return 2 * max(Decimal(0), coherence - (diag[0] * diag[3]).sqrt()) / sum(diag)
+
+        pass_rate = sum(stage3[0]) / sum(stage2[0])
+        return (concurrence(*stage1), concurrence(*stage2),
+                concurrence(*stage3) if pass_rate else Decimal("nan"), pass_rate)
 
 
 def tensor(a, b) -> np.ndarray:

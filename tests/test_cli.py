@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -106,6 +107,19 @@ class TestSweep:
         assert b"\r" not in raw
         assert raw.decode("utf-8").count("variable") == 1
 
+    def test_limit_near_balance_at_full_overlap(self, tmp_path):
+        # the verbatim radicand rounds to 0 within a few ulp of T = 1/2 at p = 1
+        out = tmp_path / "balance.csv"
+        argv = ["sweep", "--variable", "T", "--min", "0.4999999999999999",
+                "--max", "0.5000000000000002", "--steps", "4", "--p", "1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([*argv, "--out", str(out)]) == 0
+        limits = [line.split(",")[-1] for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+        expected = ["0" if t == 0.5 else "1"  # 0 only at T = 1/2 itself, where the form is 0/0
+                    for t in np.linspace(0.4999999999999999, 0.5000000000000002, 4).tolist()]
+        assert limits == expected and expected.count("1") == 3
+
     def test_usage_errors(self, tmp_path):
         assert cli.main(["sweep", "--steps", "1", "--out", "-"]) == 2
         assert cli.main(["sweep", "--min", "0.8", "--max", "0.2", "--out", "-"]) == 2
@@ -114,17 +128,18 @@ class TestSweep:
 
 
 def per_point_stage_concurrences(transmittivity, overlap, eps):
-    """The one-point evaluation a sweep made before it measured its grid in one call."""
+    """The one-point evaluation a sweep made before it measured its grid in one call, each
+    state measured from its X-state entries as the grid is."""
     cfg = CouplingConfig(transmittivity, overlap)
     stage2 = protocol.stage2_measure(cfg, "H")
     filters = protocol.eps_to_filter(eps, transmittivity)
     try:
-        filtered = measures.concurrence(protocol.stage3_filter(stage2, filters).state)
+        filtered = measures.x_concurrence(protocol.stage3_filter(stage2, filters).state)
     except ValueError:
         filtered = float("nan")
     return (
-        measures.concurrence(protocol.stage1_couple(cfg).state),
-        measures.concurrence(stage2.state),
+        measures.x_concurrence(protocol.stage1_couple(cfg).state),
+        measures.x_concurrence(stage2.state),
         filtered,
         protocol.concurrence_closed_form(Stage.FILTRATION, cfg, eps=None),
     )
@@ -147,9 +162,9 @@ def counting(monkeypatch, functions):
     calls = {}
 
     def counted(name, func):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls[name] += 1
-            return func(*args)
+            return func(*args, **kwargs)
         return wrapper
 
     for module, names in functions.items():
@@ -178,7 +193,8 @@ class TestSweepGrid:
             rows.append((value, *per_point_stage_concurrences(point["T"], point["p"], point["eps"])))
         expected = cli._csv_text(cli.SWEEP_HEADER, rows)
 
-        calls = counting(monkeypatch, {measures: ["concurrence"],
+        calls = counting(monkeypatch, {measures: ["concurrence", "x_concurrence"],
+                                       np.linalg: ["eigh", "svd"],
                                        fock_oracle: ["apply_beamsplitter"],
                                        protocol: ["stage3_filter", "filter_states"]})
         out = tmp_path / "sweep.csv"
@@ -189,11 +205,15 @@ class TestSweepGrid:
         overlaps = np.linspace(lo, hi, steps) if variable == "p" else np.full(steps, p)
         blocked = np.isnan([row[3] for row in rows])  # the reference's nan: blocked filters
         # each block: one propagation (two apply_beamsplitter calls) if it holds a p > 0 point,
-        # one filter_states call, and one more if it holds both blocked and passing points
+        # one filter_states call, and one more if it holds both blocked and passing points,
+        # and one x_concurrence call; neither the Wootters concurrence nor eigh or svd is called
         blocks = [slice(start, start + protocol.GRID_BLOCK)
                   for start in range(0, steps, protocol.GRID_BLOCK)]
         assert calls == {
-            "concurrence": len(blocks),
+            "concurrence": 0,
+            "x_concurrence": len(blocks),
+            "eigh": 0,
+            "svd": 0,
             "apply_beamsplitter": 2 * sum(bool(np.any(overlaps[b] > 0.0)) for b in blocks),
             "stage3_filter": 0,
             "filter_states": sum(1 + (blocked[b].any() and not blocked[b].all()) for b in blocks),
@@ -460,6 +480,32 @@ class TestConfigFile:
         assert cli.main(["--config", str(config), "sweep", "--out", str(out)]) == 0
         _, rows = read_csv(out)
         assert len(rows) == 4
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--variable", "p"), ("reproduce", "--table", "formulas"), ("hom",),
+    ], ids=["sweep", "reproduce", "hom"])
+    def test_config_before_or_after_the_subcommand(self, tmp_path, capsys, argv):
+        config = tmp_path / "defaults.ini"
+        config.write_text("[defaults]\nT = 0.3\nsteps = 3\n", encoding="utf-8")
+        outputs = []
+        for placed in (["--config", str(config), *argv], [*argv, "--config", str(config)]):
+            assert cli.main([*placed, "--out", "-"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert cli.main([*argv, "--out", "-"]) == 0
+        assert capsys.readouterr().out != outputs[0]  # the config was read in both places
+
+    def test_a_missing_config_gives_one_message_in_both_places(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.ini")
+        for argv in (["--config", missing, "sweep"], ["sweep", "--config", missing]):
+            assert cli.main(argv) == 2
+            assert capsys.readouterr() == ("", f"error: config file not found: {missing}\n")
+
+    def test_a_config_file_cannot_name_a_config(self, tmp_path, capsys):
+        config = tmp_path / "nested.ini"
+        config.write_text(f"[defaults]\nconfig = {config}\n", encoding="utf-8")
+        assert cli.main(["sweep", "--config", str(config), "--out", "-"]) == 2
+        assert capsys.readouterr() == ("", "error: unknown config key 'config'\n")
 
     def test_config_errors(self, tmp_path, monkeypatch, capsys):
         assert cli.main(["--config", str(tmp_path / "missing.ini"), "hom", "--out", "-"]) == 2

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from conftest import pipeline_states, random_density, random_pure_density, random_unitary, tensor
 
-from entloc import measures, states
+from entloc import measures, protocol, states
+from entloc.params import CouplingConfig
 
 
 def random_x_state(rng):
@@ -105,6 +106,80 @@ class TestConcurrenceOfAStack:
         stacked = measures.concurrence(np.array([np.eye(4) / 4] * 2))
         for value in (single, *stacked):
             assert value == expected and math.copysign(1.0, value) == 1.0
+
+
+X_ROUTE_BOUND = 4e-15  # X route against Wootters on pipeline states; the largest seen is 1.0e-15
+
+
+def stage_states(overlap: float, outcome: str) -> list:
+    """Stacks of stage I, II and (where the filters pass) III states at 200 T in (0, 1]:
+    closed-form states at p = 0, oracle states at p > 0."""
+    ts = np.linspace(0.0, 1.0, 201)[1:]
+    stage1, stage2 = (found.state for found in
+                      protocol.coupled_stages(CouplingConfig(ts, np.full(ts.size, overlap)), outcome))
+    found = [stage1, stage2]
+    for eps in (1e-6, 0.15, 1.0):
+        passed = ts > (1e-4 if eps == 1e-6 else 0.0)  # pass rates about eps T^2 stay above 1e-15
+        found.append(protocol.filter_states(stage2[passed],
+                                            protocol.eps_to_filter(eps, ts[passed]))[0])
+    return found
+
+
+class TestXConcurrence:
+    @pytest.mark.parametrize("outcome", ["H", "V"])
+    @pytest.mark.parametrize("overlap", [0.0, 0.25, 0.5, 0.85, 1.0])
+    def test_equals_the_wootters_concurrence_on_pipeline_states(self, overlap, outcome):
+        for stack in stage_states(overlap, outcome):
+            x_route, wootters = measures.x_concurrence(stack), measures.concurrence(stack)
+            assert x_route.shape == (len(stack),)
+            assert np.max(abs(x_route - wootters)) <= X_ROUTE_BOUND
+
+    def test_equals_its_closed_form_on_random_x_states(self, rng):
+        for _ in range(100):
+            rho = random_x_state(rng)
+            assert abs(measures.x_concurrence(rho) - x_state_concurrence(rho)) < 1e-15
+
+    def test_one_matrix_gives_a_float(self):
+        for rho in (states.singlet_density(), np.eye(4) / 4, states.werner(0.8)):
+            value = measures.x_concurrence(rho)
+            assert type(value) is float and value == measures.x_concurrence(np.array([rho]))[0]
+        assert abs(measures.x_concurrence(states.singlet_density()) - 1.0) < 1e-15
+
+    def test_keeps_leading_axes(self, rng):
+        mats = np.array([random_x_state(rng) for _ in range(6)])
+        values = measures.x_concurrence(mats.reshape(3, 2, 4, 4))
+        assert values.tobytes() == measures.x_concurrence(mats).reshape(3, 2).tobytes()
+
+    @pytest.mark.parametrize("row, col", [(0, 1), (0, 2), (1, 3), (2, 3)])
+    def test_a_non_x_matrix_raises(self, row, col):
+        rho = (1.0 - 1e-3) * states.werner(0.6) + 1e-3 * np.eye(4) / 4
+        rho[row, col] = rho[col, row] = 1e-3  # still a density matrix
+        with pytest.raises(ValueError, match="^not an X state"):
+            measures.x_concurrence(rho)
+        with pytest.raises(ValueError, match="^not an X state"):
+            measures.x_concurrence(np.array([states.werner(0.6), rho]))
+
+    @pytest.mark.parametrize("rho", [
+        np.eye(4),  # trace 4
+        np.eye(2) / 2,  # wrong dimension
+        np.diag([0.6, 0.6, -0.1, -0.1]),  # negative eigenvalue
+        np.array([[0.5, 0, 0, 0.1], [0, 0, 0, 0], [0, 0, 0, 0], [0.2, 0, 0, 0.5]]),  # not Hermitian
+        np.full((4, 4), np.nan),
+        np.ones(4) / 4,
+        np.array([states.werner(0.6), np.eye(4), np.eye(4) / 2]),  # the first invalid matrix
+    ], ids=["trace", "dimension", "negative", "hermitian", "nan", "vector", "stack"])
+    def test_an_invalid_density_matrix_raises_the_concurrence_message(self, rho):
+        with pytest.raises(ValueError) as expected:
+            measures.concurrence(rho)
+        with pytest.raises(ValueError) as raised:
+            measures.x_concurrence(rho)
+        assert str(raised.value) == str(expected.value)
+
+    def test_clamp_is_max_of_zero_and_value(self):
+        # negative values and the zero of the last state give +0.0
+        for rho in (states.werner(0.2), np.eye(4) / 4, np.diag([0.5, 0.0, 0.0, 0.5])):
+            value = measures.x_concurrence(rho)
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
 class TestSingleMatrixMeasures:

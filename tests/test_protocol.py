@@ -1,9 +1,10 @@
 import math
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
-from conftest import random_density, random_pure_density
+from conftest import exact_stage_concurrences, random_density, random_pure_density
 
 from entloc import fock_oracle, measures, protocol, states
 from entloc.params import CouplingConfig, FilterConfig, Stage, StageOutcome
@@ -429,13 +430,13 @@ class TestStageConcurrences:
         ts, ps = np.linspace(0.0, 1.0, 11)[:, None], np.array([0.0, 0.5])
         whole = protocol.stage_concurrences(ts, ps, 0.15)
         sizes = []
-        concurrence = measures.concurrence
+        x_concurrence = measures.x_concurrence
 
         def counted(rho):
             sizes.append(len(rho))
-            return concurrence(rho)
+            return x_concurrence(rho)
 
-        monkeypatch.setattr(measures, "concurrence", counted)
+        monkeypatch.setattr(measures, "x_concurrence", counted)
         monkeypatch.setattr(protocol, "GRID_BLOCK", 4)
         blocked = protocol.stage_concurrences(ts, ps, 0.15)
         # 22 points in blocks of 4, 4, 4, 4, 4 and 2, with two stage states per point and a
@@ -472,6 +473,59 @@ class TestStageConcurrences:
     def test_invalid_eps_raises(self, eps):
         with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\]"):
             protocol.stage_concurrences(0.4, 0.0, eps)
+
+
+EXACT_BOUND = 1e-15  # absolute; the largest error seen is 5.4e-16 (7.0e-16 over five more seeds)
+
+
+def exact_reference_grid(rng):
+    """Seeded (T, p, eps) points: random points, both concurrence zero crossings, T in
+    {0, 1/2, 1}, p in {0, 1} and eps from 1e-12 to 1."""
+    n = 600
+    ts, ps = rng.random(n), rng.random(n)
+    ps[::4], ps[1::4] = 0.0, 1.0
+    eps = 10.0 ** rng.uniform(-12, 0, n)
+    # the stage I zero (1 + 2p) T^2 + 2 (1 - p) T = 1 and the stage II zero T = p (1 - T)
+    zero_ps = np.repeat(np.concatenate([[0.0, 1.0], rng.random(18)]), 2)
+    zeros = np.concatenate([(zero_ps - 1.0 + np.sqrt(zero_ps * zero_ps + 2.0)) / (1.0 + 2.0 * zero_ps),
+                            zero_ps / (1.0 + zero_ps)])
+    offsets = rng.choice([-1.0, 1.0], zeros.size) * 10.0 ** rng.uniform(-9, -3, zeros.size)
+    near = np.clip(zeros + offsets, 0.0, 1.0)
+    corners = np.array(np.meshgrid([0.0, 0.5, 1.0], [0.0, 0.3, 1.0], [1e-12, 1e-6, 0.15, 1.0]))
+    corners = corners.reshape(3, -1)
+    return (np.concatenate([ts, near, corners[0]]),
+            np.concatenate([ps, np.tile(zero_ps, 2), corners[1]]),
+            np.concatenate([eps, 10.0 ** rng.uniform(-12, 0, near.size), corners[2]]))
+
+
+class TestExactReference:
+    """The sweep's stage I, II and III(eps) columns against a 60-digit evaluation of the model."""
+
+    def test_columns_within_the_bound(self, rng):
+        ts, ps, eps = exact_reference_grid(rng)
+        columns = protocol.stage_concurrences(ts, ps, eps)
+        exact = [exact_stage_concurrences(*point) for point in zip(ts.tolist(), ps.tolist(),
+                                                                   eps.tolist())]
+        for got, want in zip(columns[:3], zip(*exact)):
+            # nan where the pass rate is at most 1e-15 (see below), which it is where it is 0
+            assert all(np.isnan(g) for g, value in zip(got, want) if value.is_nan())
+            errors = [abs(value - Decimal(g)) for g, value in zip(got, want) if not np.isnan(g)]
+            assert float(max(errors)) <= EXACT_BOUND
+
+    def test_nan_exactly_where_the_float_pass_rate_is_at_most_1e_15(self, rng):
+        ts, ps, eps = exact_reference_grid(rng)
+        ts = np.concatenate([ts, np.geomspace(1e-9, 1e-3, 40)])  # pass rates about eps T^2
+        ps = np.concatenate([ps, np.tile([0.0, 0.5], 20)])
+        eps = np.concatenate([eps, np.tile([1e-12, 1e-6, 1e-3, 1.0], 10)])
+        stage2 = protocol.coupled_stages(CouplingConfig(ts, ps))[1].state
+        kraus = protocol.filter_kraus(protocol.eps_to_filter(eps, ts))
+        rates = np.trace(kraus @ stage2 @ kraus, axis1=-2, axis2=-1).real
+        blocked = np.isnan(protocol.stage_concurrences(ts, ps, eps)[2])
+        assert blocked.tolist() == (rates <= 1e-15).tolist()
+        assert blocked.any() and not blocked.all()
+        exact_rates = np.array([float(exact_stage_concurrences(*point)[3])
+                                for point in zip(ts.tolist(), ps.tolist(), eps.tolist())])
+        np.testing.assert_allclose(rates, exact_rates, rtol=1e-12, atol=0.0)
 
 
 class TestClosedForms:
@@ -602,6 +656,23 @@ class TestClosedFormGrid:
             for t in (1e-150, 1e-160, 1e-200):  # the ratio overflows, or T^2 underflows to 0
                 assert protocol.concurrence_closed_form(
                     Stage.FILTRATION, CouplingConfig(t), eps=0.5) == 0.0
+
+    def test_the_limit_keeps_its_verbatim_bits_where_its_radicand_is_positive(self):
+        ts = np.concatenate([np.linspace(0.0, 1.0, 1001), 0.5 + np.geomspace(1e-16, 1e-2, 60),
+                             0.5 - np.geomspace(1e-16, 1e-2, 60)])[:, None]
+        ps = np.linspace(0.0, 1.0, 51)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = protocol.concurrence_closed_form(Stage.FILTRATION, CouplingConfig(ts, ps))
+        points = zip(*(axis.ravel().tolist() for axis in np.broadcast_arrays(ts, ps)))
+        kept = 0
+        for value, (t, p) in zip(got.ravel().tolist(), points):
+            if 1.0 - 2.0 * (1.0 + p) * t * (1.0 - t) > 0.0 or abs(t - p * (1.0 - t)) == 0.0:
+                assert value.hex() == verbatim_closed_form(Stage.FILTRATION, t, p).hex()
+                kept += 1
+            else:  # the cancelled radicand of p = 1 near T = 1/2: |2T - 1| / |2T - 1|
+                assert p == 1.0 and abs(t - 0.5) < 1e-7 and value == 1.0
+        assert 0 < kept < got.size
 
     def test_balanced_full_overlap_keeps_its_zero(self):
         values = protocol.concurrence_closed_form(
