@@ -11,8 +11,9 @@ The computations live in the library (`protocol.stage_concurrences`,
 Each `cmd_*` validates its arguments, calls the library and maps the result
 to (exit status, output text), raising ValueError on invalid input; `main`
 alone writes the text to --out or stdout.  `sweep` hands its whole grid to
-one `stage_concurrences` call.  Calls without a config share one parser;
-`main` looks up the subcommand's `cmd_*` at call time.
+one `stage_concurrences` call.  Every call is parsed by one shared parser,
+and a call with --config once more, with the config's defaults; `main`
+looks up the subcommand's `cmd_*` at call time.
 Output is deterministic: identical invocations produce byte-identical files.
 Reals are rendered with 10 significant digits; CSV is UTF-8 with LF line
 endings and a single header row.  Exit codes: 0 success / within tolerance,
@@ -215,7 +216,7 @@ def build_parser(config: dict) -> argparse.ArgumentParser:
     commands = ((sweep, "CSV"), (reproduce, "JSON"), (verify, "JSON"), (hom, "CSV"))
     for sp, kind in commands:
         sp.add_argument("--out", default="-", help=f"output {kind} path, '-' for stdout")
-        # also after the subcommand; the preliminary parse in `main` has read it already
+        # also after the subcommand; SUPPRESS keeps a value given before it
         sp.add_argument("--config", default=argparse.SUPPRESS, help=config_help)
     flags = {a.dest: a for sp, _ in commands for a in sp._actions
              if a.dest not in ("help", "config")}  # a config file cannot set `config`
@@ -242,22 +243,18 @@ def build_parser(config: dict) -> argparse.ArgumentParser:
     return parser
 
 
-@cache  # the parser of every call without a config; only `main` uses it, unmodified
+@cache  # the first parser of every call; only `main` uses it, unmodified
 def _default_parser() -> argparse.ArgumentParser:
     return build_parser({})
-
-
-_PRELIMINARY = argparse.ArgumentParser(add_help=False)  # reads --config before the full parse
-_PRELIMINARY.add_argument("--config", default=None)
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
 
-    preliminary, _ = _PRELIMINARY.parse_known_args(argv)
+    args = _default_parser().parse_args(argv)
     try:
-        defaults = {} if preliminary.config is None else load_config(preliminary.config)
-        args = (build_parser(defaults) if defaults else _default_parser()).parse_args(argv)
+        if args.config is not None:  # parse again, with the config's defaults
+            args = build_parser(load_config(args.config)).parse_args(argv)
         # looked up at call time: a tracer that wraps module functions (perfbench's) replaces it
         status, text = globals()[f"cmd_{args.command}"](args)
     except ValueError as exc:

@@ -39,23 +39,6 @@ def stage2_measure(cfg: CouplingConfig, outcome: str = "H") -> StageOutcome:
     return coupled_stages(cfg, outcome)[1]
 
 
-def filter_kraus(filters: FilterConfig) -> np.ndarray:
-    """Kraus element of the two-arm V filter in the (HH, HV, VH, VV) basis.
-
-    diag(1, sqrt(A_B), sqrt(A_A), sqrt(A_A A_B)): the V amplitude is scaled
-    by sqrt(A_A) on arm A and sqrt(A_B) on arm B.  Attenuation arrays give a
-    (..., 4, 4) stack of the Kraus elements of their broadcast shape.
-    """
-    a, b = filters.att_a, filters.att_b
-    root_ab = np.sqrt(a * b)
-    kraus = np.zeros(root_ab.shape + (4, 4), dtype=complex)
-    kraus[..., 0, 0] = 1.0
-    kraus[..., 1, 1] = np.sqrt(b)
-    kraus[..., 2, 2] = np.sqrt(a)
-    kraus[..., 3, 3] = root_ab
-    return kraus
-
-
 class FilterBlockedError(ValueError):
     """Raised by `filter_states`; `blocked` masks the states its filters block completely."""
 
@@ -67,18 +50,23 @@ class FilterBlockedError(ValueError):
 def filter_states(states, filters: FilterConfig) -> tuple:
     """Apply the local V filters to a (..., 4, 4) stack of stage II states.
 
-    Each state is filtered from first principles: K rho K with the diagonal
-    Kraus element of `filter_kraus`, renormalized by its pass rate
-    tr(K rho K).  The attenuations of `filters` are floats or arrays that
-    broadcast against the stack's leading shape.  Returns the filtered
-    states, checked in one stacked `validate_density_matrix` pass, and their
-    pass rates; one 4x4 state gives a 4x4 state and a 0-d pass rate.  Raises
-    FilterBlockedError, a ValueError that carries the mask of the blocked
-    states, if the filters block any state completely (pass rate at most
-    1e-15).
+    Each state is filtered from first principles: K rho K with the Kraus
+    element K = diag(1, sqrt(A_B), sqrt(A_A), sqrt(A_A A_B)) in the (HH, HV,
+    VH, VV) basis, which scales the V amplitude by sqrt(A_A) on arm A and
+    sqrt(A_B) on arm B, renormalized by its pass rate tr(K rho K).  K is
+    diagonal, so each entry rho_ij is scaled by K_ii and then by K_jj, which
+    gives the bits of the matrix product.  The attenuations of `filters` are
+    floats or arrays that broadcast against the stack's leading shape.
+    Returns the filtered states, checked in one stacked
+    `validate_density_matrix` pass, and their pass rates; one 4x4 state gives
+    a 4x4 state and a 0-d pass rate.  Raises FilterBlockedError, a ValueError
+    that carries the mask of the blocked states, if the filters block any
+    state completely (pass rate at most 1e-15).
     """
-    kraus = filter_kraus(filters)
-    filtered = kraus @ states @ kraus  # kraus is real diagonal
+    a, b = filters.att_a, filters.att_b
+    k = np.sqrt(np.stack(np.broadcast_arrays(1.0, b, a, a * b), axis=-1))  # the diagonal of K
+    # + 0.0 turns -0.0 into +0.0, which is the only zero a matrix product gives
+    filtered = (states * k[..., :, None]) * k[..., None, :] + 0.0
     pass_rates = filtered.trace(axis1=-2, axis2=-1).real
     blocked = pass_rates <= 1e-15
     if np.count_nonzero(blocked):
@@ -91,8 +79,8 @@ def filter_states(states, filters: FilterConfig) -> tuple:
 def stage3_filter(prev: StageOutcome, filters: FilterConfig) -> StageOutcome:
     """Apply the local V filters to a post-measurement (stage II) state.
 
-    `filter_states` of the one state: K rho K with the diagonal Kraus element
-    above, renormalized.  The returned probability is cumulative:
+    `filter_states` of the one state: K rho K with its diagonal Kraus element,
+    renormalized.  The returned probability is cumulative:
     prev.probability times the filter pass rate tr(K rho K).
     """
     if prev.stage is not Stage.MEASUREMENT:
@@ -161,10 +149,11 @@ def stage_concurrences(transmittivity, overlap, eps) -> tuple:
     block the state completely (at T = 0).  An eps outside (0, 1] raises.  The
     grid is evaluated in blocks of up to GRID_BLOCK points, each as stacks:
     one `coupled_stages` call gives the block's stage I and II states, one
-    `filter_states` pass filters them all (one more filters the rest when some
-    are blocked), one stacked `measures.x_concurrence` call measures every
-    stage state of the block from its X-state entries, and one
-    `concurrence_closed_form` call gives its filtration limits.
+    `filter_states` pass scales them all by their Kraus diagonals (one more
+    filters the rest when some are blocked), one stacked
+    `measures.x_concurrence` call measures every stage state of the block from
+    its X-state entries, and one `concurrence_closed_form` call gives its
+    filtration limits.
     """
     grid = np.broadcast_arrays(transmittivity, overlap, eps)
     flat = [axis.ravel() for axis in grid]

@@ -501,6 +501,28 @@ class TestConfigFile:
             assert cli.main(argv) == 2
             assert capsys.readouterr() == ("", f"error: config file not found: {missing}\n")
 
+    @pytest.mark.parametrize("argv, prog", [(["--config"], "entloc"),
+                                            (["sweep", "--config"], "entloc sweep")],
+                             ids=["before", "after"])
+    def test_a_config_flag_without_a_value_in_both_places(self, capsys, argv, prog):
+        with pytest.raises(SystemExit) as exited:
+            cli.main(argv)
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"usage: {prog} [-h]")
+        assert captured.err.endswith(f"\n{prog}: error: argument --config: expected one argument\n")
+
+    def test_the_arguments_are_checked_before_the_config_is_read(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.ini")
+        with pytest.raises(SystemExit) as exited:
+            cli.main(["--config", missing, "sweep", "--steps", "x"])
+        assert exited.value.code == 2
+        assert "argument --steps: invalid int value: 'x'" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exited:
+            cli.main(["sweep", "--config", missing, "--help"])
+        assert exited.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: entloc sweep [-h]")
+
     def test_a_config_file_cannot_name_a_config(self, tmp_path, capsys):
         config = tmp_path / "nested.ini"
         config.write_text(f"[defaults]\nconfig = {config}\n", encoding="utf-8")

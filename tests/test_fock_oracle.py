@@ -294,6 +294,45 @@ class TestReduceToAb:
             assert np.max(np.abs(sym.state - asym.state)) < 1e-12
             assert np.max(np.abs(sym.probability - asym.probability)) < 1e-12
 
+    def test_any_linear_coupling_gives_the_same_states(self, monkeypatch):
+        # every U(2) arm block, e^{ia} [[sqrt(T) e^{ib}, sqrt(R) e^{ic}], [-sqrt(R) e^{-ic},
+        # sqrt(T) e^{-ib}]] (x) I4: the one-photon-per-arm amplitudes carry u11 u22 = e^{2ia} T
+        # and u12 u21 = -e^{2ia} R, the symmetric convention's T and -R up to a global phase
+        rng = np.random.default_rng(20261019)
+        ts, ps = rng.uniform(0.02, 0.98, 9), np.append(rng.uniform(0.01, 1.0, 6), [1.0] * 3)
+        points = [CouplingConfig(t, p) for t, p in zip(ts.tolist(), ps.tolist())]
+        outcomes = (None, "H", "V")
+
+        def run():
+            return ([fo.simulate(cfg, outcome) for cfg in points for outcome in outcomes]
+                    + [fo.simulate(CouplingConfig(ts, ps), outcome) for outcome in outcomes],
+                    [fo.hom_coincidence(cfg.transmittivity, cfg.overlap) for cfg in points],
+                    np.array(protocol.stage_concurrences(ts, ps, 0.15)))
+
+        symmetric = run()
+        probe = fo.propagate(points[0])
+        for _ in range(20):
+            a, b, c = rng.uniform(0.0, 2.0 * np.pi, 3)
+
+            def unitary_matrix(transmittivity, a=a, b=b, c=c):
+                t = np.asarray(transmittivity, dtype=float)  # a grid's T on a trailing axis
+                t_amp, r_amp = np.sqrt(t), np.sqrt(1.0 - t)
+                block = np.exp(1j * a) * np.array([
+                    [t_amp * np.exp(1j * b), r_amp * np.exp(1j * c)],
+                    [-r_amp * np.exp(-1j * c), t_amp * np.exp(-1j * b)]])
+                return np.einsum("ij...,kl->ikjl...", block, np.eye(4)).reshape((8, 8) + t.shape)
+
+            np.testing.assert_allclose(unitary_matrix(0.37) @ unitary_matrix(0.37).conj().T,
+                                       np.eye(8), atol=1e-14)
+            monkeypatch.setattr(fo, "beamsplitter_matrix", unitary_matrix)
+            assert fo.propagate(points[0]) != probe  # the swap took effect
+            outcomes_u, coincidences, concurrences = run()
+            for sym, other in zip(symmetric[0], outcomes_u):
+                assert np.max(np.abs(sym.state - other.state)) < 1e-14
+                assert np.max(np.abs(sym.probability - other.probability)) < 1e-14
+            np.testing.assert_allclose(coincidences, symmetric[1], rtol=0.0, atol=1e-14)
+            np.testing.assert_allclose(concurrences, symmetric[2], rtol=0.0, atol=1e-14)
+
     def test_coupled_state_is_werner_at_partial_overlap(self):
         # a second route for stage I at p > 0: q |psi-><psi-| + (1 - q) I/4 with
         # q = T (T - p R) / (1 - (2 + p) T R), kept with probability 1 - (2 + p) T R;

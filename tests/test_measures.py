@@ -6,7 +6,7 @@ import pytest
 from conftest import pipeline_states, random_density, random_pure_density, random_unitary, tensor
 
 from entloc import measures, protocol, states
-from entloc.params import CouplingConfig
+from entloc.params import CouplingConfig, Stage
 
 
 def random_x_state(rng):
@@ -133,6 +133,19 @@ class TestXConcurrence:
             x_route, wootters = measures.x_concurrence(stack), measures.concurrence(stack)
             assert x_route.shape == (len(stack),)
             assert np.max(abs(x_route - wootters)) <= X_ROUTE_BOUND
+
+    @pytest.mark.parametrize("overlap", [0.0, 0.1, 0.3, 0.5, 0.85, 1.0])
+    def test_equals_the_published_closed_forms(self, overlap):
+        # stage I has a closed form at p = 0 only; at p > 0 the oracle needs 0 < T < 1
+        ts = np.linspace(0.0, 1.0, 1001) if overlap == 0.0 else np.linspace(0.0, 1.0, 1003)[1:-1]
+        cfg = CouplingConfig(ts, np.full_like(ts, overlap))
+        stage1, stage2 = (outcome.state for outcome in protocol.coupled_stages(cfg))
+        found = {Stage.MEASUREMENT: stage2}
+        if overlap == 0.0:
+            found[Stage.COUPLING] = stage1
+        for stage, stack in found.items():
+            closed_form = protocol.concurrence_closed_form(stage, cfg)
+            assert np.max(abs(measures.x_concurrence(stack) - closed_form)) <= 2e-15
 
     def test_equals_its_closed_form_on_random_x_states(self, rng):
         for _ in range(100):

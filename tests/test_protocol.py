@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from decimal import Decimal
@@ -245,10 +246,14 @@ class TestStage3:
         assert abs(pass_rate - 0.0889165629) < 1e-9
 
 
+def kraus_matrix(att_a: float, att_b: float) -> np.ndarray:
+    """The Kraus element of the two-arm V filter as a dense complex 4x4 matrix."""
+    return np.diag([1.0, np.sqrt(att_b), np.sqrt(att_a), np.sqrt(att_a * att_b)]).astype(complex)
+
+
 def reference_stage3_filter(prev, filters):
     """Reference filter of one state: a one-matrix Kraus element and a scalar pass rate."""
-    a, b = filters.att_a, filters.att_b
-    kraus = np.diag([1.0, np.sqrt(b), np.sqrt(a), np.sqrt(a * b)]).astype(complex)
+    kraus = kraus_matrix(filters.att_a, filters.att_b)
     filtered = kraus @ prev.state @ kraus
     pass_rate = float(np.real(np.trace(filtered)))
     return filtered / pass_rate, prev.probability * pass_rate
@@ -303,11 +308,16 @@ class TestFilterStates:
         state, pass_rate = protocol.filter_states(prev.state, filters)
         assert state.shape == (4, 4) and np.ndim(pass_rate) == 0
 
-    def test_kraus_stack_equals_its_points(self):
-        att_a, att_b = np.array([0.0, 0.12, 1.0]), np.array([0.3, 1.0, 0.0])
-        stacked = protocol.filter_kraus(FilterConfig(att_a, att_b))
-        for kraus, a, b in zip(stacked, att_a.tolist(), att_b.tolist()):
-            assert kraus.tobytes() == protocol.filter_kraus(FilterConfig(a, b)).tobytes()
+    def test_closed_and_open_filters(self, rng):
+        # an attenuation of 0 zeroes whole rows and columns: their zeros are +0.0, as in K rho K
+        prevs, filters = [], []
+        for a, b in itertools.product((0.0, 1.0, None), repeat=2):
+            for make in (random_density, random_pure_density):
+                for _ in range(20):
+                    prevs.append(StageOutcome(make(rng, 4), float(rng.random()), Stage.MEASUREMENT))
+                    filters.append(FilterConfig(float(rng.random()) if a is None else a,
+                                                float(rng.random()) if b is None else b))
+        self.assert_each_filtered_alone(prevs, filters)
 
     def test_one_blocked_state_blocks_the_stack(self):
         blocked = protocol.stage2_measure(CouplingConfig(0.0), "H")  # diag(0, 0, .5, .5)
@@ -518,7 +528,9 @@ class TestExactReference:
         ps = np.concatenate([ps, np.tile([0.0, 0.5], 20)])
         eps = np.concatenate([eps, np.tile([1e-12, 1e-6, 1e-3, 1.0], 10)])
         stage2 = protocol.coupled_stages(CouplingConfig(ts, ps))[1].state
-        kraus = protocol.filter_kraus(protocol.eps_to_filter(eps, ts))
+        filters = protocol.eps_to_filter(eps, ts)
+        kraus = np.array([kraus_matrix(a, b) for a, b in zip(filters.att_a.tolist(),
+                                                               filters.att_b.tolist())])
         rates = np.trace(kraus @ stage2 @ kraus, axis1=-2, axis2=-1).real
         blocked = np.isnan(protocol.stage_concurrences(ts, ps, eps)[2])
         assert blocked.tolist() == (rates <= 1e-15).tolist()

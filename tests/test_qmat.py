@@ -140,31 +140,6 @@ class TestHermEigvals:
             herm_eigvals(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-class TestMatrixSqrtPsd:
-    def test_identity(self):
-        np.testing.assert_allclose(qmat.matrix_sqrt_psd(np.eye(3)), np.eye(3), atol=1e-14)
-
-    def test_diagonal(self):
-        result = qmat.matrix_sqrt_psd(np.diag([4.0, 9.0]))
-        np.testing.assert_allclose(result, np.diag([2.0, 3.0]), atol=1e-14)
-
-    def test_square_reconstructs(self, rng):
-        for _ in range(10):
-            rho = random_density(rng, 5)
-            root = qmat.matrix_sqrt_psd(rho)
-            assert np.linalg.norm(root @ root - rho) < 1e-9
-            assert qmat.hermiticity_defect(root) < 1e-12
-
-    def test_clamps_tiny_negative_eigenvalue(self):
-        mat = np.diag([1.0, -5e-9])
-        root = qmat.matrix_sqrt_psd(mat)
-        np.testing.assert_allclose(root, np.diag([1.0, 0.0]), atol=1e-12)
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(ValueError, match="PSD"):
-            qmat.matrix_sqrt_psd(np.diag([1.0, -1e-6]))
-
-
 class TestValidateDensityMatrix:
     def test_accepts_valid_states(self, rng):
         qmat.validate_density_matrix(states.werner(0.7), dim=4)
@@ -207,7 +182,33 @@ class TestDensitySqrt:
             arr, root = qmat.density_sqrt(rho)
             expected = qmat.validate_density_matrix(rho)
             assert arr.tobytes() == expected.tobytes()
-            assert root.tobytes() == qmat.matrix_sqrt_psd(expected).tobytes()
+            vals, vecs = np.linalg.eigh(expected)
+            expected_root = (vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.conj().T
+            assert root.tobytes() == expected_root.tobytes()
+
+    def test_identity(self):
+        _, root = qmat.density_sqrt(np.eye(4) / 4.0)
+        np.testing.assert_allclose(root, np.eye(4) / 2.0, atol=1e-14)
+
+    def test_diagonal(self):
+        _, root = qmat.density_sqrt(np.diag([0.36, 0.64]))
+        np.testing.assert_allclose(root, np.diag([0.6, 0.8]), atol=1e-14)
+
+    def test_square_reconstructs(self, rng):
+        for _ in range(10):
+            rho = random_density(rng, 5)
+            _, root = qmat.density_sqrt(rho)
+            assert np.linalg.norm(root @ root - rho) < 1e-9
+            assert np.abs(root - root.conj().T).max() < 1e-12
+
+    def test_clamps_tiny_negative_eigenvalue(self):
+        # above EIGVAL_FLOOR the eigenvalue passes the checks and its root is 0
+        _, root = qmat.density_sqrt(np.diag([1.0 + 5e-11, -5e-11]))
+        np.testing.assert_allclose(root, np.diag([1.0, 0.0]), atol=1e-12)
+
+    def test_rejects_indefinite(self):
+        with pytest.raises(ValueError, match="negative eigenvalue -1.000e-06"):
+            qmat.density_sqrt(np.diag([1.0 + 1e-6, -1e-6]))
 
     @pytest.mark.parametrize("rho, dim", INVALID_DENSITY_INPUTS)
     def test_rejects_like_validate(self, rho, dim):
@@ -267,8 +268,7 @@ class TestDensitySqrtOfAStack:
         with pytest.raises(ValueError, match="finite"):
             qmat.density_sqrt(np.array([VALID_4, np.full((4, 4), np.nan)]))
 
-    @pytest.mark.parametrize("check", [qmat.as_matrix, qmat.validate_density_matrix,
-                                       qmat.matrix_sqrt_psd])
+    @pytest.mark.parametrize("check", [qmat.as_matrix, qmat.validate_density_matrix])
     def test_single_matrix_entry_points_reject_a_stack(self, check):
         for stack in (np.array([VALID_4]), np.array([VALID_4] * 4)):
             shape = re.escape(str(stack.shape))
