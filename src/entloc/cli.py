@@ -61,9 +61,9 @@ def _json_ready(obj):
 
 
 def _csv_text(header, rows) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(fmt(value) for value in row) for row in rows)
-    return "\n".join(lines) + "\n"
+    # one format call per row; for a Python float, "{:.10g}" gives the text of `fmt`
+    template = ",".join(["{:.10g}"] * len(header))
+    return "\n".join([",".join(header), *(template.format(*row) for row in rows)]) + "\n"
 
 
 def _json_text(payload: dict) -> str:

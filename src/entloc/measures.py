@@ -16,8 +16,6 @@ _YY = np.kron(SIGMA_Y, SIGMA_Y)
 _PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 _PAULI_PAIRS = [np.kron(si, sj) for si in _PAULIS for sj in _PAULIS]
 
-_OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])  # off both diagonals
-
 
 def concurrence(rho) -> float | np.ndarray:
     """Wootters concurrence C = max(0, l1 - l2 - l3 - l4).
@@ -42,12 +40,14 @@ def x_concurrence(rho) -> float | np.ndarray:
 
     C = 2 max(0, |rho_HV,VH| - sqrt(rho_HH rho_VV), |rho_HH,VV| - sqrt(rho_HV rho_VH))
     (Yu and Eberly, Quantum Inf. Comput. 7, 459 (2007)).  `rho` gets the
-    density-matrix checks of `concurrence`, with the same messages, and a
-    nonzero entry off the diagonal and the anti-diagonal raises.  A 4x4 `rho`
-    gives a float; a (..., 4, 4) stack gives an array.
+    density-matrix checks of `concurrence`, with the same messages, from the
+    closed-form X-state spectrum of `qmat.validate_density_matrix` (no
+    LAPACK call for an X state); then a nonzero entry off the diagonal and the
+    anti-diagonal raises.  A 4x4 `rho` gives a float; a (..., 4, 4) stack
+    gives an array.
     """
     arr = qmat.validate_density_matrix(rho, dim=4, stack=True)
-    if np.count_nonzero(arr[..., _OFF_X]):
+    if np.count_nonzero(arr[..., qmat._OFF_X]):
         raise ValueError("not an X state: an entry off the diagonal and anti-diagonal is nonzero")
     d = arr.diagonal(axis1=-2, axis2=-1).real
     outer = np.sqrt(np.maximum(d[..., 0] * d[..., 3], 0.0))  # a diagonal may round below 0

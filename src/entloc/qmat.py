@@ -4,9 +4,12 @@ Everything here operates on plain numpy arrays sized 2x2 up to ~32x32.
 Linear algebra is delegated to numpy (LAPACK); the functions add the
 structural checks the rest of the package relies on, with tight
 tolerances, since every computation is only O(10) flops deep.  Each public
-entry point coerces and checks its input once.  `density_sqrt` is the one
-PSD square root: it roots a checked density matrix from the `eigh` that
-checks it, with eigenvalues in (EIGVAL_FLOOR, 0) clamped to 0.
+entry point coerces and checks its input once.  `validate_density_matrix`
+checks a stack of two-qubit X states (nonzero only on both diagonals, like
+every state the protocol builds) by their closed-form spectrum, anything
+else by LAPACK's.  `density_sqrt` is the one PSD square root: it roots a
+checked density matrix from the `eigh` that checks it, with eigenvalues in
+(EIGVAL_FLOOR, 0) clamped to 0.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIGVAL_FLOOR = -1e-10
 
+_OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])  # off both diagonals
+
 
 def as_matrix(m, stack: bool = False) -> np.ndarray:
     """Coerce to a 2-D complex array with finite entries; with `stack`, also a (..., n, m) stack."""
@@ -27,6 +32,23 @@ def as_matrix(m, stack: bool = False) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError("matrix entries must be finite")
     return arr
+
+
+def _eigvalsh(arr: np.ndarray) -> np.ndarray:
+    """`np.linalg.eigvalsh(arr)`, in closed form if `arr` is a stack of 4x4 X matrices.
+
+    An X matrix splits into the (HH, VV) and the (HV, VH) 2x2 blocks
+    [[a, conj z], [z, d]], whose eigenvalues are (a+d)/2 -+ hypot((a-d)/2, |z|).
+    Like LAPACK, it reads the real diagonal and the lower triangle.  One
+    nonzero entry off both diagonals sends the whole stack to LAPACK.
+    """
+    if arr.shape[-1] != 4 or np.count_nonzero(arr[..., _OFF_X]):
+        return np.linalg.eigvalsh(arr)
+    diag = arr.diagonal(axis1=-2, axis2=-1).real
+    a, d = diag[..., :2], diag[..., :1:-1]  # (HH, HV) and (VV, VH)
+    z = arr[..., ::-1, :].diagonal(axis1=-2, axis2=-1)[..., :2]  # entries (VV, HH), (VH, HV)
+    mean, radius = (a + d) / 2.0, np.hypot((a - d) / 2.0, abs(z))
+    return np.sort(np.concatenate([mean - radius, mean + radius], axis=-1), axis=-1)
 
 
 def _checked_density(arr: np.ndarray, dim: int | None, decompose) -> tuple:
@@ -53,12 +75,14 @@ def validate_density_matrix(rho, dim: int | None = None, stack: bool = False) ->
     """Check that `rho` is a density matrix; return it as a complex array.
 
     Requires hermiticity within HERM_TOL, trace 1 within TRACE_TOL and all
-    eigenvalues above EIGVAL_FLOOR.  `dim` pins the expected dimension.  With
-    `stack`, a (..., n, n) stack is also accepted, and its first failing
-    matrix raises the message it would raise alone.
+    eigenvalues above EIGVAL_FLOOR, checked in that order.  `dim` pins the
+    expected dimension.  With `stack`, a (..., n, n) stack is also accepted,
+    and its first failing matrix raises the message it would raise alone.
+    The eigenvalues of a stack of 4x4 X matrices are taken in closed form,
+    within a few ulp of LAPACK's; any other input goes to `np.linalg.eigvalsh`.
     """
     arr, _, _ = _checked_density(as_matrix(rho, stack=stack), dim,
-                                 lambda arr: (np.linalg.eigvalsh(arr), None))
+                                 lambda arr: (_eigvalsh(arr), None))
     return arr
 
 

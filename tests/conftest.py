@@ -1,7 +1,7 @@
 """Shared test helpers: seeded random states and unitaries, the pipeline's
-stage states, an exact decimal evaluation of their concurrences, and the
-tensor product, partial trace and sorted spectrum used to build and inspect
-them."""
+stage states, an exact decimal evaluation of their concurrences, the
+tensor product and partial trace used to build and inspect them, and a call
+counter."""
 
 from decimal import Decimal, localcontext
 
@@ -125,12 +125,22 @@ def partial_trace(rho, dims, keep) -> np.ndarray:
     return tensor_form.reshape(kept_dim, kept_dim)
 
 
-def herm_eigvals(m) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, sorted in descending order."""
-    arr = qmat.as_matrix(m)
-    if (defect := np.abs(arr - arr.conj().T).max()) > 1e-8:
-        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
-    return np.sort(np.linalg.eigvalsh(arr))[::-1]
+def counting(monkeypatch, functions):
+    """Count the calls of the functions `functions` names ({module: names}) while the test
+    runs; the counts by name."""
+    calls = {}
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    for module, names in functions.items():
+        for name in names:
+            calls[name] = 0
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return calls
 
 
 @pytest.fixture

@@ -9,6 +9,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from conftest import counting
 
 from entloc import cli, fock_oracle, measures, protocol
 from entloc.params import CouplingConfig, Stage
@@ -156,24 +157,6 @@ GRID_SWEEPS = [
 ]
 
 
-def counting(monkeypatch, functions):
-    """Count the calls of the functions `functions` names ({module: names}) while the test
-    runs; the counts by name."""
-    calls = {}
-
-    def counted(name, func):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return func(*args, **kwargs)
-        return wrapper
-
-    for module, names in functions.items():
-        for name in names:
-            calls[name] = 0
-            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-    return calls
-
-
 def per_point_columns(ts, ps, eps):
     """`per_point_stage_concurrences` at each point of the broadcast grid, as four arrays."""
     grid = np.broadcast_arrays(ts, ps, eps)
@@ -194,7 +177,7 @@ class TestSweepGrid:
         expected = cli._csv_text(cli.SWEEP_HEADER, rows)
 
         calls = counting(monkeypatch, {measures: ["concurrence", "x_concurrence"],
-                                       np.linalg: ["eigh", "svd"],
+                                       np.linalg: ["eigvalsh", "eigh", "svd"],
                                        fock_oracle: ["apply_beamsplitter"],
                                        protocol: ["stage3_filter", "filter_states"]})
         out = tmp_path / "sweep.csv"
@@ -206,12 +189,14 @@ class TestSweepGrid:
         blocked = np.isnan([row[3] for row in rows])  # the reference's nan: blocked filters
         # each block: one propagation (two apply_beamsplitter calls) if it holds a p > 0 point,
         # one filter_states call, and one more if it holds both blocked and passing points,
-        # and one x_concurrence call; neither the Wootters concurrence nor eigh or svd is called
+        # and one x_concurrence call; neither the Wootters concurrence nor LAPACK's eigvalsh,
+        # eigh or svd is called: every state is checked from its closed-form X spectrum
         blocks = [slice(start, start + protocol.GRID_BLOCK)
                   for start in range(0, steps, protocol.GRID_BLOCK)]
         assert calls == {
             "concurrence": 0,
             "x_concurrence": len(blocks),
+            "eigvalsh": 0,
             "eigh": 0,
             "svd": 0,
             "apply_beamsplitter": 2 * sum(bool(np.any(overlaps[b] > 0.0)) for b in blocks),

@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from conftest import (herm_eigvals, partial_trace, pipeline_states, random_density,
+from conftest import (counting, partial_trace, pipeline_states, random_density,
                       random_pure_density, random_unitary, tensor)
 
 from entloc import qmat, states
@@ -104,40 +104,6 @@ class TestPartialTrace:
             partial_trace(rho, [2, 2], keep=set())
         with pytest.raises(ValueError):
             partial_trace(rho, [2, 2], keep={2})
-
-
-class TestHermEigvals:
-    def test_maximally_mixed(self):
-        np.testing.assert_allclose(herm_eigvals(np.eye(4) / 4), [0.25] * 4, atol=1e-14)
-
-    def test_pure_state_spectrum(self):
-        vals = herm_eigvals(states.singlet_density())
-        np.testing.assert_allclose(vals, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
-
-    def test_werner_spectrum(self):
-        # closed form: (1 + 3q)/4 once, (1 - q)/4 three times
-        vals = herm_eigvals(states.werner(0.5))
-        np.testing.assert_allclose(vals, [0.625, 0.125, 0.125, 0.125], atol=1e-12)
-
-    def test_descending_and_sum_equals_trace(self, rng):
-        for _ in range(10):
-            gauss = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-            herm = (gauss + gauss.conj().T) / 2
-            vals = herm_eigvals(herm)
-            assert np.all(np.diff(vals) <= 0)
-            assert abs(np.sum(vals) - np.real(np.trace(herm))) < 1e-9
-
-    def test_spectrum_invariant_under_unitary(self, rng):
-        for _ in range(10):
-            rho = random_density(rng, 4)
-            u = random_unitary(rng, 4)
-            rotated = u @ rho @ u.conj().T
-            diff = herm_eigvals(rotated) - herm_eigvals(rho)
-            assert np.max(np.abs(diff)) < 1e-9
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            herm_eigvals(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestValidateDensityMatrix:
@@ -274,3 +240,118 @@ class TestDensitySqrtOfAStack:
             shape = re.escape(str(stack.shape))
             with pytest.raises(ValueError, match=f"expected a matrix, got array of shape {shape}"):
                 check(stack)
+
+
+def random_x_state(rng, kind: str) -> np.ndarray:
+    """A seeded 4x4 X matrix of trace 1 with complex coherences z on its anti-diagonal: |z|^2
+    below the product of its block's diagonal (psd), equal to it (rank-deficient), above it
+    (indefinite), or z = 0 (diagonal)."""
+    diag = rng.random(4)
+    scale = {"psd": rng.random(2), "rank-deficient": np.ones(2),
+             "indefinite": 1.0 + rng.random(2), "diagonal": np.zeros(2)}[kind]
+    mags = scale * np.sqrt(diag[[0, 1]] * diag[[3, 2]])
+    z = mags * np.exp(2j * np.pi * rng.random(2))
+    mat = np.diag(diag).astype(complex)
+    mat[3, 0], mat[2, 1] = z
+    mat[0, 3], mat[1, 2] = z.conj()
+    return mat / diag.sum()
+
+
+X_KINDS = ["psd", "rank-deficient", "indefinite", "diagonal"]
+
+
+class TestClosedFormSpectrum:
+    """`qmat._eigvalsh`, the spectrum `validate_density_matrix` checks: closed form for a stack
+    of 4x4 X matrices, LAPACK for anything else."""
+
+    def test_maximally_mixed(self):
+        np.testing.assert_allclose(qmat._eigvalsh(np.eye(4) / 4), [0.25] * 4, atol=1e-14)
+
+    def test_pure_state_spectrum(self):
+        vals = qmat._eigvalsh(states.singlet_density())
+        np.testing.assert_allclose(vals, [0.0, 0.0, 0.0, 1.0], atol=1e-14)
+
+    def test_werner_spectrum(self):
+        # closed form: (1 - q)/4 three times, (1 + 3q)/4 once
+        vals = qmat._eigvalsh(states.werner(np.array([0.5, 0.2])))
+        np.testing.assert_allclose(vals, [[0.125] * 3 + [0.625], [0.2] * 3 + [0.4]], atol=1e-14)
+
+    @pytest.mark.parametrize("kind", X_KINDS)
+    def test_equals_lapack(self, rng, monkeypatch, kind):
+        stack = np.array([random_x_state(rng, kind) for _ in range(300)])
+        cases = [(mats, np.linalg.eigvalsh(mats))
+                 for mats in (stack, stack[0], stack[:6].reshape(3, 2, 4, 4))]
+        calls = counting(monkeypatch, {np.linalg: ["eigvalsh"]})
+        for mats, expected in cases:
+            vals = qmat._eigvalsh(mats)
+            assert vals.shape == expected.shape
+            np.testing.assert_allclose(vals, expected, rtol=0, atol=1e-14)
+        assert calls == {"eigvalsh": 0}
+
+    def test_ascending_and_sum_equals_trace(self, rng):
+        stack = np.array([random_x_state(rng, kind) for kind in X_KINDS * 25])
+        vals = qmat._eigvalsh(stack)
+        assert np.all(np.diff(vals, axis=-1) >= 0)
+        np.testing.assert_allclose(vals.sum(axis=-1), 1.0, rtol=0, atol=1e-14)
+
+    def test_spectrum_invariant_under_unitary(self, rng, monkeypatch):
+        # a rotated X state is no X state, so its spectrum comes from LAPACK
+        stack = np.array([random_x_state(rng, kind) for kind in X_KINDS * 5])
+        rotations = np.array([random_unitary(rng, 4) for _ in stack])
+        rotated = rotations @ stack @ rotations.conj().swapaxes(-1, -2)
+        calls = counting(monkeypatch, {np.linalg: ["eigvalsh"]})
+        diff = qmat._eigvalsh(rotated) - qmat._eigvalsh(stack)
+        assert calls == {"eigvalsh": 1} and np.max(np.abs(diff)) < 1e-14
+
+    def test_reads_the_lower_triangle_like_lapack(self):
+        mat = states.werner(0.5)
+        mat[0, 3] = 7.0  # off the lower triangle: neither route reads it
+        mat[1, 1] += 3j  # the imaginary part of the diagonal: neither route reads it
+        np.testing.assert_allclose(qmat._eigvalsh(mat), np.linalg.eigvalsh(mat), atol=1e-15)
+
+    def test_rejects_non_hermitian(self):
+        # the spectrum reads the lower triangle only; the hermiticity check reads both
+        mat = states.werner(0.5)
+        mat[1, 2] += 1e-3
+        with pytest.raises(ValueError, match="not Hermitian"):
+            qmat.validate_density_matrix(mat)
+
+    def test_a_non_x_matrix_sends_the_stack_to_lapack(self, rng, monkeypatch):
+        # matrix 1 fails the eigenvalue check, matrix 2 is a valid dense state
+        stack = np.array([VALID_4, FAILING_4["negative"], random_density(rng, 4)])
+        with pytest.raises(ValueError) as expected:
+            qmat.validate_density_matrix(FAILING_4["negative"])
+        calls = counting(monkeypatch, {np.linalg: ["eigvalsh"]})
+        with pytest.raises(ValueError) as raised:
+            qmat.validate_density_matrix(stack, stack=True)
+        assert calls == {"eigvalsh": 1} and str(raised.value) == str(expected.value)
+        qmat.validate_density_matrix(stack[[0, 2]], stack=True)
+        qmat.validate_density_matrix(random_density(rng, 3))
+        assert calls == {"eigvalsh": 3}
+
+    @pytest.mark.parametrize("rho", [
+        pytest.param(np.diag([0.6, 0.6, -0.1, -0.1]), id="diagonal"),
+        pytest.param(np.diag([1.5, -0.5, 0.0, 0.0]), id="negative"),
+        pytest.param(np.eye(4), id="trace"),
+        pytest.param(np.eye(4) / 4 + np.diag([1e-3], k=3), id="non-Hermitian"),
+        pytest.param(np.eye(4) / 4 + np.fliplr(np.eye(4)) * 0.3j * np.array([1, 1, -1, -1]),
+                     id="complex-coherence"),
+    ])
+    def test_raises_the_lapack_message(self, monkeypatch, rho):
+        with pytest.raises(ValueError) as raised:
+            qmat.validate_density_matrix(rho, dim=4)
+        monkeypatch.setattr(qmat, "_eigvalsh", np.linalg.eigvalsh)
+        with pytest.raises(ValueError) as expected:
+            qmat.validate_density_matrix(rho, dim=4)
+        assert str(raised.value) == str(expected.value)
+
+    def test_indefinite_states_raise_the_lapack_message(self, rng, monkeypatch):
+        stack = [random_x_state(rng, "indefinite") for _ in range(200)]
+        messages = []
+        for route in (qmat._eigvalsh, np.linalg.eigvalsh):
+            monkeypatch.setattr(qmat, "_eigvalsh", route)
+            for rho in stack:
+                with pytest.raises(ValueError, match="negative eigenvalue") as raised:
+                    qmat.validate_density_matrix(rho, dim=4)
+                messages.append(str(raised.value))
+        assert messages[:200] == messages[200:]
