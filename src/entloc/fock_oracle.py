@@ -22,7 +22,7 @@ The same dict carries a grid of points: a `CouplingConfig` whose T and p are
 (n,) arrays makes every amplitude an (n,) array, and `build_input`,
 `beamsplitter_matrix`, `apply_beamsplitter`, `propagate`, `coupled_branches`
 and `reduce_to_ab` then evaluate the n points in one call (`reduce_to_ab` as
-one `StageOutcome` of stacks).  A grid state keeps a key that vanishes at some
+two `StageOutcome`s of stacks).  A grid state keeps a key that vanishes at some
 or all of its points; its zero entries leave every other amplitude
 unchanged.  One point stays scalar arithmetic, on plain
 Python `complex` matrix entries: an elementwise complex product over an
@@ -39,8 +39,8 @@ The surrounding photon's completely mixed polarization I/2 is realized as a
 uniform classical mixture over {H, V} inputs, which is exact for a linear
 network followed by measurement; its partial indistinguishability is an
 amplitude sqrt(p) on the SIGNAL bin and sqrt(1 - p) on the ORTH bin.  The
-MEAS-arm photon's polarization is treated as in `protocol`: `outcome` None
-traces it out (stage I), "H" or "V" projects on that detection (stage II).
+MEAS-arm photon's polarization is projected on an "H" or "V" detection for
+stage II; the sum of both projections traces it out (stage I).
 
 The beamsplitter phase convention is symmetric (factor i on reflection).
 The convention is not observable in any post-selected polarization state
@@ -206,24 +206,24 @@ def branch_probabilities(cfg: CouplingConfig) -> dict[str, float]:
     return pattern_probabilities(propagate(cfg))
 
 
-def reduce_to_ab(branches: list[dict], outcome: str | None = None) -> StageOutcome:
-    """Reduce post-selected branches to the normalized A-B polarization state.
+def reduce_to_ab(branches: list[dict], outcome: str = "H") -> tuple:
+    """Reduce post-selected branches to the stage I and stage II A-B polarization outcomes.
 
     `branches` are the equally weighted classical components of the
-    environment mixture (one per env_pol input).  The temporal bins are
-    always traced out; the MEAS-arm polarization is traced out or projected
-    according to `outcome`.  The returned probability is cumulative over the
-    post-selection and, when projecting, the measurement outcome.  Grid
-    branches give one outcome with an (n, 4, 4) stack of states and an (n,)
-    array of probabilities, checked in one stacked eigenvalue pass.
+    environment mixture (one per env_pol input).  One contraction per branch
+    traces out the temporal bins and keeps the MEAS-arm polarization: its
+    `outcome` ("H" or "V") slice is stage II, the sum of both slices stage I.
+    The probabilities are cumulative over the post-selection and, at stage
+    II, the measurement outcome.  Grid branches give (n, 4, 4) stacks of
+    states and (n,) arrays of probabilities; all are checked in one pass.
     """
     if not branches:
         raise ValueError("at least one branch is required")
-    if outcome not in (None, "H", "V"):
-        raise ValueError(f"outcome must be None, 'H' or 'V', got {outcome!r}")
+    if outcome not in ("H", "V"):
+        raise ValueError(f"outcome must be 'H' or 'V', got {outcome!r}")
 
     shape = np.shape(next(iter(branches[0].values()), 0.0))  # () for one point, (n,) for a grid
-    rho = np.zeros(shape + (4, 4), dtype=complex)
+    rho = np.zeros(shape + (2, 4, 4), dtype=complex)  # the MEAS-arm polarization, then A-B
     for branch in branches:
         psi = np.zeros((2, 4, 4) + shape, dtype=complex)
         for (a_pol, bob, meas), amp in branch.items():
@@ -232,19 +232,17 @@ def reduce_to_ab(branches: list[dict], outcome: str | None = None) -> StageOutco
             psi[a_pol, bob % 4, meas % 4] = amp  # index % 4 is 2 * pol + time
         # psi[a_pol, bob_pol, bob_time, meas_pol, meas_time], then the grid axis if any
         psi = psi.reshape((2, 2, 2, 2, 2) + shape)
-        if outcome is None:
-            rho += np.einsum("abtcu...,ABtcu...->...abAB", psi, psi.conj()).reshape(rho.shape)
-        else:
-            sel = psi[:, :, :, POL_H if outcome == "H" else POL_V]
-            rho += np.einsum("abtu...,ABtu...->...abAB", sel, sel.conj()).reshape(rho.shape)
+        rho += np.einsum("abtcu...,ABtcu...->...cabAB", psi, psi.conj()).reshape(rho.shape)
     rho /= len(branches)
+    rho = np.stack([rho.sum(axis=-3), rho[..., POL_H if outcome == "H" else POL_V, :, :]])  # I, II
 
     probability = np.real(np.trace(rho, axis1=-2, axis2=-1))
     if probability.min() <= 1e-15:
         raise ValueError("post-selected branch has zero probability")
     states = qmat.validate_density_matrix(rho / probability[..., None, None], dim=4, stack=True)
-    return StageOutcome(state=states, probability=probability,  # a 0-d probability becomes a float
-                        stage=Stage.COUPLING if outcome is None else Stage.MEASUREMENT)
+    stages = (Stage.COUPLING, Stage.MEASUREMENT)
+    return tuple(StageOutcome(state=state, probability=p, stage=stage)  # one point's p: a float
+                 for state, p, stage in zip(states, probability, stages))
 
 
 def coupled_branches(cfg: CouplingConfig) -> list[dict]:
@@ -254,8 +252,10 @@ def coupled_branches(cfg: CouplingConfig) -> list[dict]:
 
 
 def simulate(cfg: CouplingConfig, outcome: str | None = None) -> StageOutcome:
-    """Run the full pipeline from first principles: `reduce_to_ab(coupled_branches(cfg), outcome)`."""
-    return reduce_to_ab(coupled_branches(cfg), outcome)
+    """Run the full pipeline from first principles: `reduce_to_ab(coupled_branches(cfg))`'s
+    stage I outcome for `outcome` None, else its stage II outcome of `outcome`."""
+    stage1, stage2 = reduce_to_ab(coupled_branches(cfg), "H" if outcome is None else outcome)
+    return stage1 if outcome is None else stage2
 
 
 def hom_coincidence(transmittivity: float, overlap: float) -> float:

@@ -114,18 +114,17 @@ def coupled_stages(cfg: CouplingConfig, outcome: str = "H") -> tuple:
     q |psi-><psi-| + (1-q) |V>_A<V| (x) I_B/2 with probability (T^2 + R^2)/2,
     outcome V the mirror state with the same probability.  Both outcomes carry
     the same concurrence, so no feed-forward correction is modeled.  For p > 0
-    both stages come from one propagation of the brute-force simulation; no
-    closed matrix form is assumed.  A grid config gives two outcomes of stacks:
-    the closed form at every point, and the oracle's states and probabilities,
-    from one propagation, written into its p > 0 points.
+    both stages come from one `fock_oracle.reduce_to_ab` call of the brute-force
+    simulation; no closed matrix form is assumed.  A grid config gives two
+    outcomes of stacks: the closed form at every point, and the oracle's states
+    and probabilities, from one reduction, written into its p > 0 points.
     """
     if outcome not in ("H", "V"):
         raise ValueError(f"outcome must be 'H' or 'V', got {outcome!r}")
     overlapping = cfg.overlap != 0.0  # a bool, or a mask of the grid
     grid = isinstance(overlapping, np.ndarray)  # one point stays on Python bools and floats
     if overlapping.all() if grid else overlapping:
-        branches = fock_oracle.coupled_branches(cfg)
-        return fock_oracle.reduce_to_ab(branches), fock_oracle.reduce_to_ab(branches, outcome)
+        return fock_oracle.reduce_to_ab(fock_oracle.coupled_branches(cfg), outcome)
     t, r, q = cfg.transmittivity, cfg.reflectivity, cfg.werner_weight
     found = [(states.werner(q), t * t + r * r),
              (states.post_measurement_state(q, outcome), (t * t + r * r) / 2.0)]
@@ -202,9 +201,10 @@ def concurrence_closed_form(stage: Stage, cfg: CouplingConfig,
            constructive value 0 is returned.  Where the radicand rounds to 0
            or below (T within about 1e-8 of 1/2 at p = 1) its equal form
            |(2T - 1) + (1 - p)(1 - T)| / sqrt((2T - 1)^2 + 2 (1 - p) T (1 - T))
-           is evaluated instead.  The formula is also the T -> 0
-           limit of the supremum over filters; exactly at T = 0 no finite
-           filter attains it.
+           is evaluated instead.  Near T = 1/2 at p = 1 the verbatim value
+           can round above 1, a concurrence no state has; it is clamped at 1.
+           The formula is also the T -> 0 limit of the supremum over filters;
+           exactly at T = 0 no finite filter attains it.
       I    no closed form exists (only the disappearance threshold); raises.
 
     A grid config gives an array, each point with its own bits; finite eps takes a point.
@@ -244,7 +244,7 @@ def concurrence_closed_form(stage: Stage, cfg: CouplingConfig,
         radicand = np.where(cancelled, d * d + 2.0 * (1.0 - p) * t * (1.0 - t), radicand)
         limit = np.divide(numerator, np.sqrt(radicand),
                           out=np.zeros_like(numerator), where=numerator != 0.0)
-        value = np.where(p == 0.0, t / np.sqrt(t * t + r * r), limit)
+        value = np.where(p == 0.0, t / np.sqrt(t * t + r * r), np.minimum(limit, 1.0))
     return float(value) if np.ndim(value) == 0 else value
 
 

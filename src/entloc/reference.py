@@ -164,6 +164,7 @@ def verify(grid: int, tolerance: float) -> dict:
     interior T gives a row of six p values; blocks of whole rows, at most
     `protocol.GRID_BLOCK` points, take one oracle propagation (the source of
     both the post-selected branches and the branch totals), one
+    `fock_oracle.reduce_to_ab` call for their stage I and stage II states, one
     `protocol.coupled_stages` call for the analytic (p = 0) states and
     probabilities of their T, one stacked `concurrence` call, one
     `protocol.filter_states` pass over the oracle and analytic stage II states,
@@ -202,7 +203,7 @@ def verify(grid: int, tolerance: float) -> dict:
         points = CouplingConfig(np.repeat(block, len(overlaps)), np.tile(overlaps, len(block)))
         propagated = fock_oracle.propagate(points)  # one propagation for the whole block
         branches = [fock_oracle.postselect_one_each(vec) for vec in propagated]
-        coupled, measured = (fock_oracle.reduce_to_ab(branches, outcome) for outcome in (None, "H"))
+        coupled, measured = fock_oracle.reduce_to_ab(branches)
         totals = sum(fock_oracle.pattern_probabilities(propagated).values()).reshape(len(block), -1)
         stage2 = measured.state.reshape(len(block), -1, 4, 4)
         concurrences = measures.concurrence(stage2[:, 2:])  # the closed_ps columns

@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from conftest import counting
 
 from entloc import fock_oracle as fo
-from entloc import measures, protocol, states
-from entloc.params import CouplingConfig, Stage
+from entloc import measures, protocol, qmat, reference, states
+from entloc.params import CouplingConfig, Stage, StageOutcome
 
 
 ALL_LABELS = [
@@ -149,6 +150,28 @@ def reference_branch_probabilities(cfg):
         for (_, m1, m2), amp in vec.items():
             totals[("both_bob", "one_each", "both_meas")[m1 // 4 + m2 // 4]] += 0.5 * abs(amp) ** 2
     return totals
+
+
+def reference_reduce_to_ab(branches, outcome=None):
+    """Reference reduction: one contraction per stage, the MEAS-arm polarization traced out
+    (`outcome` None, stage I) or projected on an "H" or "V" detection (stage II)."""
+    shape = np.shape(next(iter(branches[0].values()), 0.0))
+    rho = np.zeros(shape + (4, 4), dtype=complex)
+    for branch in branches:
+        psi = np.zeros((2, 4, 4) + shape, dtype=complex)
+        for (a_pol, bob, meas), amp in branch.items():
+            psi[a_pol, bob % 4, meas % 4] = amp
+        psi = psi.reshape((2, 2, 2, 2, 2) + shape)
+        if outcome is None:
+            rho += np.einsum("abtcu...,ABtcu...->...abAB", psi, psi.conj()).reshape(rho.shape)
+        else:
+            sel = psi[:, :, :, fo.POL_H if outcome == "H" else fo.POL_V]
+            rho += np.einsum("abtu...,ABtu...->...abAB", sel, sel.conj()).reshape(rho.shape)
+    rho /= len(branches)
+    probability = np.real(np.trace(rho, axis1=-2, axis2=-1))
+    states = qmat.validate_density_matrix(rho / probability[..., None, None], dim=4, stack=True)
+    return StageOutcome(state=states, probability=probability,
+                        stage=Stage.COUPLING if outcome is None else Stage.MEASUREMENT)
 
 
 class TestPropagationIsBitIdentical:
@@ -428,15 +451,15 @@ class TestGrid:
     TS = (0.0, 0.37, 0.5, 1.0)
     PS = (0.0, 1e-9, 0.25, 0.5, 1.0)
 
-    @pytest.mark.parametrize("outcome", [None, "H", "V"])
+    @pytest.mark.parametrize("outcome", [None, "H", "V"])  # None: stage I
     def test_grid_equals_its_points(self, outcome):
         ts, ps = (axis.ravel() for axis in np.meshgrid(self.TS, self.PS))
-        grid = fo.reduce_to_ab(fo.coupled_branches(CouplingConfig(ts, ps)), outcome)
+        grid = fo.simulate(CouplingConfig(ts, ps), outcome)
         assert grid.state.shape == (ts.size, 4, 4) and grid.probability.shape == (ts.size,)
         assert grid.probability.dtype == float
         for t, p, state, probability in zip(ts.tolist(), ps.tolist(), grid.state,
                                             grid.probability.tolist()):
-            alone = fo.reduce_to_ab(fo.coupled_branches(CouplingConfig(t, p)), outcome)
+            alone = fo.simulate(CouplingConfig(t, p), outcome)
             assert grid.stage is alone.stage
             assert type(alone.probability) is float
             assert state.tobytes() == alone.state.tobytes()
@@ -475,17 +498,115 @@ class TestGrid:
     def test_stacked_concurrence_of_grid_states_equals_its_points(self):
         ts, ps = (axis.ravel() for axis in np.meshgrid(np.linspace(0.05, 0.95, 19), self.PS))
         branches = fo.coupled_branches(CouplingConfig(ts, ps))
-        for outcome in (None, "H", "V"):
-            states = fo.reduce_to_ab(branches, outcome).state
-            stacked = measures.concurrence(states)
-            for value, state in zip(stacked.tolist(), states):
-                assert value.hex() == measures.concurrence(state).hex()
+        for outcome in ("H", "V"):
+            for stage in fo.reduce_to_ab(branches, outcome):
+                stacked = measures.concurrence(stage.state)
+                for value, state in zip(stacked.tolist(), stage.state):
+                    assert value.hex() == measures.concurrence(state).hex()
 
     def test_grid_amplitudes_are_arrays_over_the_points(self):
         grid = CouplingConfig(np.array([0.2, 0.7]), np.array([0.5, 1.0]))
         for branch in fo.coupled_branches(grid):
             assert branch and all(np.shape(amp) == (2,) for amp in branch.values())
         assert fo.beamsplitter_matrix(grid.transmittivity).shape == (fo.N_MODES, fo.N_MODES, 2)
+
+
+class TestSingleReduction:
+    """One contraction per branch gives the stage I and stage II outcomes of the
+    two-contraction reference bit for bit, and every propagation is reduced once."""
+
+    @staticmethod
+    def assert_reference_bits(cfg, outcome):
+        branches = fo.coupled_branches(cfg)
+        found = fo.reduce_to_ab(branches, outcome)
+        expected = (reference_reduce_to_ab(branches), reference_reduce_to_ab(branches, outcome))
+        for stage, reference_stage in zip(found, expected):
+            assert stage.stage is reference_stage.stage
+            assert type(stage.probability) is type(reference_stage.probability)
+            assert stage.state.tobytes() == reference_stage.state.tobytes()
+            assert (np.asarray(stage.probability).tobytes()
+                    == np.asarray(reference_stage.probability).tobytes())
+
+    @pytest.mark.parametrize("outcome", ["H", "V"])
+    def test_grids_equal_the_two_contractions(self, rng, outcome):
+        ts, ps = rng.random(1000), rng.random(1000)
+        ps[::5], ps[1::7] = 1.0, 0.0  # p = 1 and p = 0 among random p
+        line = np.linspace(0.0, 1.0, 257)
+        # verify's oracle rows: the p = 0 and p = 1e-9 columns beside the closed-form ones
+        interior = np.linspace(0.0, 1.0, 50)[1:-1]
+        overlaps = (0.0, 1e-9, 0.25, 0.5, 0.75, 1.0)
+        grids = [(ts, ps), (line, np.full(line.size, 0.5)), (line, np.full(line.size, 1.0)),
+                 (np.repeat(interior, len(overlaps)), np.tile(overlaps, interior.size))]
+        for ts, ps in grids:
+            for start in range(0, ts.size, protocol.GRID_BLOCK):
+                block = slice(start, start + protocol.GRID_BLOCK)
+                self.assert_reference_bits(CouplingConfig(ts[block], ps[block]), outcome)
+
+    @pytest.mark.parametrize("outcome", ["H", "V"])
+    def test_points_equal_the_two_contractions(self, rng, outcome):
+        edges = [(t, p) for t in (0.0, 0.5, 1.0) for p in (0.0, 1e-9, 1.0)]
+        for t, p in edges + list(zip(rng.random(150).tolist(), rng.random(150).tolist())):
+            self.assert_reference_bits(CouplingConfig(t, p), outcome)
+
+    def test_both_stages_are_checked_in_one_pass(self, monkeypatch):
+        branches = fo.coupled_branches(CouplingConfig(np.linspace(0.0, 1.0, 11), np.full(11, 0.5)))
+        calls = counting(monkeypatch, {qmat: ["validate_density_matrix"]})
+        fo.reduce_to_ab(branches, "V")
+        assert calls == {"validate_density_matrix": 1}
+
+    @pytest.mark.parametrize("ts, ps, propagations", [
+        (np.linspace(0.0, 1.0, 101), np.full(101, 0.5), 1),  # a p > 0 sweep block
+        (np.full(101, 0.37), np.linspace(0.0, 1.0, 101), 1),  # a mixed-p sweep block
+        (np.linspace(0.0, 1.0, 600), np.tile([0.0, 0.3, 1.0], 200), 3),  # three mixed-p blocks
+    ])
+    def test_a_sweep_reduces_each_propagation_once(self, monkeypatch, ts, ps, propagations):
+        calls = counting(monkeypatch, {fo: ["propagate", "reduce_to_ab"]})
+        protocol.stage_concurrences(ts, ps, 0.15)
+        assert calls == {"propagate": propagations, "reduce_to_ab": propagations}
+
+    @pytest.mark.parametrize("grid, blocks", [(10, 1), (50, 2)])
+    def test_verify_reduces_each_propagation_once(self, monkeypatch, grid, blocks):
+        calls = counting(monkeypatch, {fo: ["propagate", "reduce_to_ab"]})
+        assert reference.verify(grid, 1e-9)["passed"]
+        assert calls == {"propagate": blocks, "reduce_to_ab": blocks}
+
+
+class TestStageStructure:
+    """Measuring the surrounding photon splits stage I into its two stage II outcomes: they
+    are equally likely, and stage I is their mixture."""
+
+    @staticmethod
+    def assert_mixture(stage1, h, v):
+        assert np.array_equal(h.probability, v.probability)  # P_II(H) == P_II(V), exactly
+        assert np.max(np.abs(h.probability + v.probability - stage1.probability)) <= 1e-15
+        weight = [np.asarray(outcome.probability)[..., None, None] for outcome in (h, v, stage1)]
+        mixture = (weight[0] * h.state + weight[1] * v.state) / weight[2]
+        assert np.max(np.abs(mixture - stage1.state)) <= 1e-15
+
+    def test_oracle_grids(self, rng):
+        ts, ps = rng.random(5000), rng.random(5000)
+        ts[:9], ps[:9] = np.repeat([0.0, 0.5, 1.0], 3), np.tile([0.0, 1e-9, 1.0], 3)
+        for start in range(0, ts.size, protocol.GRID_BLOCK):
+            block = slice(start, start + protocol.GRID_BLOCK)
+            branches = fo.coupled_branches(CouplingConfig(ts[block], ps[block]))
+            (stage1, h), (stage1_v, v) = (fo.reduce_to_ab(branches, outcome) for outcome in "HV")
+            assert stage1.state.tobytes() == stage1_v.state.tobytes()
+            self.assert_mixture(stage1, h, v)
+
+    def test_oracle_points(self, rng):
+        for t, p in zip(rng.random(100).tolist(), rng.random(100).tolist()):
+            cfg = CouplingConfig(t, p)
+            self.assert_mixture(fo.simulate(cfg), fo.simulate(cfg, "H"), fo.simulate(cfg, "V"))
+
+    def test_analytic_states_at_p0(self, rng):
+        ts = np.concatenate([[0.0, 0.5, 1.0], rng.random(1000)])
+        (stage1, h), (_, v) = (protocol.coupled_stages(CouplingConfig(ts), outcome)
+                               for outcome in "HV")
+        self.assert_mixture(stage1, h, v)
+        for t in ts[:100].tolist():
+            (stage1, h), (_, v) = (protocol.coupled_stages(CouplingConfig(t), outcome)
+                                   for outcome in "HV")
+            self.assert_mixture(stage1, h, v)
 
 
 class TestHom:

@@ -614,6 +614,12 @@ def verbatim_closed_form(stage, t, p, eps=None):
     return 0.0 if numerator == 0.0 else numerator / math.sqrt(1.0 - 2.0 * (1.0 + p) * t * (1.0 - t))
 
 
+def clamped_closed_form(stage, t, p):
+    """`verbatim_closed_form` with the filtration limit at p > 0 clamped at 1."""
+    value = verbatim_closed_form(stage, t, p)
+    return min(value, 1.0) if stage is Stage.FILTRATION and p != 0.0 else value
+
+
 def closed_form_message(stage, t, p, eps=None):
     """The ValueError message of one point, or None if it has a value."""
     try:
@@ -643,7 +649,7 @@ class TestClosedFormGrid:
         for value, (t, p) in zip(got.tolist(), points):
             point = protocol.concurrence_closed_form(stage, CouplingConfig(t, p))
             assert type(point) is float
-            assert value.hex() == point.hex() == verbatim_closed_form(stage, t, p).hex()
+            assert value.hex() == point.hex() == clamped_closed_form(stage, t, p).hex()
 
     def test_stage_II_and_the_filtration_limit(self, rng):
         ts, ps = self.grid(rng)
@@ -670,6 +676,7 @@ class TestClosedFormGrid:
                     Stage.FILTRATION, CouplingConfig(t), eps=0.5) == 0.0
 
     def test_the_limit_keeps_its_verbatim_bits_where_its_radicand_is_positive(self):
+        # clamped at 1 where the verbatim value rounds above it
         ts = np.concatenate([np.linspace(0.0, 1.0, 1001), 0.5 + np.geomspace(1e-16, 1e-2, 60),
                              0.5 - np.geomspace(1e-16, 1e-2, 60)])[:, None]
         ps = np.linspace(0.0, 1.0, 51)
@@ -677,14 +684,26 @@ class TestClosedFormGrid:
             warnings.simplefilter("error")
             got = protocol.concurrence_closed_form(Stage.FILTRATION, CouplingConfig(ts, ps))
         points = zip(*(axis.ravel().tolist() for axis in np.broadcast_arrays(ts, ps)))
-        kept = 0
+        kept = clamped = 0
         for value, (t, p) in zip(got.ravel().tolist(), points):
             if 1.0 - 2.0 * (1.0 + p) * t * (1.0 - t) > 0.0 or abs(t - p * (1.0 - t)) == 0.0:
-                assert value.hex() == verbatim_closed_form(Stage.FILTRATION, t, p).hex()
+                assert value.hex() == clamped_closed_form(Stage.FILTRATION, t, p).hex()
                 kept += 1
+                clamped += verbatim_closed_form(Stage.FILTRATION, t, p) > 1.0
             else:  # the cancelled radicand of p = 1 near T = 1/2: |2T - 1| / |2T - 1|
                 assert p == 1.0 and abs(t - 0.5) < 1e-7 and value == 1.0
-        assert 0 < kept < got.size
+        assert 0 < kept < got.size and clamped > 0
+
+    def test_the_limit_is_at_most_1(self):
+        # at p = 1 the verbatim limit rounds above 1 at about 28,000 of these points
+        ts = np.linspace(0.0, 1.0, 100001)
+        got = protocol.concurrence_closed_form(Stage.FILTRATION,
+                                               CouplingConfig(ts, np.ones(ts.size)))
+        assert np.all(got <= 1.0)
+        verbatim = [verbatim_closed_form(Stage.FILTRATION, t, 1.0) for t in ts.tolist()]
+        assert np.count_nonzero(np.array(verbatim) > 1.0) > 10000
+        for value, expected in zip(got.tolist(), verbatim):
+            assert value.hex() == min(expected, 1.0).hex()
 
     def test_balanced_full_overlap_keeps_its_zero(self):
         values = protocol.concurrence_closed_form(

@@ -1,0 +1,142 @@
+"""Run a fixed corpus of `entloc` invocations and print a digest of each.
+
+    python tools/cli_corpus.py SRC > corpus.txt
+
+SRC is a source tree that holds the `entloc` package (the `src` directory of a
+checkout).  A child process imports the package from SRC and runs every
+invocation of the corpus through `entloc.cli.main`, in a temporary working
+directory that takes every --out file.  For each invocation it prints one line:
+
+    <exit code> <sha256 of stdout> <sha256 of stderr> <sha256 of the --out file or -> <argv>
+
+To see what a change moves in the command line output, run the tool on the
+source tree before and after the change and diff the two listings.  The corpus
+covers T, p and eps sweeps (T in {0, 1/2, 1} and random, p in {0, 1} and
+random, mixed p, eps down to 1e-12), `verify` grids, every `reproduce` table
+with and without its overrides, `hom` (T within 1e-9 of 0 and of 1 included)
+and usage errors.  It is drawn from a fixed seed, so every run lists the same
+invocations.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+import os
+import random
+import subprocess
+import sys
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+OUT = "out.txt"  # the --out file, relative to the child's temporary working directory
+SEED = 20261019
+
+
+def corpus() -> list[list[str]]:
+    """The invocations, each an argv list; those that take "--out" write to OUT."""
+    rng = random.Random(SEED)
+
+    def draw() -> str:
+        return repr(rng.random())
+
+    runs = []
+    for p in ["0", "1", draw(), draw()]:
+        for eps in ["0.15", "1", "1e-12", draw()]:
+            runs.append(["sweep", "--p", p, "--eps", eps])
+        runs.append(["sweep", "--p", p, "--steps", "2"])
+        runs.append(["sweep", "--p", p, "--min", "0.3", "--max", "0.7", "--steps", "3"])
+        lo, hi = sorted(rng.random() for _ in range(2))
+        runs.append(["sweep", "--p", p, "--min", repr(lo), "--max", repr(hi), "--steps", "37"])
+    # T near 1/2 at p = 1, where the filtration limit cancels
+    runs.append(["sweep", "--min", "0.4999999999999999", "--max", "0.5000000000000002",
+                 "--steps", "4", "--p", "1"])
+    runs.append(["sweep", "--min", "0.4999", "--max", "0.5001", "--steps", "11", "--p", "1"])
+    for t in ["0", "0.5", "1", draw(), draw()]:
+        runs.append(["sweep", "--variable", "p", "--T", t])  # mixed p: p = 0 and p > 0
+        runs.append(["sweep", "--variable", "p", "--T", t, "--min", "0.2", "--steps", "11"])
+        for p in ["0", "1", draw()]:
+            runs.append(["sweep", "--variable", "eps", "--T", t, "--p", p, "--min", "1e-12"])
+            runs.append(["sweep", "--variable", "eps", "--T", t, "--p", p, "--min", "0.5",
+                         "--steps", "5"])
+    runs.append(["sweep", "--steps", "600", "--p", draw()])  # more than one grid block
+    runs.append(["sweep", "--variable", "p", "--steps", "600", "--T", draw()])
+    for grid in ["2", "3", "10", "50"]:
+        runs.append(["verify", "--grid", grid])
+    runs.append(["verify", "--grid", "10", "--tolerance", "1e-20"])  # fails: exit 1
+    for table in ["formulas", "distinguishable", "indistinguishable", "I", "II", "III"]:
+        runs.append(["reproduce", "--table", table])
+        for t in ["0", "0.3", "0.9", "1", draw()]:
+            runs.append(["reproduce", "--table", table, "--T", t])
+        for flag in ["--aa", "--ab"]:
+            for value in ["0", "0.3", "1", draw()]:
+                runs.append(["reproduce", "--table", table, flag, value])
+        runs.append(["reproduce", "--table", table, "--aa", "0.2", "--ab", "0.6"])
+    for t in ["0.5", "0.3", "1e-9", "1e-12", "0.999999999", "0.999999999999", draw()]:
+        runs.append(["hom", "--T", t])
+        runs.append(["hom", "--T", t, "--steps", "2"])
+    runs = [[*argv, "--out", OUT] for argv in runs]
+    runs.append(["sweep", "--steps", "5"])  # to stdout
+    runs.append(["hom", "--steps", "3"])
+    usage_errors = [
+        [], ["nope"], ["sweep", "--steps", "1"], ["sweep", "--min", "0.5", "--max", "0.5"],
+        ["sweep", "--min", "-0.1"], ["sweep", "--max", "1.1"], ["sweep", "--T", "1.5"],
+        ["sweep", "--p", "-0.1"], ["sweep", "--eps", "0"], ["sweep", "--eps", "5"],
+        ["sweep", "--eps", "nan"], ["sweep", "--variable", "x"], ["sweep", "--steps", "2.5"],
+        ["sweep", "--variable", "eps", "--min", "0"], ["sweep", "--out", "missing/out.csv"],
+        ["verify", "--grid", "1"], ["verify", "--grid", "abc"], ["verify", "--tolerance", "0"],
+        ["verify", "--tolerance", "nan"], ["verify", "--tolerance", "inf"],
+        ["reproduce", "--table", "nope"], ["reproduce", "--table", "formulas", "--aa", "0.3"],
+        ["reproduce", "--table", "II", "--aa", "1.5"], ["reproduce", "--T", "-1"],
+        ["hom", "--T", "0"], ["hom", "--T", "1"], ["hom", "--steps", "1"],
+        ["--config", "missing.ini", "sweep"], ["sweep", "--config", "missing.ini"],
+    ]
+    return runs + usage_errors
+
+
+def sha256(data: bytes | None) -> str:
+    return "-" if data is None else hashlib.sha256(data).hexdigest()
+
+
+def run_child() -> int:
+    """Run the corpus from stdin (JSON) in this process and print one digest line each."""
+    from entloc import cli
+
+    for argv in json.load(sys.stdin):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        warnings.simplefilter("default")  # resets the once-per-location warning registry
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+            except Exception as exc:  # an uncaught exception exits 1, as a process would
+                print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+                code = 1
+        out = Path(OUT)
+        written = out.read_bytes() if out.exists() else None
+        out.unlink(missing_ok=True)
+        print(code, sha256(stdout.getvalue().encode()), sha256(stderr.getvalue().encode()),
+              sha256(written), " ".join(argv))
+    return 0
+
+
+def main(argv: list[str]) -> int:
+    if argv == ["--child"]:
+        return run_child()
+    if len(argv) != 1 or not Path(argv[0], "entloc").is_dir():
+        print("usage: python tools/cli_corpus.py SRC  (SRC holds the entloc package)",
+              file=sys.stderr)
+        return 2
+    env = {**os.environ, "PYTHONPATH": str(Path(argv[0]).resolve())}
+    with tempfile.TemporaryDirectory(prefix="cli-corpus-") as tmp:
+        child = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--child"],
+                               input=json.dumps(corpus()), text=True, cwd=tmp, env=env)
+    return child.returncode
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
