@@ -9,47 +9,36 @@ second-quantized simulation (`fock_oracle`); `measures` provides the
 concurrence, fidelity and CHSH functionals, `reference` compares the
 pipeline with the published benchmark tables and runs the check suite, and
 `cli` writes the tables, curves and reports.
-"""
 
-from .fock_oracle import hom_coincidence, overlap_from_coincidence, simulate
-from .measures import chsh_max, concurrence, fidelity, purity
-from .params import CouplingConfig, FilterConfig, Stage, StageOutcome
-from .protocol import (
-    concurrence_closed_form,
-    disappearance_threshold,
-    eps_to_filter,
-    probability_closed_form,
-    separability_threshold,
-    stage1_couple,
-    stage2_measure,
-    stage3_filter,
-)
-from .states import post_measurement_state, singlet, werner
+The names of `__all__` are exported lazily (PEP 562): each module is
+imported when one of its names is first read, so `import entloc` imports
+neither the modules nor numpy.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CouplingConfig",
-    "FilterConfig",
-    "Stage",
-    "StageOutcome",
-    "chsh_max",
-    "concurrence",
-    "concurrence_closed_form",
-    "disappearance_threshold",
-    "eps_to_filter",
-    "fidelity",
-    "hom_coincidence",
-    "overlap_from_coincidence",
-    "post_measurement_state",
-    "probability_closed_form",
-    "purity",
-    "separability_threshold",
-    "simulate",
-    "singlet",
-    "stage1_couple",
-    "stage2_measure",
-    "stage3_filter",
-    "werner",
-    "__version__",
-]
+_EXPORTS = {name: module for module, names in [  # name -> the module that defines it
+    ("params", "CouplingConfig FilterConfig Stage StageOutcome"),
+    ("measures", "chsh_max concurrence fidelity purity"),
+    ("fock_oracle", "hom_coincidence overlap_from_coincidence simulate"),
+    ("states", "post_measurement_state singlet werner"),
+    ("protocol", "concurrence_closed_form disappearance_threshold eps_to_filter "
+                 "probability_closed_form separability_threshold stage1_couple stage2_measure "
+                 "stage3_filter"),
+] for name in names.split()}
+
+__all__ = [*sorted(_EXPORTS), "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value  # later reads skip this function
+    return value
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *__all__})

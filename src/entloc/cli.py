@@ -10,10 +10,13 @@ The computations live in the library (`protocol.stage_concurrences`,
 `reference.report`, `reference.verify`, `fock_oracle.hom_coincidence`).
 Each `cmd_*` validates its arguments, calls the library and maps the result
 to (exit status, output text), raising ValueError on invalid input; `main`
-alone writes the text to --out or stdout.  `sweep` hands its whole grid to
-one `stage_concurrences` call.  Every call is parsed by one shared parser,
-and a call with --config once more, with the config's defaults; `main`
-looks up the subcommand's `cmd_*` at call time.
+alone writes the text to --out or stdout.  `sweep` hands its whole grid, a
+list of floats from `_linspace`, to one `stage_concurrences` call.  Every
+call is parsed by one shared parser, and a call with --config once more,
+with the config's defaults; `main` looks up the subcommand's `cmd_*` at call
+time.  `reference`, `fock_oracle`, numpy, `json` and `configparser` are
+imported only by the commands that use them, so a p = 0 `sweep` and a usage
+error run without numpy.
 Output is deterministic: identical invocations produce byte-identical files.
 Reals are rendered with 10 significant digits; CSV is UTF-8 with LF line
 endings and a single header row.  Exit codes: 0 success / within tolerance,
@@ -24,15 +27,10 @@ the library rejects, or an unwritable --out.
 from __future__ import annotations
 
 import argparse
-import configparser
-import json
 import sys
 from functools import cache
-from pathlib import Path
 
-import numpy as np
-
-from . import fock_oracle, protocol, reference
+from . import protocol
 from .params import CouplingConfig
 
 SWEEP_HEADER = ("variable", "stage_I", "stage_II", "stage_III_eps", "stage_III_limit")
@@ -44,14 +42,26 @@ def fmt(value) -> str:
     return format(float(value), ".10g")
 
 
+def _linspace(lo: float, hi: float, steps: int) -> list:
+    """`np.linspace(lo, hi, steps).tolist()` for `steps` >= 2, in numpy's arithmetic:
+    i * step + lo, the last point hi; a step that rounds to 0 takes
+    i / (steps - 1) * (hi - lo) + lo instead, as numpy does."""
+    div, delta = steps - 1, hi - lo
+    step = delta / div
+    if step == 0.0:
+        points = [i / div * delta + lo for i in range(steps)]
+    else:
+        points = [i * step + lo for i in range(steps)]
+    points[-1] = hi
+    return points
+
+
 def _json_ready(obj):
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if obj is None or isinstance(obj, str):
+    if hasattr(obj, "dtype"):  # a numpy scalar, as its Python value
+        obj = obj.item()
+    if obj is None or isinstance(obj, (bool, int, str)):
         return obj
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, float):
         return float(fmt(obj))  # 10 significant digits keep JSON output stable
     if isinstance(obj, dict):
         return {key: _json_ready(value) for key, value in obj.items()}
@@ -67,6 +77,8 @@ def _csv_text(header, rows) -> str:
 
 
 def _json_text(payload: dict) -> str:
+    import json
+
     return json.dumps(_json_ready(payload), indent=2) + "\n"
 
 
@@ -89,20 +101,23 @@ def cmd_sweep(args) -> tuple[int, str]:
     CouplingConfig(args.T, args.p)  # the fixed values are checked even when swept
     protocol.eps_to_filter(args.eps, args.T)
 
-    grid = np.linspace(args.min, args.max, args.steps)
+    grid = _linspace(args.min, args.max, args.steps)
     columns = protocol.stage_concurrences(grid if args.variable == "T" else args.T,
                                           grid if args.variable == "p" else args.p,
                                           grid if args.variable == "eps" else args.eps)
-    # Python floats format faster than numpy scalars, to the same text
-    return 0, _csv_text(SWEEP_HEADER, zip(grid.tolist(), *(column.tolist() for column in columns)))
+    return 0, _csv_text(SWEEP_HEADER, zip(grid, *columns))
 
 
 def cmd_reproduce(args) -> tuple[int, str]:
+    from . import reference
+
     report = reference.report(args.table, args.T, args.aa, args.ab)
     return (0 if report["all_within_tolerance"] else 1), _json_text(report)
 
 
 def cmd_verify(args) -> tuple[int, str]:
+    from . import reference
+
     report = reference.verify(args.grid, args.tolerance)
     return (0 if report["passed"] else 1), _json_text(report)
 
@@ -112,10 +127,11 @@ def cmd_hom(args) -> tuple[int, str]:
         raise ValueError("--steps must be at least 2")
     if args.T in (0.0, 1.0):  # the visibility would be rounding noise
         raise ValueError("no two-photon interference at T = 0 or T = 1")
+    from . import fock_oracle
+
     baseline = fock_oracle.hom_coincidence(args.T, 0.0)
     rows = []
-    for p in np.linspace(0.0, 1.0, args.steps):
-        p = float(p)
+    for p in _linspace(0.0, 1.0, args.steps):
         coincidence = fock_oracle.hom_coincidence(args.T, p)
         visibility = (baseline - coincidence) / baseline
         rows.append((p, coincidence, visibility))
@@ -129,6 +145,9 @@ def cmd_hom(args) -> tuple[int, str]:
 def load_config(path: str) -> dict:
     """Read raw defaults from an INI file ([defaults] section) or a TOML file;
     a file that cannot be read or parsed raises ValueError."""
+    import configparser
+    from pathlib import Path
+
     file = Path(path)
     if not file.is_file():
         raise ValueError(f"config file not found: {path}")

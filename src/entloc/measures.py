@@ -46,7 +46,12 @@ def x_concurrence(rho) -> float | np.ndarray:
     anti-diagonal raises.  A 4x4 `rho` gives a float; a (..., 4, 4) stack
     gives an array.
     """
-    arr = qmat.validate_density_matrix(rho, dim=4, stack=True)
+    return _x_concurrence(qmat.validate_density_matrix(rho, dim=4, stack=True))
+
+
+def _x_concurrence(arr: np.ndarray) -> float | np.ndarray:
+    """`x_concurrence` of a complex (..., 4, 4) stack that already passed
+    `qmat.validate_density_matrix`: only the X-state check is made."""
     if np.count_nonzero(arr[..., qmat._OFF_X]):
         raise ValueError("not an X state: an entry off the diagonal and anti-diagonal is nonzero")
     d = arr.diagonal(axis1=-2, axis2=-1).real

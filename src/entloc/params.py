@@ -1,11 +1,18 @@
-"""Shared parameter and result types for the localization pipeline."""
+"""Shared parameter and result types for the localization pipeline, and the
+tolerances of its density-matrix checks.  numpy is not imported here: a float
+is checked in plain Python, and an array brings its own methods.  Annotations
+that name numpy types are strings that are never evaluated (PEP 563)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
+# Structural tolerances of the density-matrix checks (`qmat.validate_density_matrix`,
+# and the plain-float checks of `protocol.distinguishable_concurrences`).
+HERM_TOL = 1e-10
+TRACE_TOL = 1e-10
+EIGVAL_FLOOR = -1e-10
 
 
 class Stage(str, Enum):
@@ -21,7 +28,7 @@ def check_unit_interval(value, name: str, open_at_zero: bool = False,
     """`value` as a float in [0, 1], or in (0, 1] if `open_at_zero`, each end widened by
     `slack`; a 1-D or higher array is checked entry by entry and returned as it is, and must
     hold at least one point.  The message names the first value outside."""
-    array = isinstance(value, np.ndarray) and value.ndim
+    array = getattr(value, "ndim", 0)  # a numpy scalar or 0-d array is a float
     if array and not value.size:
         raise ValueError(f"{name} must hold at least one point, got an empty array")
     value = value if array else float(value)
@@ -106,8 +113,8 @@ class StageOutcome:
 
     def __post_init__(self):
         probability = check_unit_interval(self.probability, "probability", slack=1e-9)
-        clamped = (np.clip(probability, 0.0, 1.0) if isinstance(probability, np.ndarray)
-                   else min(max(probability, 0.0), 1.0))  # a float stays a float
+        clamped = (min(max(probability, 0.0), 1.0) if isinstance(probability, float)
+                   else probability.clip(0.0, 1.0))  # a float stays a float
         object.__setattr__(self, "probability", clamped)
         if not isinstance(self.stage, Stage):
             raise ValueError(f"stage must be a Stage member, got {self.stage!r}")

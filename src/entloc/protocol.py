@@ -10,21 +10,30 @@ For p > 0 the states come from the brute-force simulation in `fock_oracle`
 `concurrence_closed_form` stay available as an independent cross-check.
 `coupled_stages` alone chooses between the two, for one point or a grid
 (a `CouplingConfig` of arrays, whose outcomes hold stacks); a grid's stage
-III states come from one `filter_states` pass.  Every stage state is an X
-state, so `stage_concurrences` measures them with `measures.x_concurrence`;
+III states come from one `filter_states` pass.
+
+`stage_concurrences` measures a sweep: each p = 0 point in plain floats by
+`distinguishable_concurrences`, bit for bit the matrix route, and the p > 0
+points in blocks of oracle stacks by `measures`' X-state concurrence.
+numpy, `fock_oracle`, `measures`, `qmat` and `states` are imported only by
+the functions that use them, so a p = 0 sweep never imports numpy.
 `reference` keeps the Wootters `measures.concurrence` as the second route.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
-from . import fock_oracle, measures, qmat, states
-from .params import CouplingConfig, FilterConfig, Stage, StageOutcome, check_unit_interval
+from .params import (EIGVAL_FLOOR, TRACE_TOL, CouplingConfig, FilterConfig, Stage, StageOutcome,
+                     check_unit_interval)
 
 # disappearance_threshold sentinel results
 ALWAYS_SEPARABLE = "always-separable"
 NEVER_DISAPPEARS = "never-disappears"
+
+# the HV and VH diagonal entries and the HV-VH coherence of |psi-><psi-| as
+# `states.singlet_density` rounds them: (1/sqrt(2))^2, two ulps below 1/2
+_SINGLET_ENTRY = (1.0 / math.sqrt(2.0)) * (1.0 / math.sqrt(2.0))
 
 
 def stage1_couple(cfg: CouplingConfig) -> StageOutcome:
@@ -40,9 +49,10 @@ def stage2_measure(cfg: CouplingConfig, outcome: str = "H") -> StageOutcome:
 
 
 class FilterBlockedError(ValueError):
-    """Raised by `filter_states`; `blocked` masks the states its filters block completely."""
+    """Raised by `filter_states` and `filter_x_state`; `blocked` masks the states their
+    filters block completely (True for one state)."""
 
-    def __init__(self, blocked: np.ndarray):
+    def __init__(self, blocked):
         super().__init__("filters fully blocked the state (zero pass rate)")
         self.blocked = blocked
 
@@ -63,6 +73,10 @@ def filter_states(states, filters: FilterConfig) -> tuple:
     that carries the mask of the blocked states, if the filters block any
     state completely (pass rate at most 1e-15).
     """
+    import numpy as np
+
+    from . import qmat
+
     a, b = filters.att_a, filters.att_b
     k = np.sqrt(np.stack(np.broadcast_arrays(1.0, b, a, a * b), axis=-1))  # the diagonal of K
     # + 0.0 turns -0.0 into +0.0, which is the only zero a matrix product gives
@@ -95,6 +109,84 @@ def stage3_filter(prev: StageOutcome, filters: FilterConfig) -> StageOutcome:
     )
 
 
+def filter_x_state(hh: float, hv: float, vh: float, vv: float, coherence: float,
+                   att_a: float, att_b: float) -> tuple:
+    """`filter_states` of one X state with no HH-VV coherence, in plain floats.
+
+    The state is its diagonal (hh, hv, vh, vv) and the modulus of its HV-VH
+    coherence.  The Kraus diagonal scales each entry in the order of
+    `filter_states`; the pass rate sums the diagonal pairwise, as numpy's
+    trace does; and each entry is divided by it as numpy divides a complex
+    entry by a real one, times 1 / rate.  Returns the five filtered entries,
+    unchecked (see `distinguishable_concurrences`).  Raises FilterBlockedError
+    where the pass rate is at most 1e-15.
+    """
+    ka, kb, kab = math.sqrt(att_a), math.sqrt(att_b), math.sqrt(att_a * att_b)
+    hv, vh, vv = (hv * kb) * kb, (vh * ka) * ka, (vv * kab) * kab
+    rate = (hh + hv) + (vh + vv)
+    if rate <= 1e-15:
+        raise FilterBlockedError(True)
+    inverse = 1.0 / rate
+    return hh * inverse, hv * inverse, vh * inverse, vv * inverse, (coherence * kb) * ka * inverse
+
+
+def _x_concurrence(hh: float, hv: float, vh: float, vv: float, coherence: float) -> float:
+    """`measures.x_concurrence` of one X state with no HH-VV coherence, in plain floats.
+
+    The state gets the checks of `qmat.validate_density_matrix`, with its
+    messages: trace 1 within TRACE_TOL (summed pairwise, like numpy's trace),
+    then the eigenvalues at or above EIGVAL_FLOOR: hh and vv, and those of
+    the (HV, VH) block, (hv + vh)/2 -+ hypot((hv - vh)/2, coherence).  It is
+    Hermitian by construction: its coherence is one modulus.  Of the two
+    terms of the concurrence, the HH-VV one, 0 - sqrt(hv vh), is never
+    positive, so it never decides the value.
+    """
+    trace = (hh + hv) + (vh + vv)
+    if abs(trace - 1.0) > TRACE_TOL:
+        raise ValueError(f"density matrix trace is {complex(trace)}, expected 1")
+    low = (hv + vh) / 2.0 - math.hypot((hv - vh) / 2.0, coherence)
+    if low < EIGVAL_FLOOR or hh < EIGVAL_FLOOR or vv < EIGVAL_FLOOR:
+        raise ValueError(f"density matrix has negative eigenvalue {min(low, hh, vv):.3e}")
+    product = hh * vv
+    value = coherence - (math.sqrt(product) if product > 0.0 else 0.0)
+    return 2.0 * value if value > 0.0 else 0.0  # max(0.0, value): -0.0 gives 0.0
+
+
+def distinguishable_concurrences(transmittivity: float, eps: float) -> tuple:
+    """The four `stage_concurrences` values of one p = 0 point, in plain floats.
+
+    With q = T^2/(T^2 + R^2) and s the (HV, HV) entry of |psi-><psi-|, the
+    stage I (Werner) state has the diagonal ((1-q)/4, qs + (1-q)/4,
+    qs + (1-q)/4, (1-q)/4) and the HV-VH coherence qs; the H-outcome stage II
+    state has (0, qs, qs + (1-q)/2, (1-q)/2) and qs; stage III is its
+    `filter_x_state` under the `eps_to_filter` schedule.  Each float
+    operation is the one of `coupled_stages`, `filter_states` and
+    `measures.x_concurrence` on the 4x4 matrices, in their order, and the
+    limit is the p = 0 `concurrence_closed_form`, so every value has their
+    bits.  Each state gets the checks of `qmat.validate_density_matrix`, in
+    plain floats.  T outside [0, 1] or eps outside (0, 1] raises ValueError;
+    the stage III value is nan where the filters block the stage II state
+    (pass rate at most 1e-15, as at T = 0).
+    """
+    t, eps = float(transmittivity), float(eps)
+    if not (0.0 <= t <= 1.0 and 0.0 < eps <= 1.0):  # nan fails too; raise the checks' message
+        check_unit_interval(t, "transmittivity")
+        check_unit_interval(eps, "eps", open_at_zero=True)
+    r = 1.0 - t
+    q = t * t / (t * t + r * r)
+    s = q * _SINGLET_ENTRY
+    noise = (1.0 - q) * 0.25
+    stage1 = _x_concurrence(noise, s + noise, s + noise, noise, s)
+    noise = (1.0 - q) * 0.5
+    measured = (0.0, s, s + noise, noise, s)
+    stage2 = _x_concurrence(*measured)
+    try:
+        stage3 = _x_concurrence(*filter_x_state(*measured, eps * q, eps))
+    except FilterBlockedError:
+        stage3 = math.nan
+    return stage1, stage2, stage3, t / math.sqrt(t * t + r * r)
+
+
 def eps_to_filter(eps, transmittivity) -> FilterConfig:
     """One-parameter attenuation schedule A_A = eps T^2/(T^2+R^2), A_B = eps.
 
@@ -116,22 +208,24 @@ def coupled_stages(cfg: CouplingConfig, outcome: str = "H") -> tuple:
     the same concurrence, so no feed-forward correction is modeled.  For p > 0
     both stages come from one `fock_oracle.reduce_to_ab` call of the brute-force
     simulation; no closed matrix form is assumed.  A grid config gives two
-    outcomes of stacks: the closed form at every point, and the oracle's states
-    and probabilities, from one reduction, written into its p > 0 points.
+    outcomes of stacks, from one route: a grid that mixes p = 0 and p > 0
+    points raises ValueError.
     """
+    import numpy as np
+
+    from . import fock_oracle, states
+
     if outcome not in ("H", "V"):
         raise ValueError(f"outcome must be 'H' or 'V', got {outcome!r}")
-    overlapping = cfg.overlap != 0.0  # a bool, or a mask of the grid
-    grid = isinstance(overlapping, np.ndarray)  # one point stays on Python bools and floats
-    if overlapping.all() if grid else overlapping:
+    overlapping = np.asarray(cfg.overlap != 0.0)  # a mask of the grid, 0-d for a point
+    if overlapping.all():
         return fock_oracle.reduce_to_ab(fock_oracle.coupled_branches(cfg), outcome)
+    if overlapping.any():
+        raise ValueError("a grid of overlaps must be 0 everywhere (the closed form) "
+                         "or nowhere (the simulation)")
     t, r, q = cfg.transmittivity, cfg.reflectivity, cfg.werner_weight
     found = [(states.werner(q), t * t + r * r),
              (states.post_measurement_state(q, outcome), (t * t + r * r) / 2.0)]
-    if grid and overlapping.any():
-        oracle = coupled_stages(CouplingConfig(t[overlapping], cfg.overlap[overlapping]), outcome)
-        for (state, probability), point in zip(found, oracle):
-            state[overlapping], probability[overlapping] = point.state, point.probability
     return tuple(StageOutcome(state=state, probability=probability, stage=stage)
                  for (state, probability), stage in zip(found, (Stage.COUPLING, Stage.MEASUREMENT)))
 
@@ -142,41 +236,79 @@ GRID_BLOCK = 256  # points per oracle call and stacked concurrence call: bounds 
 def stage_concurrences(transmittivity, overlap, eps) -> tuple:
     """Concurrences (I, II, III at `eps`, III filtration limit) on a grid.
 
-    The arguments broadcast: scalars give the four floats of one point, arrays
-    four arrays of the broadcast shape.  Stage III filters the H-outcome stage
-    II state with the `eps_to_filter` schedule; it is nan where the filters
-    block the state completely (at T = 0).  An eps outside (0, 1] raises.  The
-    grid is evaluated in blocks of up to GRID_BLOCK points, each as stacks:
-    one `coupled_stages` call gives the block's stage I and II states, one
-    `filter_states` pass scales them all by their Kraus diagonals (one more
-    filters the rest when some are blocked), one stacked
-    `measures.x_concurrence` call measures every stage state of the block from
-    its X-state entries, and one `concurrence_closed_form` call gives its
-    filtration limits.
+    The arguments broadcast.  Floats give the four floats of one point.  If
+    any argument is a numpy array, the result is four arrays of the broadcast
+    shape; otherwise lists of floats (of one length, beside floats) give four
+    lists.  Stage III filters the H-outcome stage II state with the
+    `eps_to_filter` schedule; it is nan where the filters block the state
+    completely (at T = 0).  A value outside its range raises ValueError.
+
+    The points are taken in blocks of up to GRID_BLOCK.  Each p = 0 point is
+    `distinguishable_concurrences`, in plain floats.  A block's p > 0 points
+    are evaluated as stacks: one `coupled_stages` call (one oracle
+    propagation) gives their stage I and II states, one `filter_states` pass
+    scales them all by their Kraus diagonals (one more filters the rest when
+    some are blocked), one stacked X-state concurrence call measures every
+    stage state from its entries without checking it again, and one
+    `concurrence_closed_form` call gives their filtration limits.
     """
-    grid = np.broadcast_arrays(transmittivity, overlap, eps)
-    flat = [axis.ravel() for axis in grid]
-    columns = np.empty((4, flat[0].size))
-    for start in range(0, flat[0].size, GRID_BLOCK):
-        t, p, e = (axis[start:start + GRID_BLOCK] for axis in flat)
-        cfg = CouplingConfig(t, p)
-        stage1, stage2 = (outcome.state for outcome in coupled_stages(cfg))
-        filters = eps_to_filter(e, t)
-        passed = np.ones(t.size, dtype=bool)
-        try:
-            filtered, _ = filter_states(stage2, filters)
-        except FilterBlockedError as exc:  # nan at the blocked points, the rest in one more pass
-            passed = ~exc.blocked
-            filtered = stage2[passed]  # empty if every point is blocked
-            if passed.any():
-                filtered, _ = filter_states(filtered, FilterConfig(filters.att_a[passed],
-                                                                   filters.att_b[passed]))
-        values = measures.x_concurrence(np.concatenate([stage1, stage2, filtered]))
-        block = columns[:, start:start + t.size]
-        block[:2] = values[:2 * t.size].reshape(2, -1)
-        block[2], block[3] = np.nan, concurrence_closed_form(Stage.FILTRATION, cfg)
-        block[2, passed] = values[2 * t.size:]
-    return tuple(col.reshape(grid[0].shape) if grid[0].ndim else float(col[0]) for col in columns)
+    axes = (transmittivity, overlap, eps)
+    if not all(isinstance(axis, (int, float, list)) for axis in axes):  # arrays: numpy's rules
+        import numpy as np
+
+        grid = np.broadcast_arrays(*axes)
+        columns = _columns(*(axis.ravel().tolist() for axis in grid))
+        if not grid[0].ndim:
+            return tuple(column[0] for column in columns)
+        return tuple(np.array(column, dtype=float).reshape(grid[0].shape) for column in columns)
+    lists = [axis for axis in axes if isinstance(axis, list)]
+    size = len(lists[0]) if lists else 1
+    if any(len(axis) != size for axis in lists):
+        raise ValueError("the lists of a grid must have one length, "
+                         f"got {sorted({len(axis) for axis in lists})}")
+    columns = _columns(*(axis if isinstance(axis, list) else [axis] * size for axis in axes))
+    return columns if lists else tuple(column[0] for column in columns)
+
+
+def _columns(ts: list, ps: list, es: list) -> tuple:
+    """The four columns of `stage_concurrences` at the points of three lists of floats."""
+    rows = []
+    for start in range(0, len(ts), GRID_BLOCK):
+        points = list(zip(ts[start:start + GRID_BLOCK], ps[start:start + GRID_BLOCK],
+                          es[start:start + GRID_BLOCK]))
+        overlapping = [point for point in points if point[1] != 0.0]
+        measured = iter(_overlapping_rows(*zip(*overlapping)) if overlapping else ())
+        rows += [next(measured) if p != 0.0 else distinguishable_concurrences(t, e)
+                 for t, p, e in points]
+    return tuple(map(list, zip(*rows))) if rows else ([], [], [], [])
+
+
+def _overlapping_rows(ts: tuple, ps: tuple, es: tuple) -> list:
+    """`stage_concurrences` rows of p > 0 points, from oracle stacks (see there)."""
+    import numpy as np
+
+    from . import measures
+
+    t, p, e = (np.array(axis, dtype=float) for axis in (ts, ps, es))
+    cfg = CouplingConfig(t, p)
+    stage1, stage2 = (outcome.state for outcome in coupled_stages(cfg))
+    filters = eps_to_filter(e, t)
+    passed = np.ones(t.size, dtype=bool)
+    try:
+        filtered, _ = filter_states(stage2, filters)
+    except FilterBlockedError as exc:  # nan at the blocked points, the rest in one more pass
+        passed = ~exc.blocked
+        filtered = stage2[passed]  # empty if every point is blocked
+        if passed.any():
+            filtered, _ = filter_states(filtered, FilterConfig(filters.att_a[passed],
+                                                               filters.att_b[passed]))
+    # every state passed `validate_density_matrix` in the oracle or in `filter_states`
+    values = measures._x_concurrence(np.concatenate([stage1, stage2, filtered]))
+    columns = np.empty((4, t.size))
+    columns[:2] = values[:2 * t.size].reshape(2, -1)
+    columns[2], columns[3] = np.nan, concurrence_closed_form(Stage.FILTRATION, cfg)
+    columns[2, passed] = values[2 * t.size:]
+    return list(zip(*columns.tolist()))
 
 
 def concurrence_closed_form(stage: Stage, cfg: CouplingConfig,
@@ -209,6 +341,8 @@ def concurrence_closed_form(stage: Stage, cfg: CouplingConfig,
 
     A grid config gives an array, each point with its own bits; finite eps takes a point.
     """
+    import numpy as np
+
     stage = Stage(stage)
     t, p = (np.asarray(value, dtype=float) for value in (cfg.transmittivity, cfg.overlap))
     r = 1.0 - t
@@ -283,7 +417,7 @@ def probability_closed_form(stage: Stage, cfg: CouplingConfig, eps: float | None
 
 def separability_threshold() -> float:
     """Transmittivity below which the coupled (stage I) pair is separable: sqrt(2) - 1."""
-    return float(np.sqrt(2.0) - 1.0)
+    return math.sqrt(2.0) - 1.0
 
 
 def locate_separability_threshold(tol: float = 1e-8) -> float:
@@ -294,7 +428,9 @@ def locate_separability_threshold(tol: float = 1e-8) -> float:
     outside (0, inf) raises ValueError; a `tol` below the float spacing stops
     once the bracket holds two adjacent floats.
     """
-    if not 0.0 < tol < np.inf:
+    from . import measures
+
+    if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
 
     def entangled(t: float) -> bool:

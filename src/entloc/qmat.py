@@ -16,10 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-# Structural tolerances for density-matrix validation.
-HERM_TOL = 1e-10
-TRACE_TOL = 1e-10
-EIGVAL_FLOOR = -1e-10
+from .params import EIGVAL_FLOOR, HERM_TOL, TRACE_TOL
 
 _OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])  # off both diagonals
 

@@ -176,10 +176,11 @@ class TestSweepGrid:
             rows.append((value, *per_point_stage_concurrences(point["T"], point["p"], point["eps"])))
         expected = cli._csv_text(cli.SWEEP_HEADER, rows)
 
-        calls = counting(monkeypatch, {measures: ["concurrence", "x_concurrence"],
+        calls = counting(monkeypatch, {measures: ["concurrence", "x_concurrence", "_x_concurrence"],
                                        np.linalg: ["eigvalsh", "eigh", "svd"],
                                        fock_oracle: ["apply_beamsplitter"],
-                                       protocol: ["stage3_filter", "filter_states"]})
+                                       protocol: ["stage3_filter", "filter_states",
+                                                  "distinguishable_concurrences"]})
         out = tmp_path / "sweep.csv"
         argv = ["sweep", "--variable", variable, "--min", repr(lo), "--max", repr(hi),
                 "--steps", str(steps), "--T", repr(T), "--p", repr(p), "--eps", repr(eps)]
@@ -187,21 +188,25 @@ class TestSweepGrid:
         assert out.read_bytes() == expected.encode("utf-8")
         overlaps = np.linspace(lo, hi, steps) if variable == "p" else np.full(steps, p)
         blocked = np.isnan([row[3] for row in rows])  # the reference's nan: blocked filters
-        # each block: one propagation (two apply_beamsplitter calls) if it holds a p > 0 point,
-        # one filter_states call, and one more if it holds both blocked and passing points,
-        # and one x_concurrence call; neither the Wootters concurrence nor LAPACK's eigvalsh,
-        # eigh or svd is called: every state is checked from its closed-form X spectrum
+        # each p = 0 point: one distinguishable_concurrences call, in plain floats; the p > 0
+        # points of each block: one propagation (two apply_beamsplitter calls), one
+        # filter_states call, and one more if they hold both blocked and passing points, and
+        # one stacked X-state concurrence call that does not check the states again; neither
+        # the Wootters concurrence nor LAPACK's eigvalsh, eigh or svd is called
         blocks = [slice(start, start + protocol.GRID_BLOCK)
                   for start in range(0, steps, protocol.GRID_BLOCK)]
+        oracle = [blocked[b][overlaps[b] > 0.0] for b in blocks if np.any(overlaps[b] > 0.0)]
         assert calls == {
             "concurrence": 0,
-            "x_concurrence": len(blocks),
+            "x_concurrence": 0,
+            "_x_concurrence": len(oracle),
             "eigvalsh": 0,
             "eigh": 0,
             "svd": 0,
-            "apply_beamsplitter": 2 * sum(bool(np.any(overlaps[b] > 0.0)) for b in blocks),
+            "apply_beamsplitter": 2 * len(oracle),
             "stage3_filter": 0,
-            "filter_states": sum(1 + (blocked[b].any() and not blocked[b].all()) for b in blocks),
+            "filter_states": sum(1 + (mask.any() and not mask.all()) for mask in oracle),
+            "distinguishable_concurrences": int(np.count_nonzero(overlaps == 0.0)),
         }
 
     @pytest.mark.parametrize("p", [0.0, 0.5])
@@ -219,19 +224,22 @@ class TestSweepGrid:
 
     def test_a_blocked_point_after_the_first_block(self, monkeypatch):
         ts = np.array([0.9, 0.5, 0.3, 0.1, 0.7, 0.0, 0.2, 0.6, 0.0, 0.0, 0.0, 0.0, 0.4])
-        expected = per_point_columns(ts, 0.0, 0.15)
+        expected = {p: per_point_columns(ts, p, 0.15) for p in (0.0, 0.5)}
         monkeypatch.setattr(protocol, "GRID_BLOCK", 4)
         sizes = []
         filter_states = protocol.filter_states
         monkeypatch.setattr(protocol, "filter_states", lambda stack, filters: (
             sizes.append(len(stack)) or filter_states(stack, filters)))
-        columns = protocol.stage_concurrences(ts, 0.0, 0.15)
-        for got, want in zip(columns, expected):
-            assert got.tobytes() == want.tobytes()
-        assert np.isnan(columns[2]).tolist() == (ts == 0.0).tolist()
-        # blocks of 4, 4, 4 and 1: the second filters again without its T = 0 point, the
-        # third is blocked throughout and filters nothing more
-        assert sizes == [4, 4, 3, 4, 1]
+        for p, filtered in ((0.0, []), (0.5, [4, 4, 3, 4, 1])):
+            sizes.clear()
+            columns = protocol.stage_concurrences(ts, p, 0.15)
+            for got, want in zip(columns, expected[p]):
+                assert got.tobytes() == want.tobytes()
+            assert np.isnan(columns[2]).tolist() == (ts == 0.0).tolist()
+            # p = 0 filters each point in plain floats; p > 0 in blocks of 4, 4, 4 and 1: the
+            # second filters again without its T = 0 point, the third is blocked throughout and
+            # filters nothing more
+            assert sizes == filtered
 
     def test_an_eps_sweep_at_zero_transmittivity_is_blocked_everywhere(self):
         eps = np.concatenate([np.geomspace(1e-12, 1.0, 13), np.linspace(0.001, 1.0, 300)])
@@ -239,6 +247,75 @@ class TestSweepGrid:
         for got, want in zip(columns, per_point_columns(0.0, 0.0, eps)):
             assert got.tobytes() == want.tobytes()
         assert np.isnan(columns[2]).all()
+
+
+class TestLinspace:
+    """`cli._linspace` is `np.linspace(...).tolist()`, bit for bit."""
+
+    @staticmethod
+    def assert_bits(lo, hi, steps):
+        got = cli._linspace(lo, hi, steps)
+        assert all(type(x) is float for x in got)
+        assert np.array(got).tobytes() == np.linspace(lo, hi, steps).tobytes()
+
+    def test_every_step_count_to_2000(self, rng):
+        for steps in range(2, 2001):
+            lo, hi = sorted(rng.random(2).tolist())
+            self.assert_bits(lo, hi, steps)
+
+    @pytest.mark.parametrize("steps", [2, 3, 51, 100, 101, 1001])
+    def test_random_and_edge_ranges(self, rng, steps):
+        ranges = [(0.0, 1.0), (0.001, 1.0), (0.4999999999999999, 0.5000000000000002),
+                  (1e-12, 1.0), (0.0, 1e-300), (0.1, 0.1 + 2 ** -50)]
+        ranges += [tuple(sorted(pair)) for pair in (10.0 ** rng.uniform(-12, 0, (50, 2))).tolist()]
+        ranges += [tuple(sorted(pair)) for pair in rng.random((50, 2)).tolist()]
+        for lo, hi in ranges:
+            self.assert_bits(lo, hi, steps)
+
+    def test_a_step_that_rounds_to_zero(self):
+        # 5e-324 / 2 rounds to 0: numpy then scales i / (steps - 1) by the range instead
+        assert (5e-324 / 2) == 0.0
+        for steps in (2, 3, 4, 11):
+            self.assert_bits(0.0, 5e-324, steps)
+        self.assert_bits(1e-323, 2e-323, 5)
+
+    def test_the_cli_grid(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--min", "0", "--max", "5e-324", "--steps", "3", "--out", str(out)]
+        assert cli.main(argv) == 0
+        values = [line.split(",")[0] for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+        assert values == [cli.fmt(x) for x in np.linspace(0.0, 5e-324, 3)]
+
+
+def imported_modules(*argv) -> tuple:
+    """The exit code of an `entloc` process and the modules it imports, from its
+    `-X importtime` report."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-X", "importtime", "-m", "entloc", *argv],
+                            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    return result.returncode, {line.rsplit("|", 1)[-1].strip() for line in
+                               result.stderr.splitlines() if line.startswith("import time:")}
+
+
+class TestNumpyFreeProcess:
+    """A p = 0 T or eps sweep and a usage error run without importing numpy."""
+
+    @pytest.mark.parametrize("argv, status", [
+        (["sweep", "--variable", "T", "--p", "0"], 0),  # through T = 0, where the filters block
+        (["sweep", "--variable", "eps", "--min", "0.001", "--T", "0.3"], 0),
+        (["sweep", "--eps", "0"], 2),
+    ], ids=["T", "eps", "usage-error"])
+    def test_a_p0_sweep_imports_no_numpy(self, tmp_path, argv, status):
+        out = tmp_path / "out.csv"
+        code, modules = imported_modules(*argv, "--out", str(out))
+        assert code == status and out.exists() == (status == 0)
+        assert "entloc.protocol" in modules
+        assert not {name for name in modules if name.split(".")[0] == "numpy"}
+
+    def test_a_p_gt_0_sweep_imports_numpy(self, tmp_path):
+        code, modules = imported_modules("sweep", "--p", "0.5", "--steps", "3",
+                                         "--out", str(tmp_path / "out.csv"))
+        assert code == 0 and "numpy" in modules and "entloc.fock_oracle" in modules
 
 
 FORMULA_KEYS = ["C_I", "P_I", "C_II", "P_II"]

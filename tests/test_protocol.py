@@ -5,9 +5,9 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
-from conftest import exact_stage_concurrences, random_density, random_pure_density
+from conftest import counting, exact_stage_concurrences, random_density, random_pure_density
 
-from entloc import fock_oracle, measures, protocol, states
+from entloc import fock_oracle, measures, protocol, qmat, states
 from entloc.params import CouplingConfig, FilterConfig, Stage, StageOutcome
 
 SQRT2 = np.sqrt(2.0)
@@ -355,10 +355,10 @@ class TestCoupledStages:
     TS = (0.0, 0.2, 0.37, 0.5, 0.81, 1.0)
 
     @pytest.mark.parametrize("outcome", ["H", "V"])
-    @pytest.mark.parametrize("overlaps", [(0.0, 1e-9, 0.5, 1.0), (0.0,), (0.25, 1.0), None])
+    @pytest.mark.parametrize("overlaps", [(1e-9, 0.5, 1.0), (0.0,), (0.25, 1.0), None])
     def test_grid_equals_its_points(self, outcome, overlaps):
-        # p = 0 only takes the closed form, p > 0 only the oracle, and a mix both; None is
-        # verify's analytic route, an array of T at the float p = 0
+        # p = 0 takes the closed form, p > 0 the oracle; None is verify's analytic route, an
+        # array of T at the float p = 0
         ts, ps = (axis.ravel() for axis in np.meshgrid(self.TS, overlaps or (0.0,)))
         grid_cfg = CouplingConfig(ts) if overlaps is None else CouplingConfig(ts, ps)
         stage1, stage2 = protocol.coupled_stages(grid_cfg, outcome)
@@ -370,6 +370,12 @@ class TestCoupledStages:
                 assert type(alone.probability) is float
                 assert grid.state[i].tobytes() == alone.state.tobytes()
                 assert float(grid.probability[i]).hex() == alone.probability.hex()
+
+    def test_a_grid_takes_one_route(self):
+        ts = np.array(self.TS)
+        for ps in (np.array([0.0, 1e-9, 0.5, 1.0, 0.0, 0.3]), np.array([0.5, 0, 0, 0, 0, 0])):
+            with pytest.raises(ValueError, match="must be 0 everywhere .* or nowhere"):
+                protocol.coupled_stages(CouplingConfig(ts, ps))
 
     @pytest.mark.parametrize("outcome", ["H", "V"])
     def test_each_route_gives_its_own_outcomes(self, outcome):
@@ -440,18 +446,21 @@ class TestStageConcurrences:
         ts, ps = np.linspace(0.0, 1.0, 11)[:, None], np.array([0.0, 0.5])
         whole = protocol.stage_concurrences(ts, ps, 0.15)
         sizes = []
-        x_concurrence = measures.x_concurrence
+        x_concurrence = measures._x_concurrence
 
         def counted(rho):
             sizes.append(len(rho))
             return x_concurrence(rho)
 
-        monkeypatch.setattr(measures, "x_concurrence", counted)
+        monkeypatch.setattr(measures, "_x_concurrence", counted)
         monkeypatch.setattr(protocol, "GRID_BLOCK", 4)
+        points = counting(monkeypatch, {protocol: ["distinguishable_concurrences"]})
         blocked = protocol.stage_concurrences(ts, ps, 0.15)
-        # 22 points in blocks of 4, 4, 4, 4, 4 and 2, with two stage states per point and a
-        # stage III state where the filters pass: they block both T = 0 points of the first block
-        assert sizes == [10, 12, 12, 12, 12, 6]
+        # 22 points in blocks of 4, 4, 4, 4, 4 and 2, half of them at p = 0.5: two stage states
+        # per p > 0 point and a stage III state where the filters pass (they block T = 0 of the
+        # first block); the 11 p = 0 points are measured one by one in plain floats
+        assert sizes == [5, 6, 6, 6, 6, 3]
+        assert points == {"distinguishable_concurrences": 11}
         for got, expected in zip(blocked, whole):
             assert got.shape == (11, 2) and got.tobytes() == expected.tobytes()
 
@@ -483,6 +492,134 @@ class TestStageConcurrences:
     def test_invalid_eps_raises(self, eps):
         with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\]"):
             protocol.stage_concurrences(0.4, 0.0, eps)
+
+
+    def test_a_p_gt_0_sweep_checks_each_state_once(self, monkeypatch):
+        checked = []
+        validate = qmat.validate_density_matrix
+
+        def counted(rho, *args, **kwargs):
+            checked.append(np.asarray(rho)[..., 0, 0].size)
+            return validate(rho, *args, **kwargs)
+
+        monkeypatch.setattr(qmat, "validate_density_matrix", counted)
+        calls = counting(monkeypatch, {measures: ["x_concurrence", "_x_concurrence"]})
+        columns = protocol.stage_concurrences(np.linspace(0.0, 1.0, 600), 0.5, 0.15)
+        # three blocks: the stage I and II states of every point and the stage III states of
+        # the 599 points the filters pass (not T = 0) are each checked once, and measured
+        # without a second check
+        assert np.count_nonzero(np.isnan(columns[2])) == 1
+        assert sum(checked) == 2 * 600 + 599
+        assert calls == {"x_concurrence": 0, "_x_concurrence": 3}
+
+    def test_lists_give_lists_with_the_bits_of_arrays(self):
+        ts = np.linspace(0.0, 1.0, 301)
+        for args in ((ts, 0.0, 0.15), (0.4, 0.0, ts[1:]), (ts, 0.5, 0.15), (0.3, ts, 0.15),
+                     (ts, ts, ts[::-1] * 0.99 + 1e-3)):
+            arrays = protocol.stage_concurrences(*args)
+            lists = protocol.stage_concurrences(*(a.tolist() if isinstance(a, np.ndarray) else a
+                                                  for a in args))
+            assert all(type(column) is list for column in lists)
+            for got, want in zip(lists, arrays):
+                assert np.array(got).tobytes() == want.tobytes()
+
+    def test_lists_of_two_lengths_raise(self):
+        with pytest.raises(ValueError, match=r"one length, got \[2, 3\]"):
+            protocol.stage_concurrences([0.1, 0.2], 0.0, [0.1, 0.2, 0.3])
+
+    def test_an_empty_grid_gives_empty_columns(self):
+        assert protocol.stage_concurrences([], 0.0, 0.15) == ([], [], [], [])
+        assert all(column.shape == (0,) for column in
+                   protocol.stage_concurrences(np.array([]), 0.0, 0.15))
+
+
+def stacked_distinguishable_columns(ts, eps):
+    """The four sweep columns of a p = 0 grid by the matrix route: 4x4 stacks from
+    `coupled_stages`, one `filter_states` pass (one more without the blocked points),
+    `measures.x_concurrence` and the p = 0 `concurrence_closed_form`."""
+    cfg = CouplingConfig(ts)
+    stage1, stage2 = (outcome.state for outcome in protocol.coupled_stages(cfg))
+    filters = protocol.eps_to_filter(eps, ts)
+    columns = [measures.x_concurrence(stage1), measures.x_concurrence(stage2),
+               np.full(ts.size, np.nan), protocol.concurrence_closed_form(Stage.FILTRATION, cfg)]
+    try:
+        passed, (filtered, _) = np.ones(ts.size, dtype=bool), protocol.filter_states(stage2, filters)
+    except protocol.FilterBlockedError as exc:
+        passed = ~exc.blocked
+        filtered, _ = protocol.filter_states(stage2[passed], FilterConfig(filters.att_a[passed],
+                                                                          filters.att_b[passed]))
+    columns[2][passed] = measures.x_concurrence(filtered)
+    return columns
+
+
+def x_matrix(hh, hv, vh, vv, coherence):
+    """The 4x4 X state of `protocol._x_concurrence`'s entries, with the singlet's +i coherence."""
+    rho = np.diag(np.array([hh, hv, vh, vv], dtype=complex))
+    rho[1, 2], rho[2, 1] = 1j * coherence, -1j * coherence
+    return rho
+
+
+class TestDistinguishableConcurrences:
+    """The plain-float p = 0 point against the 4x4 matrix route, bit for bit."""
+
+    def test_bits_equal_the_matrix_route(self, rng):
+        threshold = math.sqrt(2.0) - 1.0  # the stage I zero crossing at p = 0
+        special = np.repeat([0.0, 1.0, 0.5, 1e-300, 1e-160], 400)
+        ts = np.concatenate([rng.random(12000), 10.0 ** rng.uniform(-320, 0, 2000),
+                             threshold + rng.uniform(-1e-9, 1e-9, 2000), special,
+                             rng.uniform(1e-7, 1.0, 2000), np.ones(1000)])
+        eps = 10.0 ** rng.uniform(-17, 0, ts.size)
+        near = slice(ts.size - 3000, ts.size)  # pass rates about eps q, q = T^2/(T^2 + R^2)
+        q = ts[near] ** 2 / (ts[near] ** 2 + (1.0 - ts[near]) ** 2)
+        eps[near] = np.minimum(1e-15 / q * rng.uniform(0.9, 1.1, q.size), 1.0)
+        expected = stacked_distinguishable_columns(ts, eps)
+        points = [protocol.distinguishable_concurrences(t, e)
+                  for t, e in zip(ts.tolist(), eps.tolist())]
+        for got, want in zip(zip(*points), expected):
+            assert [value.hex() for value in got] == [value.hex() for value in want.tolist()]
+        for got, want in zip(protocol.stage_concurrences(ts.tolist(), 0.0, eps.tolist()), expected):
+            assert [value.hex() for value in got] == [value.hex() for value in want.tolist()]
+        blocked = np.isnan(expected[2][near])
+        assert ts.size >= 20000 and blocked.sum() > 100 and (~blocked).sum() > 100
+        crossing = slice(14000, 16000)
+        assert (expected[0][crossing] == 0.0).any() and (expected[0][crossing] > 0.0).any()
+
+    def test_blocked_filters_give_nan(self):
+        assert math.isnan(protocol.distinguishable_concurrences(0.0, 0.15)[2])
+        with pytest.raises(protocol.FilterBlockedError) as raised:
+            protocol.filter_x_state(0.0, 0.0, 0.5, 0.5, 0.0, 0.0, 0.15)  # stage II at T = 0
+        assert raised.value.blocked is True
+
+    @pytest.mark.parametrize("t, eps", [(1.5, 0.15), (-0.1, 0.15), (math.nan, 0.15),
+                                        (0.4, 0.0), (0.4, 5.0), (0.4, math.nan)])
+    def test_invalid_inputs_raise_the_messages_of_the_matrix_route(self, t, eps):
+        with pytest.raises(ValueError) as expected:
+            protocol.eps_to_filter(eps, CouplingConfig(t).transmittivity)
+        with pytest.raises(ValueError) as raised:
+            protocol.distinguishable_concurrences(t, eps)
+        assert str(raised.value) == str(expected.value)
+
+    def test_x_states_measure_like_the_matrix_route(self, rng):
+        for _ in range(2000):
+            diagonal = rng.random(4) * 10.0 ** rng.uniform(-12, 0, 4)
+            diagonal /= diagonal.sum()
+            coherence = math.sqrt(diagonal[1] * diagonal[2]) * rng.uniform(0.0, 1.0)
+            entries = (*diagonal.tolist(), coherence)
+            expected = measures.x_concurrence(x_matrix(*entries))
+            assert protocol._x_concurrence(*entries).hex() == expected.hex()
+
+    @pytest.mark.parametrize("entries", [
+        (0.2, 0.2, 0.25, 0.25, 0.1),  # trace 0.9
+        (0.6, 0.6, -0.1, -0.1, 0.0),  # negative diagonal
+        (0.0, 0.5, 0.5, 0.0, 0.6),  # coherence beyond sqrt(hv vh)
+        (-2e-10, 0.5, 0.5 + 2e-10, 0.0, 0.0),  # just below EIGVAL_FLOOR
+    ], ids=["trace", "diagonal", "coherence", "floor"])
+    def test_invalid_states_raise_the_messages_of_the_matrix_route(self, entries):
+        with pytest.raises(ValueError) as expected:
+            qmat.validate_density_matrix(x_matrix(*entries))
+        with pytest.raises(ValueError) as raised:
+            protocol._x_concurrence(*entries)
+        assert str(raised.value) == str(expected.value)
 
 
 EXACT_BOUND = 1e-15  # absolute; the largest error seen is 5.4e-16 (7.0e-16 over five more seeds)
@@ -527,7 +664,9 @@ class TestExactReference:
         ts = np.concatenate([ts, np.geomspace(1e-9, 1e-3, 40)])  # pass rates about eps T^2
         ps = np.concatenate([ps, np.tile([0.0, 0.5], 20)])
         eps = np.concatenate([eps, np.tile([1e-12, 1e-6, 1e-3, 1.0], 10)])
-        stage2 = protocol.coupled_stages(CouplingConfig(ts, ps))[1].state
+        stage2 = np.empty((ts.size, 4, 4), dtype=complex)
+        for route in (ps == 0.0, ps != 0.0):  # a grid takes one route: the closed form or the oracle
+            stage2[route] = protocol.coupled_stages(CouplingConfig(ts[route], ps[route]))[1].state
         filters = protocol.eps_to_filter(eps, ts)
         kraus = np.array([kraus_matrix(a, b) for a, b in zip(filters.att_a.tolist(),
                                                                filters.att_b.tolist())])
