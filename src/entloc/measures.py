@@ -35,33 +35,6 @@ def concurrence(rho) -> float | np.ndarray:
     return float(clamped) if clamped.ndim == 0 else clamped
 
 
-def x_concurrence(rho) -> float | np.ndarray:
-    """Concurrence of an X state read off its entries: no PSD root and no SVD.
-
-    C = 2 max(0, |rho_HV,VH| - sqrt(rho_HH rho_VV), |rho_HH,VV| - sqrt(rho_HV rho_VH))
-    (Yu and Eberly, Quantum Inf. Comput. 7, 459 (2007)).  `rho` gets the
-    density-matrix checks of `concurrence`, with the same messages, from the
-    closed-form X-state spectrum of `qmat.validate_density_matrix` (no
-    LAPACK call for an X state); then a nonzero entry off the diagonal and the
-    anti-diagonal raises.  A 4x4 `rho` gives a float; a (..., 4, 4) stack
-    gives an array.
-    """
-    return _x_concurrence(qmat.validate_density_matrix(rho, dim=4, stack=True))
-
-
-def _x_concurrence(arr: np.ndarray) -> float | np.ndarray:
-    """`x_concurrence` of a complex (..., 4, 4) stack that already passed
-    `qmat.validate_density_matrix`: only the X-state check is made."""
-    if np.count_nonzero(arr[..., qmat._OFF_X]):
-        raise ValueError("not an X state: an entry off the diagonal and anti-diagonal is nonzero")
-    d = arr.diagonal(axis1=-2, axis2=-1).real
-    outer = np.sqrt(np.maximum(d[..., 0] * d[..., 3], 0.0))  # a diagonal may round below 0
-    inner = np.sqrt(np.maximum(d[..., 1] * d[..., 2], 0.0))
-    value = 2.0 * np.maximum(abs(arr[..., 1, 2]) - outer, abs(arr[..., 0, 3]) - inner)
-    clamped = np.where(value > 0.0, value, 0.0)  # max(0.0, value): -0.0 and nan give 0.0
-    return float(clamped) if clamped.ndim == 0 else clamped
-
-
 def fidelity(a, b) -> float | np.ndarray:
     """Uhlmann fidelity F = (tr sqrt(sqrt(a) b sqrt(a)))^2, in [0, 1].
 

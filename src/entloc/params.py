@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 # Structural tolerances of the density-matrix checks (`qmat.validate_density_matrix`,
-# and the plain-float checks of `protocol.distinguishable_concurrences`).
+# and the plain-float checks of a sweep's states in `protocol._x_concurrence`).
 HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIGVAL_FLOOR = -1e-10
@@ -84,8 +84,9 @@ class FilterConfig:
 
     att_a / att_b: intensity attenuation of the V component on Alice's / Bob's
     arm.  1 means no filtering, 0 blocks V completely.  Either may be an
-    array: the filters of a stack of states, which `protocol.filter_states`
-    applies in one pass.
+    array: the filters of a sweep block, from one `protocol.eps_to_filter`
+    call, or of a stack of states, which `protocol.filter_states` applies in
+    one pass (`verify`'s stage III).
     """
 
     att_a: float

@@ -9,15 +9,15 @@ For p > 0 the states come from the brute-force simulation in `fock_oracle`
 (only their concurrences have closed forms), so the analytic expressions in
 `concurrence_closed_form` stay available as an independent cross-check.
 `coupled_stages` alone chooses between the two, for one point or a grid
-(a `CouplingConfig` of arrays, whose outcomes hold stacks); a grid's stage
-III states come from one `filter_states` pass.
+(a `CouplingConfig` of arrays, whose outcomes hold stacks); `filter_states`
+filters a stack of stage II states in one pass (`verify`'s stage III).
 
-`stage_concurrences` measures a sweep: each p = 0 point in plain floats by
-`distinguishable_concurrences`, bit for bit the matrix route, and the p > 0
-points in blocks of oracle stacks by `measures`' X-state concurrence.
-numpy, `fock_oracle`, `measures`, `qmat` and `states` are imported only by
-the functions that use them, so a p = 0 sweep never imports numpy.
-`reference` keeps the Wootters `measures.concurrence` as the second route.
+`stage_concurrences` measures every sweep point one way, in plain floats,
+from the entries of its X states: the closed form gives them at p = 0, a
+block of oracle stacks at p > 0.  numpy, `fock_oracle`, `measures`, `qmat`
+and `states` are imported only by the functions that use them, so a p = 0
+sweep never imports numpy and no sweep imports `measures`.  `reference`
+keeps the Wootters `measures.concurrence` as the second route.
 """
 
 from __future__ import annotations
@@ -49,12 +49,11 @@ def stage2_measure(cfg: CouplingConfig, outcome: str = "H") -> StageOutcome:
 
 
 class FilterBlockedError(ValueError):
-    """Raised by `filter_states` and `filter_x_state`; `blocked` masks the states their
-    filters block completely (True for one state)."""
+    """Raised by `filter_states` and `filter_x_state` where the filters block a state
+    completely (pass rate at most 1e-15)."""
 
-    def __init__(self, blocked):
+    def __init__(self):
         super().__init__("filters fully blocked the state (zero pass rate)")
-        self.blocked = blocked
 
 
 def filter_states(states, filters: FilterConfig) -> tuple:
@@ -69,9 +68,8 @@ def filter_states(states, filters: FilterConfig) -> tuple:
     floats or arrays that broadcast against the stack's leading shape.
     Returns the filtered states, checked in one stacked
     `validate_density_matrix` pass, and their pass rates; one 4x4 state gives
-    a 4x4 state and a 0-d pass rate.  Raises FilterBlockedError, a ValueError
-    that carries the mask of the blocked states, if the filters block any
-    state completely (pass rate at most 1e-15).
+    a 4x4 state and a 0-d pass rate.  Raises FilterBlockedError if the
+    filters block any state completely (pass rate at most 1e-15).
     """
     import numpy as np
 
@@ -82,9 +80,8 @@ def filter_states(states, filters: FilterConfig) -> tuple:
     # + 0.0 turns -0.0 into +0.0, which is the only zero a matrix product gives
     filtered = (states * k[..., :, None]) * k[..., None, :] + 0.0
     pass_rates = filtered.trace(axis1=-2, axis2=-1).real
-    blocked = pass_rates <= 1e-15
-    if np.count_nonzero(blocked):
-        raise FilterBlockedError(blocked)
+    if np.count_nonzero(pass_rates <= 1e-15):
+        raise FilterBlockedError
     filtered = qmat.validate_density_matrix(filtered / pass_rates[..., None, None], dim=4,
                                             stack=True)
     return filtered, pass_rates
@@ -118,20 +115,22 @@ def filter_x_state(hh: float, hv: float, vh: float, vv: float, coherence: float,
     `filter_states`; the pass rate sums the diagonal pairwise, as numpy's
     trace does; and each entry is divided by it as numpy divides a complex
     entry by a real one, times 1 / rate.  Returns the five filtered entries,
-    unchecked (see `distinguishable_concurrences`).  Raises FilterBlockedError
-    where the pass rate is at most 1e-15.
+    unchecked (see `_point_concurrences`).  Raises FilterBlockedError where the
+    pass rate is at most 1e-15.
     """
     ka, kb, kab = math.sqrt(att_a), math.sqrt(att_b), math.sqrt(att_a * att_b)
     hv, vh, vv = (hv * kb) * kb, (vh * ka) * ka, (vv * kab) * kab
     rate = (hh + hv) + (vh + vv)
     if rate <= 1e-15:
-        raise FilterBlockedError(True)
+        raise FilterBlockedError
     inverse = 1.0 / rate
     return hh * inverse, hv * inverse, vh * inverse, vv * inverse, (coherence * kb) * ka * inverse
 
 
 def _x_concurrence(hh: float, hv: float, vh: float, vv: float, coherence: float) -> float:
-    """`measures.x_concurrence` of one X state with no HH-VV coherence, in plain floats.
+    """Concurrence of one X state with no HH-VV coherence, read off its entries in plain
+    floats: 2 max(0, |rho_HV,VH| - sqrt(rho_HH rho_VV)) (Yu and Eberly, Quantum Inf.
+    Comput. 7, 459 (2007)).
 
     The state gets the checks of `qmat.validate_density_matrix`, with its
     messages: trace 1 within TRACE_TOL (summed pairwise, like numpy's trace),
@@ -152,21 +151,32 @@ def _x_concurrence(hh: float, hv: float, vh: float, vv: float, coherence: float)
     return 2.0 * value if value > 0.0 else 0.0  # max(0.0, value): -0.0 gives 0.0
 
 
+def _point_concurrences(stage1, stage2, att_a: float, att_b: float, limit: float) -> tuple:
+    """The four `stage_concurrences` values of one point from the entries (hh, hv, vh, vv,
+    |HV-VH coherence|) of its stage I and H-outcome stage II states, its attenuations and
+    its filtration limit.  Each state is checked and measured by `_x_concurrence`, stage I
+    first; stage III is the `filter_x_state` of stage II, nan where the filters block it."""
+    coupled, measured = _x_concurrence(*stage1), _x_concurrence(*stage2)
+    try:
+        filtered = _x_concurrence(*filter_x_state(*stage2, att_a, att_b))
+    except FilterBlockedError:
+        filtered = math.nan
+    return coupled, measured, filtered, limit
+
+
 def distinguishable_concurrences(transmittivity: float, eps: float) -> tuple:
     """The four `stage_concurrences` values of one p = 0 point, in plain floats.
 
     With q = T^2/(T^2 + R^2) and s the (HV, HV) entry of |psi-><psi-|, the
     stage I (Werner) state has the diagonal ((1-q)/4, qs + (1-q)/4,
     qs + (1-q)/4, (1-q)/4) and the HV-VH coherence qs; the H-outcome stage II
-    state has (0, qs, qs + (1-q)/2, (1-q)/2) and qs; stage III is its
-    `filter_x_state` under the `eps_to_filter` schedule.  Each float
-    operation is the one of `coupled_stages`, `filter_states` and
-    `measures.x_concurrence` on the 4x4 matrices, in their order, and the
-    limit is the p = 0 `concurrence_closed_form`, so every value has their
-    bits.  Each state gets the checks of `qmat.validate_density_matrix`, in
-    plain floats.  T outside [0, 1] or eps outside (0, 1] raises ValueError;
-    the stage III value is nan where the filters block the stage II state
-    (pass rate at most 1e-15, as at T = 0).
+    state has (0, qs, qs + (1-q)/2, (1-q)/2) and qs; `_point_concurrences`
+    measures them under the `eps_to_filter` schedule.  Each float operation is
+    the one of `coupled_stages` and `filter_states` on the 4x4 matrices, in
+    their order, and the limit is the p = 0 `concurrence_closed_form`, so
+    every value has their bits.  T outside [0, 1] or eps outside (0, 1] raises
+    ValueError; the stage III value is nan where the filters block the stage
+    II state (pass rate at most 1e-15, as at T = 0).
     """
     t, eps = float(transmittivity), float(eps)
     if not (0.0 <= t <= 1.0 and 0.0 < eps <= 1.0):  # nan fails too; raise the checks' message
@@ -175,16 +185,10 @@ def distinguishable_concurrences(transmittivity: float, eps: float) -> tuple:
     r = 1.0 - t
     q = t * t / (t * t + r * r)
     s = q * _SINGLET_ENTRY
-    noise = (1.0 - q) * 0.25
-    stage1 = _x_concurrence(noise, s + noise, s + noise, noise, s)
-    noise = (1.0 - q) * 0.5
-    measured = (0.0, s, s + noise, noise, s)
-    stage2 = _x_concurrence(*measured)
-    try:
-        stage3 = _x_concurrence(*filter_x_state(*measured, eps * q, eps))
-    except FilterBlockedError:
-        stage3 = math.nan
-    return stage1, stage2, stage3, t / math.sqrt(t * t + r * r)
+    coupled, measured = (1.0 - q) * 0.25, (1.0 - q) * 0.5
+    return _point_concurrences((coupled, s + coupled, s + coupled, coupled, s),
+                               (0.0, s, s + measured, measured, s),
+                               eps * q, eps, t / math.sqrt(t * t + r * r))
 
 
 def eps_to_filter(eps, transmittivity) -> FilterConfig:
@@ -243,14 +247,13 @@ def stage_concurrences(transmittivity, overlap, eps) -> tuple:
     `eps_to_filter` schedule; it is nan where the filters block the state
     completely (at T = 0).  A value outside its range raises ValueError.
 
-    The points are taken in blocks of up to GRID_BLOCK.  Each p = 0 point is
-    `distinguishable_concurrences`, in plain floats.  A block's p > 0 points
-    are evaluated as stacks: one `coupled_stages` call (one oracle
-    propagation) gives their stage I and II states, one `filter_states` pass
-    scales them all by their Kraus diagonals (one more filters the rest when
-    some are blocked), one stacked X-state concurrence call measures every
-    stage state from its entries without checking it again, and one
-    `concurrence_closed_form` call gives their filtration limits.
+    The points are taken in blocks of up to GRID_BLOCK, and each point is
+    measured by `_point_concurrences` from the entries of its stage I and II
+    X states, in plain floats.  A p = 0 point takes them from the closed form
+    (`distinguishable_concurrences`).  A block's p > 0 points take them from
+    one `coupled_stages` call (one oracle propagation and one stacked check),
+    their attenuations from one `eps_to_filter` call and their filtration
+    limits from one `concurrence_closed_form` call.
     """
     axes = (transmittivity, overlap, eps)
     if not all(isinstance(axis, (int, float, list)) for axis in axes):  # arrays: numpy's rules
@@ -284,31 +287,25 @@ def _columns(ts: list, ps: list, es: list) -> tuple:
 
 
 def _overlapping_rows(ts: tuple, ps: tuple, es: tuple) -> list:
-    """`stage_concurrences` rows of p > 0 points, from oracle stacks (see there)."""
+    """`stage_concurrences` rows of p > 0 points, read off one block of oracle stacks (see
+    there).  An entry off the diagonal and the HV-VH coherence raises: only an X state
+    with no HH-VV coherence has the concurrence of `_x_concurrence`."""
     import numpy as np
-
-    from . import measures
 
     t, p, e = (np.array(axis, dtype=float) for axis in (ts, ps, es))
     cfg = CouplingConfig(t, p)
-    stage1, stage2 = (outcome.state for outcome in coupled_stages(cfg))
     filters = eps_to_filter(e, t)
-    passed = np.ones(t.size, dtype=bool)
-    try:
-        filtered, _ = filter_states(stage2, filters)
-    except FilterBlockedError as exc:  # nan at the blocked points, the rest in one more pass
-        passed = ~exc.blocked
-        filtered = stage2[passed]  # empty if every point is blocked
-        if passed.any():
-            filtered, _ = filter_states(filtered, FilterConfig(filters.att_a[passed],
-                                                               filters.att_b[passed]))
-    # every state passed `validate_density_matrix` in the oracle or in `filter_states`
-    values = measures._x_concurrence(np.concatenate([stage1, stage2, filtered]))
-    columns = np.empty((4, t.size))
-    columns[:2] = values[:2 * t.size].reshape(2, -1)
-    columns[2], columns[3] = np.nan, concurrence_closed_form(Stage.FILTRATION, cfg)
-    columns[2, passed] = values[2 * t.size:]
-    return list(zip(*columns.tolist()))
+    stacks = np.stack([outcome.state for outcome in coupled_stages(cfg)])  # stage I, stage II
+    outside = ~np.eye(4, dtype=bool)
+    outside[1, 2] = outside[2, 1] = False
+    if np.count_nonzero(stacks[..., outside]):
+        raise ValueError("not an X state: an entry off the diagonal and the HV-VH coherence "
+                         "is nonzero")
+    entries = np.concatenate([stacks.diagonal(axis1=-2, axis2=-1).real,
+                              abs(stacks[..., 1, 2, None])], axis=-1)
+    limits = concurrence_closed_form(Stage.FILTRATION, cfg)
+    return list(map(_point_concurrences, *entries.tolist(), filters.att_a.tolist(),
+                    filters.att_b.tolist(), limits.tolist()))
 
 
 def concurrence_closed_form(stage: Stage, cfg: CouplingConfig,

@@ -1,15 +1,17 @@
 """Shared test helpers: seeded random states and unitaries, the pipeline's
-stage states, an exact decimal evaluation of their concurrences, the
-tensor product and partial trace used to build and inspect them, and a call
-counter."""
+stage states, the X-state concurrence and the sweep's columns by the route of
+4x4 matrices, an exact decimal evaluation of their concurrences, the tensor
+product and partial trace used to build and inspect them, and call
+counters."""
 
+import inspect
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
-from entloc import protocol, qmat
-from entloc.params import CouplingConfig
+from entloc import fock_oracle, protocol, qmat
+from entloc.params import CouplingConfig, FilterConfig, Stage
 
 
 def random_density(rng, dim: int) -> np.ndarray:
@@ -43,6 +45,54 @@ def pipeline_states() -> list:
             if t > 0.0:  # at T = 0 the filters block the stage II state
                 found.append(protocol.stage3_filter(stage2, protocol.eps_to_filter(0.15, t)).state)
     return found
+
+
+def x_concurrence(rho) -> float | np.ndarray:
+    """Concurrence of an X state read off its entries: no PSD root and no SVD.
+
+    C = 2 max(0, |rho_HV,VH| - sqrt(rho_HH rho_VV), |rho_HH,VV| - sqrt(rho_HV rho_VH))
+    (Yu and Eberly, Quantum Inf. Comput. 7, 459 (2007)).  `rho` gets the
+    density-matrix checks of `measures.concurrence`, with the same messages, from
+    `qmat.validate_density_matrix`; then a nonzero entry off the diagonal and the
+    anti-diagonal raises.  A 4x4 `rho` gives a float; a (..., 4, 4) stack gives an array.
+    """
+    arr = qmat.validate_density_matrix(rho, dim=4, stack=True)
+    if np.count_nonzero(arr[..., qmat._OFF_X]):
+        raise ValueError("not an X state: an entry off the diagonal and anti-diagonal is nonzero")
+    d = arr.diagonal(axis1=-2, axis2=-1).real
+    outer = np.sqrt(np.maximum(d[..., 0] * d[..., 3], 0.0))  # a diagonal may round below 0
+    inner = np.sqrt(np.maximum(d[..., 1] * d[..., 2], 0.0))
+    value = 2.0 * np.maximum(abs(arr[..., 1, 2]) - outer, abs(arr[..., 0, 3]) - inner)
+    clamped = np.where(value > 0.0, value, 0.0)  # max(0.0, value): -0.0 and nan give 0.0
+    return float(clamped) if clamped.ndim == 0 else clamped
+
+
+def matrix_route_columns(ts, ps, eps) -> list:
+    """The four `stage_concurrences` columns of a 1-D grid (the arguments broadcast) whose
+    points are all at p = 0 or all at p > 0, by the route of 4x4 stacks: `coupled_stages`,
+    one `filter_states` pass over the stage II states its filters do not block (a blocked
+    state is found by filtering it alone), `x_concurrence` of every state and the
+    `concurrence_closed_form` limit; stage III is nan where the filters block."""
+    ts, ps, eps = np.broadcast_arrays(*(np.asarray(axis, dtype=float) for axis in (ts, ps, eps)))
+    cfg = CouplingConfig(ts, ps)
+    stage1, stage2 = (outcome.state for outcome in protocol.coupled_stages(cfg))
+    filters = protocol.eps_to_filter(eps, ts)
+    passed = np.ones(ts.size, dtype=bool)
+    try:
+        protocol.filter_states(stage2, filters)
+    except protocol.FilterBlockedError:
+        for i in range(ts.size):
+            try:
+                protocol.filter_states(stage2[i], FilterConfig(filters.att_a[i], filters.att_b[i]))
+            except protocol.FilterBlockedError:
+                passed[i] = False
+    columns = [x_concurrence(stage1), x_concurrence(stage2), np.full(ts.size, np.nan),
+               protocol.concurrence_closed_form(Stage.FILTRATION, cfg)]
+    if passed.any():
+        filtered, _ = protocol.filter_states(stage2[passed], FilterConfig(filters.att_a[passed],
+                                                                          filters.att_b[passed]))
+        columns[2][passed] = x_concurrence(filtered)
+    return columns
 
 
 def exact_stage_concurrences(transmittivity: float, overlap: float, eps: float) -> tuple:
@@ -141,6 +191,27 @@ def counting(monkeypatch, functions):
             calls[name] = 0
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     return calls
+
+
+def functions_of(module) -> list:
+    """The names of the functions `module` defines."""
+    return [name for name, value in vars(module).items()
+            if inspect.isfunction(value) and value.__module__ == module.__name__]
+
+
+def reduced_sizes(monkeypatch) -> list:
+    """The number of points of each `fock_oracle.reduce_to_ab` call while the test runs, in
+    call order (1 for one point)."""
+    sizes = []
+    reduce_to_ab = fock_oracle.reduce_to_ab
+
+    def recorded(branches, outcome="H"):
+        found = reduce_to_ab(branches, outcome)
+        sizes.append(found[0].state[..., 0, 0].size)
+        return found
+
+    monkeypatch.setattr(fock_oracle, "reduce_to_ab", recorded)
+    return sizes
 
 
 @pytest.fixture

@@ -9,12 +9,13 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
-from conftest import counting
+from conftest import counting, functions_of, reduced_sizes, x_concurrence
 
 from entloc import cli, fock_oracle, measures, protocol
 from entloc.params import CouplingConfig, Stage
 
 ROOT = Path(__file__).resolve().parent.parent
+MEASURES = functions_of(measures)
 SCHEMA_DIR = ROOT / "schemas"
 
 
@@ -135,12 +136,12 @@ def per_point_stage_concurrences(transmittivity, overlap, eps):
     stage2 = protocol.stage2_measure(cfg, "H")
     filters = protocol.eps_to_filter(eps, transmittivity)
     try:
-        filtered = measures.x_concurrence(protocol.stage3_filter(stage2, filters).state)
+        filtered = x_concurrence(protocol.stage3_filter(stage2, filters).state)
     except ValueError:
         filtered = float("nan")
     return (
-        measures.x_concurrence(protocol.stage1_couple(cfg).state),
-        measures.x_concurrence(stage2.state),
+        x_concurrence(protocol.stage1_couple(cfg).state),
+        x_concurrence(stage2.state),
         filtered,
         protocol.concurrence_closed_form(Stage.FILTRATION, cfg, eps=None),
     )
@@ -176,9 +177,9 @@ class TestSweepGrid:
             rows.append((value, *per_point_stage_concurrences(point["T"], point["p"], point["eps"])))
         expected = cli._csv_text(cli.SWEEP_HEADER, rows)
 
-        calls = counting(monkeypatch, {measures: ["concurrence", "x_concurrence", "_x_concurrence"],
+        calls = counting(monkeypatch, {measures: MEASURES,
                                        np.linalg: ["eigvalsh", "eigh", "svd"],
-                                       fock_oracle: ["apply_beamsplitter"],
+                                       fock_oracle: ["apply_beamsplitter", "reduce_to_ab"],
                                        protocol: ["stage3_filter", "filter_states",
                                                   "distinguishable_concurrences"]})
         out = tmp_path / "sweep.csv"
@@ -187,25 +188,22 @@ class TestSweepGrid:
         assert cli.main([*argv, "--out", str(out)]) == 0
         assert out.read_bytes() == expected.encode("utf-8")
         overlaps = np.linspace(lo, hi, steps) if variable == "p" else np.full(steps, p)
-        blocked = np.isnan([row[3] for row in rows])  # the reference's nan: blocked filters
         # each p = 0 point: one distinguishable_concurrences call, in plain floats; the p > 0
-        # points of each block: one propagation (two apply_beamsplitter calls), one
-        # filter_states call, and one more if they hold both blocked and passing points, and
-        # one stacked X-state concurrence call that does not check the states again; neither
-        # the Wootters concurrence nor LAPACK's eigvalsh, eigh or svd is called
-        blocks = [slice(start, start + protocol.GRID_BLOCK)
-                  for start in range(0, steps, protocol.GRID_BLOCK)]
-        oracle = [blocked[b][overlaps[b] > 0.0] for b in blocks if np.any(overlaps[b] > 0.0)]
+        # points of each block: one propagation (two apply_beamsplitter calls) and one
+        # reduce_to_ab call, whose stage entries are filtered and measured in plain floats;
+        # no filter_states pass, no measures function and none of LAPACK's eigvalsh, eigh
+        # or svd is called
+        oracle = [start for start in range(0, steps, protocol.GRID_BLOCK)
+                  if np.any(overlaps[start:start + protocol.GRID_BLOCK] > 0.0)]
         assert calls == {
-            "concurrence": 0,
-            "x_concurrence": 0,
-            "_x_concurrence": len(oracle),
+            **dict.fromkeys(MEASURES, 0),
             "eigvalsh": 0,
             "eigh": 0,
             "svd": 0,
             "apply_beamsplitter": 2 * len(oracle),
+            "reduce_to_ab": len(oracle),
             "stage3_filter": 0,
-            "filter_states": sum(1 + (mask.any() and not mask.all()) for mask in oracle),
+            "filter_states": 0,
             "distinguishable_concurrences": int(np.count_nonzero(overlaps == 0.0)),
         }
 
@@ -226,20 +224,19 @@ class TestSweepGrid:
         ts = np.array([0.9, 0.5, 0.3, 0.1, 0.7, 0.0, 0.2, 0.6, 0.0, 0.0, 0.0, 0.0, 0.4])
         expected = {p: per_point_columns(ts, p, 0.15) for p in (0.0, 0.5)}
         monkeypatch.setattr(protocol, "GRID_BLOCK", 4)
-        sizes = []
-        filter_states = protocol.filter_states
-        monkeypatch.setattr(protocol, "filter_states", lambda stack, filters: (
-            sizes.append(len(stack)) or filter_states(stack, filters)))
-        for p, filtered in ((0.0, []), (0.5, [4, 4, 3, 4, 1])):
+        sizes = reduced_sizes(monkeypatch)
+        calls = counting(monkeypatch, {protocol: ["filter_states"], measures: MEASURES})
+        for p, reduced in ((0.0, []), (0.5, [4, 4, 4, 1])):
             sizes.clear()
             columns = protocol.stage_concurrences(ts, p, 0.15)
             for got, want in zip(columns, expected[p]):
                 assert got.tobytes() == want.tobytes()
             assert np.isnan(columns[2]).tolist() == (ts == 0.0).tolist()
-            # p = 0 filters each point in plain floats; p > 0 in blocks of 4, 4, 4 and 1: the
-            # second filters again without its T = 0 point, the third is blocked throughout and
-            # filters nothing more
-            assert sizes == filtered
+            # p = 0 takes each point from the closed form, p > 0 reduces blocks of 4, 4, 4 and
+            # 1 with the oracle; either way each point is filtered in plain floats, blocked
+            # (nan) or not
+            assert sizes == reduced
+        assert calls == {"filter_states": 0, **dict.fromkeys(MEASURES, 0)}
 
     def test_an_eps_sweep_at_zero_transmittivity_is_blocked_everywhere(self):
         eps = np.concatenate([np.geomspace(1e-12, 1.0, 13), np.linspace(0.001, 1.0, 300)])
@@ -298,7 +295,8 @@ def imported_modules(*argv) -> tuple:
 
 
 class TestNumpyFreeProcess:
-    """A p = 0 T or eps sweep and a usage error run without importing numpy."""
+    """A p = 0 T or eps sweep and a usage error run without importing numpy, and no sweep
+    imports `entloc.measures`, which only `verify` and `reproduce` use."""
 
     @pytest.mark.parametrize("argv, status", [
         (["sweep", "--variable", "T", "--p", "0"], 0),  # through T = 0, where the filters block
@@ -316,6 +314,13 @@ class TestNumpyFreeProcess:
         code, modules = imported_modules("sweep", "--p", "0.5", "--steps", "3",
                                          "--out", str(tmp_path / "out.csv"))
         assert code == 0 and "numpy" in modules and "entloc.fock_oracle" in modules
+        assert "entloc.measures" not in modules
+
+    @pytest.mark.parametrize("argv", [["verify", "--grid", "3"], ["reproduce", "--table", "II"]],
+                             ids=["verify", "reproduce"])
+    def test_verify_and_reproduce_import_measures(self, tmp_path, argv):
+        code, modules = imported_modules(*argv, "--out", str(tmp_path / "out.json"))
+        assert code == 0 and "entloc.measures" in modules
 
 
 FORMULA_KEYS = ["C_I", "P_I", "C_II", "P_II"]

@@ -3,7 +3,8 @@ import re
 
 import numpy as np
 import pytest
-from conftest import pipeline_states, random_density, random_pure_density, random_unitary, tensor
+from conftest import (pipeline_states, random_density, random_pure_density, random_unitary, tensor,
+                      x_concurrence)
 
 from entloc import measures, protocol, states
 from entloc.params import CouplingConfig, Stage
@@ -130,7 +131,7 @@ class TestXConcurrence:
     @pytest.mark.parametrize("overlap", [0.0, 0.25, 0.5, 0.85, 1.0])
     def test_equals_the_wootters_concurrence_on_pipeline_states(self, overlap, outcome):
         for stack in stage_states(overlap, outcome):
-            x_route, wootters = measures.x_concurrence(stack), measures.concurrence(stack)
+            x_route, wootters = x_concurrence(stack), measures.concurrence(stack)
             assert x_route.shape == (len(stack),)
             assert np.max(abs(x_route - wootters)) <= X_ROUTE_BOUND
 
@@ -145,32 +146,32 @@ class TestXConcurrence:
             found[Stage.COUPLING] = stage1
         for stage, stack in found.items():
             closed_form = protocol.concurrence_closed_form(stage, cfg)
-            assert np.max(abs(measures.x_concurrence(stack) - closed_form)) <= 2e-15
+            assert np.max(abs(x_concurrence(stack) - closed_form)) <= 2e-15
 
     def test_equals_its_closed_form_on_random_x_states(self, rng):
         for _ in range(100):
             rho = random_x_state(rng)
-            assert abs(measures.x_concurrence(rho) - x_state_concurrence(rho)) < 1e-15
+            assert abs(x_concurrence(rho) - x_state_concurrence(rho)) < 1e-15
 
     def test_one_matrix_gives_a_float(self):
         for rho in (states.singlet_density(), np.eye(4) / 4, states.werner(0.8)):
-            value = measures.x_concurrence(rho)
-            assert type(value) is float and value == measures.x_concurrence(np.array([rho]))[0]
-        assert abs(measures.x_concurrence(states.singlet_density()) - 1.0) < 1e-15
+            value = x_concurrence(rho)
+            assert type(value) is float and value == x_concurrence(np.array([rho]))[0]
+        assert abs(x_concurrence(states.singlet_density()) - 1.0) < 1e-15
 
     def test_keeps_leading_axes(self, rng):
         mats = np.array([random_x_state(rng) for _ in range(6)])
-        values = measures.x_concurrence(mats.reshape(3, 2, 4, 4))
-        assert values.tobytes() == measures.x_concurrence(mats).reshape(3, 2).tobytes()
+        values = x_concurrence(mats.reshape(3, 2, 4, 4))
+        assert values.tobytes() == x_concurrence(mats).reshape(3, 2).tobytes()
 
     @pytest.mark.parametrize("row, col", [(0, 1), (0, 2), (1, 3), (2, 3)])
     def test_a_non_x_matrix_raises(self, row, col):
         rho = (1.0 - 1e-3) * states.werner(0.6) + 1e-3 * np.eye(4) / 4
         rho[row, col] = rho[col, row] = 1e-3  # still a density matrix
         with pytest.raises(ValueError, match="^not an X state"):
-            measures.x_concurrence(rho)
+            x_concurrence(rho)
         with pytest.raises(ValueError, match="^not an X state"):
-            measures.x_concurrence(np.array([states.werner(0.6), rho]))
+            x_concurrence(np.array([states.werner(0.6), rho]))
 
     @pytest.mark.parametrize("rho", [
         np.eye(4),  # trace 4
@@ -185,13 +186,13 @@ class TestXConcurrence:
         with pytest.raises(ValueError) as expected:
             measures.concurrence(rho)
         with pytest.raises(ValueError) as raised:
-            measures.x_concurrence(rho)
+            x_concurrence(rho)
         assert str(raised.value) == str(expected.value)
 
     def test_clamp_is_max_of_zero_and_value(self):
         # negative values and the zero of the last state give +0.0
         for rho in (states.werner(0.2), np.eye(4) / 4, np.diag([0.5, 0.0, 0.0, 0.5])):
-            value = measures.x_concurrence(rho)
+            value = x_concurrence(rho)
             assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 

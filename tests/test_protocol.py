@@ -5,12 +5,14 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
-from conftest import counting, exact_stage_concurrences, random_density, random_pure_density
+from conftest import (counting, exact_stage_concurrences, functions_of, matrix_route_columns,
+                      random_density, random_pure_density, reduced_sizes, x_concurrence)
 
 from entloc import fock_oracle, measures, protocol, qmat, states
 from entloc.params import CouplingConfig, FilterConfig, Stage, StageOutcome
 
 SQRT2 = np.sqrt(2.0)
+MEASURES = functions_of(measures)
 
 
 class TestConfigs:
@@ -326,29 +328,33 @@ class TestFilterStates:
         message = r"^filters fully blocked the state \(zero pass rate\)$"
         with pytest.raises(ValueError, match=message) as raised:
             protocol.filter_states(stack, FilterConfig(np.array([0.5, 0.0, 0.5]), 1.0))
-        assert isinstance(raised.value, protocol.FilterBlockedError)
-        assert raised.value.blocked.tolist() == [False, True, False]
+        assert type(raised.value) is protocol.FilterBlockedError
 
-    def test_the_error_marks_exactly_the_blocked_states(self):
+    def test_a_stack_raises_exactly_when_one_of_its_states_raises_alone(self):
         # T = 0 states block when A_A = 0; tiny T at tiny eps straddles the 1e-15 threshold
         ts = np.array([0.0, 1e-9, 1e-8, 1e-7, 1e-6, 0.4, 1.0, 0.0]).reshape(2, 4)
         stack = np.array([[protocol.stage2_measure(CouplingConfig(t), "H").state for t in row]
                           for row in ts.tolist()])
+        message = r"^filters fully blocked the state \(zero pass rate\)$"
         for eps in (1e-12, 1e-3, 1.0):
             filters = [protocol.eps_to_filter(eps, t) for t in ts.ravel().tolist()]
             att_a = np.array([f.att_a for f in filters]).reshape(ts.shape)
             att_b = np.array([f.att_b for f in filters]).reshape(ts.shape)
-            expected = np.zeros(ts.shape, dtype=bool)
+            blocked = np.zeros(ts.shape, dtype=bool)
             for index in np.ndindex(ts.shape):
                 try:
                     protocol.filter_states(stack[index], FilterConfig(att_a[index], att_b[index]))
                 except protocol.FilterBlockedError as alone:
-                    assert alone.blocked.shape == () and alone.blocked
-                    expected[index] = True
-            assert expected.any() and not expected.all()
-            with pytest.raises(protocol.FilterBlockedError) as raised:
+                    assert str(alone) == "filters fully blocked the state (zero pass rate)"
+                    blocked[index] = True
+            assert blocked.any() and not blocked.all()
+            with pytest.raises(protocol.FilterBlockedError, match=message) as raised:
                 protocol.filter_states(stack, FilterConfig(att_a, att_b))
-            assert raised.value.blocked.tolist() == expected.tolist()
+            assert type(raised.value) is protocol.FilterBlockedError
+            passed = ~blocked  # the states that pass alone pass together
+            states, _ = protocol.filter_states(stack[passed], FilterConfig(att_a[passed],
+                                                                           att_b[passed]))
+            assert states.shape == (np.count_nonzero(passed), 4, 4)
 
 
 class TestCoupledStages:
@@ -445,22 +451,17 @@ class TestStageConcurrences:
     def test_a_grid_larger_than_a_block_is_measured_block_by_block(self, monkeypatch):
         ts, ps = np.linspace(0.0, 1.0, 11)[:, None], np.array([0.0, 0.5])
         whole = protocol.stage_concurrences(ts, ps, 0.15)
-        sizes = []
-        x_concurrence = measures._x_concurrence
-
-        def counted(rho):
-            sizes.append(len(rho))
-            return x_concurrence(rho)
-
-        monkeypatch.setattr(measures, "_x_concurrence", counted)
+        sizes = reduced_sizes(monkeypatch)
         monkeypatch.setattr(protocol, "GRID_BLOCK", 4)
-        points = counting(monkeypatch, {protocol: ["distinguishable_concurrences"]})
+        calls = counting(monkeypatch, {protocol: ["distinguishable_concurrences", "filter_states"],
+                                       measures: MEASURES})
         blocked = protocol.stage_concurrences(ts, ps, 0.15)
-        # 22 points in blocks of 4, 4, 4, 4, 4 and 2, half of them at p = 0.5: two stage states
-        # per p > 0 point and a stage III state where the filters pass (they block T = 0 of the
-        # first block); the 11 p = 0 points are measured one by one in plain floats
-        assert sizes == [5, 6, 6, 6, 6, 3]
-        assert points == {"distinguishable_concurrences": 11}
+        # 22 points in blocks of 4, 4, 4, 4, 4 and 2, half of them at p = 0.5: one oracle
+        # reduction of each block's p > 0 points, whose entries are measured in plain floats
+        # like the 11 p = 0 points, with no filter_states pass and no measures function
+        assert sizes == [2, 2, 2, 2, 2, 1]
+        assert calls == {"distinguishable_concurrences": 11, "filter_states": 0,
+                         **dict.fromkeys(MEASURES, 0)}
         for got, expected in zip(blocked, whole):
             assert got.shape == (11, 2) and got.tobytes() == expected.tobytes()
 
@@ -494,7 +495,7 @@ class TestStageConcurrences:
             protocol.stage_concurrences(0.4, 0.0, eps)
 
 
-    def test_a_p_gt_0_sweep_checks_each_state_once(self, monkeypatch):
+    def test_a_p_gt_0_sweep_checks_its_oracle_stacks_once_per_block(self, monkeypatch):
         checked = []
         validate = qmat.validate_density_matrix
 
@@ -503,14 +504,15 @@ class TestStageConcurrences:
             return validate(rho, *args, **kwargs)
 
         monkeypatch.setattr(qmat, "validate_density_matrix", counted)
-        calls = counting(monkeypatch, {measures: ["x_concurrence", "_x_concurrence"]})
+        calls = counting(monkeypatch, {fock_oracle: ["reduce_to_ab"], protocol: ["filter_states"],
+                                       measures: MEASURES})
         columns = protocol.stage_concurrences(np.linspace(0.0, 1.0, 600), 0.5, 0.15)
-        # three blocks: the stage I and II states of every point and the stage III states of
-        # the 599 points the filters pass (not T = 0) are each checked once, and measured
-        # without a second check
+        # three blocks, each with one oracle reduction that checks the stage I and II states
+        # of its points as one stack; every state, and the stage III states of the 599 points
+        # the filters pass (not T = 0), then gets the plain-float checks as it is measured
         assert np.count_nonzero(np.isnan(columns[2])) == 1
-        assert sum(checked) == 2 * 600 + 599
-        assert calls == {"x_concurrence": 0, "_x_concurrence": 3}
+        assert checked == [2 * 256, 2 * 256, 2 * 88]
+        assert calls == {"reduce_to_ab": 3, "filter_states": 0, **dict.fromkeys(MEASURES, 0)}
 
     def test_lists_give_lists_with_the_bits_of_arrays(self):
         ts = np.linspace(0.0, 1.0, 301)
@@ -533,25 +535,6 @@ class TestStageConcurrences:
                    protocol.stage_concurrences(np.array([]), 0.0, 0.15))
 
 
-def stacked_distinguishable_columns(ts, eps):
-    """The four sweep columns of a p = 0 grid by the matrix route: 4x4 stacks from
-    `coupled_stages`, one `filter_states` pass (one more without the blocked points),
-    `measures.x_concurrence` and the p = 0 `concurrence_closed_form`."""
-    cfg = CouplingConfig(ts)
-    stage1, stage2 = (outcome.state for outcome in protocol.coupled_stages(cfg))
-    filters = protocol.eps_to_filter(eps, ts)
-    columns = [measures.x_concurrence(stage1), measures.x_concurrence(stage2),
-               np.full(ts.size, np.nan), protocol.concurrence_closed_form(Stage.FILTRATION, cfg)]
-    try:
-        passed, (filtered, _) = np.ones(ts.size, dtype=bool), protocol.filter_states(stage2, filters)
-    except protocol.FilterBlockedError as exc:
-        passed = ~exc.blocked
-        filtered, _ = protocol.filter_states(stage2[passed], FilterConfig(filters.att_a[passed],
-                                                                          filters.att_b[passed]))
-    columns[2][passed] = measures.x_concurrence(filtered)
-    return columns
-
-
 def x_matrix(hh, hv, vh, vv, coherence):
     """The 4x4 X state of `protocol._x_concurrence`'s entries, with the singlet's +i coherence."""
     rho = np.diag(np.array([hh, hv, vh, vv], dtype=complex))
@@ -572,7 +555,7 @@ class TestDistinguishableConcurrences:
         near = slice(ts.size - 3000, ts.size)  # pass rates about eps q, q = T^2/(T^2 + R^2)
         q = ts[near] ** 2 / (ts[near] ** 2 + (1.0 - ts[near]) ** 2)
         eps[near] = np.minimum(1e-15 / q * rng.uniform(0.9, 1.1, q.size), 1.0)
-        expected = stacked_distinguishable_columns(ts, eps)
+        expected = matrix_route_columns(ts, 0.0, eps)
         points = [protocol.distinguishable_concurrences(t, e)
                   for t, e in zip(ts.tolist(), eps.tolist())]
         for got, want in zip(zip(*points), expected):
@@ -586,9 +569,9 @@ class TestDistinguishableConcurrences:
 
     def test_blocked_filters_give_nan(self):
         assert math.isnan(protocol.distinguishable_concurrences(0.0, 0.15)[2])
-        with pytest.raises(protocol.FilterBlockedError) as raised:
+        with pytest.raises(protocol.FilterBlockedError,
+                           match=r"^filters fully blocked the state \(zero pass rate\)$"):
             protocol.filter_x_state(0.0, 0.0, 0.5, 0.5, 0.0, 0.0, 0.15)  # stage II at T = 0
-        assert raised.value.blocked is True
 
     @pytest.mark.parametrize("t, eps", [(1.5, 0.15), (-0.1, 0.15), (math.nan, 0.15),
                                         (0.4, 0.0), (0.4, 5.0), (0.4, math.nan)])
@@ -605,7 +588,7 @@ class TestDistinguishableConcurrences:
             diagonal /= diagonal.sum()
             coherence = math.sqrt(diagonal[1] * diagonal[2]) * rng.uniform(0.0, 1.0)
             entries = (*diagonal.tolist(), coherence)
-            expected = measures.x_concurrence(x_matrix(*entries))
+            expected = x_concurrence(x_matrix(*entries))
             assert protocol._x_concurrence(*entries).hex() == expected.hex()
 
     @pytest.mark.parametrize("entries", [
@@ -620,6 +603,82 @@ class TestDistinguishableConcurrences:
         with pytest.raises(ValueError) as raised:
             protocol._x_concurrence(*entries)
         assert str(raised.value) == str(expected.value)
+
+
+def stage2_pass_factor(ts, ps):
+    """The factor f of the stage III pass rate, about eps f, of the normalised H-outcome
+    stage II state under the `eps_to_filter` schedule: f = d_HV + q d_VH (the eps^2 term
+    dropped), from the stage II diagonal of `exact_stage_concurrences`."""
+    rs = 1.0 - ts
+    q = ts * ts / (ts * ts + rs * rs)
+    hv, vh = ts * ts / 4.0, (ts * ts + rs * rs) / 4.0 - ps * ts * rs / 2.0
+    return (hv + q * vh) / (hv + vh + rs * rs / 4.0)
+
+
+def non_x_reduction(monkeypatch, stage: int, entry: tuple):
+    """Make `fock_oracle.reduce_to_ab` mix each state of one stage (0: I, 1: II) with a
+    tenth of the pure state (|i> + |j>)/sqrt(2) of `entry` (i, j): still a density matrix,
+    with a nonzero (i, j) entry."""
+    reduce_to_ab = fock_oracle.reduce_to_ab
+    vector = np.zeros(4, dtype=complex)
+    vector[list(entry)] = 1.0 / SQRT2
+
+    def mixed(branches, outcome="H"):
+        found = list(reduce_to_ab(branches, outcome))
+        states = qmat.validate_density_matrix(
+            0.9 * found[stage].state + 0.1 * np.outer(vector, vector.conj()), dim=4, stack=True)
+        found[stage] = StageOutcome(states, found[stage].probability, found[stage].stage)
+        return tuple(found)
+
+    monkeypatch.setattr(fock_oracle, "reduce_to_ab", mixed)
+
+
+class TestOverlappingConcurrences:
+    """The p > 0 points of a sweep, measured in plain floats from the entries of the
+    oracle's stacks, against the 4x4 matrix route, bit for bit."""
+
+    def test_bits_equal_the_matrix_route(self, rng):
+        segments = [  # (T, p, eps), each a 1-D array
+            (rng.random(8000), rng.random(8000), 10.0 ** rng.uniform(-17, 0, 8000)),
+            (np.zeros(400), rng.random(400), 10.0 ** rng.uniform(-17, 0, 400)),  # blocked
+            (rng.random(2000), np.full(2000, 1e-9), 10.0 ** rng.uniform(-17, 0, 2000)),
+            (rng.random(2000), np.ones(2000), 10.0 ** rng.uniform(-17, 0, 2000)),
+            (0.5 + rng.uniform(-1e-4, 1e-4, 1000), np.ones(1000), rng.uniform(1e-3, 1.0, 1000)),
+        ]
+        near = (rng.uniform(1e-7, 1.0, 3000), rng.random(3000))  # the 1e-15 block threshold
+        factor = stage2_pass_factor(*near)
+        segments.append((*near, np.minimum(1e-15 / factor * rng.uniform(0.9, 1.1, 3000), 1.0)))
+        for t in rng.random(15):  # p sweeps from p = 0: blocks that mix both routes
+            ps = np.linspace(0.0, 1.0, 301)
+            segments.append((np.full(ps.size, t), ps, np.full(ps.size, rng.uniform(1e-6, 1.0))))
+        ts, ps, eps = (np.concatenate(axis) for axis in zip(*segments))
+        overlapping = ps > 0.0
+        expected = [np.empty(ts.size) for _ in range(4)]
+        for mask in (~overlapping, overlapping):
+            for start in range(0, ts.size, 2000):  # chunks bound the reference oracle's memory
+                chunk = np.flatnonzero(mask[start:start + 2000]) + start
+                if chunk.size:
+                    for column, values in zip(expected, matrix_route_columns(
+                            ts[chunk], ps[chunk], eps[chunk])):
+                        column[chunk] = values
+        got = protocol.stage_concurrences(ts.tolist(), ps.tolist(), eps.tolist())
+        for got_column, want in zip(got, expected):
+            assert [value.hex() for value in got_column] == [value.hex() for value in want.tolist()]
+        blocked = np.isnan(expected[2])
+        assert np.count_nonzero(overlapping) >= 20000 and ts.size > 40 * protocol.GRID_BLOCK
+        assert blocked[8000:8400].all()
+        threshold = blocked[ts.size - 15 * 301 - 3000:ts.size - 15 * 301]
+        assert threshold.sum() > 100 and (~threshold).sum() > 100
+        assert (~overlapping[ts.size - 15 * 301:]).sum() == 15
+
+    @pytest.mark.parametrize("stage", [0, 1], ids=["stage-I", "stage-II"])
+    @pytest.mark.parametrize("entry", [(0, 3), (0, 1), (1, 3)], ids=["HH-VV", "HH-HV", "HV-VV"])
+    def test_a_state_that_is_not_an_x_state_raises(self, monkeypatch, stage, entry):
+        non_x_reduction(monkeypatch, stage, entry)
+        with pytest.raises(ValueError, match="^not an X state: "):
+            protocol.stage_concurrences(np.linspace(0.1, 0.9, 5), 0.5, 0.15)
+        with pytest.raises(ValueError, match="^not an X state: "):
+            protocol.stage_concurrences(0.4, np.array([0.0, 0.5]), 0.15)
 
 
 EXACT_BOUND = 1e-15  # absolute; the largest error seen is 5.4e-16 (7.0e-16 over five more seeds)

@@ -12,7 +12,7 @@ directory that takes every --out file.  For each invocation it prints one line:
 To see what a change moves in the command line output, run the tool on the
 source tree before and after the change and diff the two listings.  The corpus
 covers T, p and eps sweeps (T in {0, 1/2, 1} and random, p in {0, 1} and
-random, mixed p, eps down to 1e-12), `verify` grids, every `reproduce` table
+random, mixed p, eps down to 1e-15), `verify` grids, every `reproduce` table
 with and without its overrides, `hom` (T within 1e-9 of 0 and of 1 included)
 and usage errors.  It is drawn from a fixed seed, so every run lists the same
 invocations.
@@ -94,7 +94,13 @@ def corpus() -> list[list[str]]:
         ["hom", "--T", "0"], ["hom", "--T", "1"], ["hom", "--steps", "1"],
         ["--config", "missing.ini", "sweep"], ["sweep", "--config", "missing.ini"],
     ]
-    return runs + usage_errors
+    # p > 0 sweeps through T = 0 with pass rates on both sides of the 1e-15 block
+    # threshold, a mixed p sweep over two grid blocks and an eps usage error at p > 0
+    blocks = [["sweep", "--p", "0.5", "--eps", eps] for eps in ["1e-15", "1.1e-15"]]
+    blocks.append(["sweep", "--variable", "p", "--min", "0", "--steps", "300", "--T", "0.3"])
+    blocks = [[*argv, "--out", OUT] for argv in blocks]
+    blocks.append(["sweep", "--variable", "eps", "--p", "0.5", "--min", "0"])
+    return runs + usage_errors + blocks
 
 
 def sha256(data: bytes | None) -> str:
