@@ -10,13 +10,13 @@ The computations live in the library (`protocol.stage_concurrences`,
 `reference.report`, `reference.verify`, `fock_oracle.hom_coincidence`).
 Each `cmd_*` validates its arguments, calls the library and maps the result
 to (exit status, output text), raising ValueError on invalid input; `main`
-alone writes the text to --out or stdout.  `sweep` hands its whole grid, a
-list of floats from `_linspace`, to one `stage_concurrences` call.  Every
-call is parsed by one shared parser, and a call with --config once more,
-with the config's defaults; `main` looks up the subcommand's `cmd_*` at call
-time.  `reference`, `fock_oracle`, numpy, `json` and `configparser` are
-imported only by the commands that use them, so a p = 0 `sweep` and a usage
-error run without numpy.
+alone writes the text to --out or stdout.  `sweep` hands its whole grid to
+one `stage_concurrences` call as three lists (T, p, eps): the swept one from
+`_linspace`, a fixed value once per point.  Every call is parsed by one shared
+parser, and a call with --config once more, with the config's defaults; `main`
+looks up the subcommand's `cmd_*` at call time.  `reference`, `fock_oracle`,
+numpy, `json` and `configparser` are imported only by the commands that use
+them, so a p = 0 `sweep` and a usage error run without numpy.
 Output is deterministic: identical invocations produce byte-identical files.
 Reals are rendered with 10 significant digits; CSV is UTF-8 with LF line
 endings and a single header row.  Exit codes: 0 success / within tolerance,
@@ -102,9 +102,9 @@ def cmd_sweep(args) -> tuple[int, str]:
     protocol.eps_to_filter(args.eps, args.T)
 
     grid = _linspace(args.min, args.max, args.steps)
-    columns = protocol.stage_concurrences(grid if args.variable == "T" else args.T,
-                                          grid if args.variable == "p" else args.p,
-                                          grid if args.variable == "eps" else args.eps)
+    fixed = {"T": args.T, "p": args.p, "eps": args.eps}
+    columns = protocol.stage_concurrences(*(grid if name == args.variable else [value] * args.steps
+                                            for name, value in fixed.items()))
     return 0, _csv_text(SWEEP_HEADER, zip(grid, *columns))
 
 

@@ -84,9 +84,8 @@ class FilterConfig:
 
     att_a / att_b: intensity attenuation of the V component on Alice's / Bob's
     arm.  1 means no filtering, 0 blocks V completely.  Either may be an
-    array: the filters of a sweep block, from one `protocol.eps_to_filter`
-    call, or of a stack of states, which `protocol.filter_states` applies in
-    one pass (`verify`'s stage III).
+    array: the filters of a stack of states, which `protocol.filter_states`
+    applies in one pass (`verify`'s stage III).
     """
 
     att_a: float

@@ -14,10 +14,11 @@ filters a stack of stage II states in one pass (`verify`'s stage III).
 
 `stage_concurrences` measures every sweep point one way, in plain floats,
 from the entries of its X states: the closed form gives them at p = 0, a
-block of oracle stacks at p > 0.  numpy, `fock_oracle`, `measures`, `qmat`
-and `states` are imported only by the functions that use them, so a p = 0
-sweep never imports numpy and no sweep imports `measures`.  `reference`
-keeps the Wootters `measures.concurrence` as the second route.
+block of oracle stacks at p > 0.  `concurrence_closed_form` is arithmetic on
+one point.  numpy, `fock_oracle`, `measures`, `qmat` and `states` are imported
+only by the functions that use them, so a p = 0 sweep never imports numpy and
+no sweep imports `measures`.  `reference` keeps the Wootters
+`measures.concurrence` as the second route.
 """
 
 from __future__ import annotations
@@ -171,12 +172,11 @@ def distinguishable_concurrences(transmittivity: float, eps: float) -> tuple:
     stage I (Werner) state has the diagonal ((1-q)/4, qs + (1-q)/4,
     qs + (1-q)/4, (1-q)/4) and the HV-VH coherence qs; the H-outcome stage II
     state has (0, qs, qs + (1-q)/2, (1-q)/2) and qs; `_point_concurrences`
-    measures them under the `eps_to_filter` schedule.  Each float operation is
-    the one of `coupled_stages` and `filter_states` on the 4x4 matrices, in
-    their order, and the limit is the p = 0 `concurrence_closed_form`, so
-    every value has their bits.  T outside [0, 1] or eps outside (0, 1] raises
-    ValueError; the stage III value is nan where the filters block the stage
-    II state (pass rate at most 1e-15, as at T = 0).
+    measures them under the `eps_to_filter` schedule, with `_filtration_limit`.
+    Each float operation is the one of `coupled_stages` and `filter_states` on
+    the 4x4 matrices, in their order, so every value has their bits.  T outside
+    [0, 1] or eps outside (0, 1] raises ValueError; the stage III value is nan
+    where the filters block the stage II state (pass rate at most 1e-15).
     """
     t, eps = float(transmittivity), float(eps)
     if not (0.0 <= t <= 1.0 and 0.0 < eps <= 1.0):  # nan fails too; raise the checks' message
@@ -188,7 +188,7 @@ def distinguishable_concurrences(transmittivity: float, eps: float) -> tuple:
     coupled, measured = (1.0 - q) * 0.25, (1.0 - q) * 0.5
     return _point_concurrences((coupled, s + coupled, s + coupled, coupled, s),
                                (0.0, s, s + measured, measured, s),
-                               eps * q, eps, t / math.sqrt(t * t + r * r))
+                               eps * q, eps, _filtration_limit(t, 0.0))
 
 
 def eps_to_filter(eps, transmittivity) -> FilterConfig:
@@ -237,44 +237,23 @@ def coupled_stages(cfg: CouplingConfig, outcome: str = "H") -> tuple:
 GRID_BLOCK = 256  # points per oracle call and stacked concurrence call: bounds a grid's memory
 
 
-def stage_concurrences(transmittivity, overlap, eps) -> tuple:
-    """Concurrences (I, II, III at `eps`, III filtration limit) on a grid.
+def stage_concurrences(ts: list, ps: list, es: list) -> tuple:
+    """Concurrences (I, II, III at eps, III filtration limit) at the points of three lists.
 
-    The arguments broadcast.  Floats give the four floats of one point.  If
-    any argument is a numpy array, the result is four arrays of the broadcast
-    shape; otherwise lists of floats (of one length, beside floats) give four
-    lists.  Stage III filters the H-outcome stage II state with the
-    `eps_to_filter` schedule; it is nan where the filters block the state
-    completely (at T = 0).  A value outside its range raises ValueError.
+    `ts`, `ps` and `es` hold each point's T, p and eps and have one length (a
+    point is a list of one); returns four lists.  Stage III filters the
+    H-outcome stage II state with the `eps_to_filter` schedule and is nan where
+    the filters block it (at T = 0).  A value outside its range raises ValueError.
 
-    The points are taken in blocks of up to GRID_BLOCK, and each point is
-    measured by `_point_concurrences` from the entries of its stage I and II
-    X states, in plain floats.  A p = 0 point takes them from the closed form
-    (`distinguishable_concurrences`).  A block's p > 0 points take them from
-    one `coupled_stages` call (one oracle propagation and one stacked check),
-    their attenuations from one `eps_to_filter` call and their filtration
-    limits from one `concurrence_closed_form` call.
+    Each block of up to GRID_BLOCK points is measured in plain floats by
+    `_point_concurrences`, with its attenuations and `_filtration_limit`: a
+    p = 0 point takes its X-state entries from the closed form
+    (`distinguishable_concurrences`), the block's p > 0 points from one
+    `coupled_stages` call (one oracle propagation and one stacked check).
     """
-    axes = (transmittivity, overlap, eps)
-    if not all(isinstance(axis, (int, float, list)) for axis in axes):  # arrays: numpy's rules
-        import numpy as np
-
-        grid = np.broadcast_arrays(*axes)
-        columns = _columns(*(axis.ravel().tolist() for axis in grid))
-        if not grid[0].ndim:
-            return tuple(column[0] for column in columns)
-        return tuple(np.array(column, dtype=float).reshape(grid[0].shape) for column in columns)
-    lists = [axis for axis in axes if isinstance(axis, list)]
-    size = len(lists[0]) if lists else 1
-    if any(len(axis) != size for axis in lists):
+    if not len(ts) == len(ps) == len(es):
         raise ValueError("the lists of a grid must have one length, "
-                         f"got {sorted({len(axis) for axis in lists})}")
-    columns = _columns(*(axis if isinstance(axis, list) else [axis] * size for axis in axes))
-    return columns if lists else tuple(column[0] for column in columns)
-
-
-def _columns(ts: list, ps: list, es: list) -> tuple:
-    """The four columns of `stage_concurrences` at the points of three lists of floats."""
+                         f"got {sorted({len(ts), len(ps), len(es)})}")
     rows = []
     for start in range(0, len(ts), GRID_BLOCK):
         points = list(zip(ts[start:start + GRID_BLOCK], ps[start:start + GRID_BLOCK],
@@ -288,13 +267,14 @@ def _columns(ts: list, ps: list, es: list) -> tuple:
 
 def _overlapping_rows(ts: tuple, ps: tuple, es: tuple) -> list:
     """`stage_concurrences` rows of p > 0 points, read off one block of oracle stacks (see
-    there).  An entry off the diagonal and the HV-VH coherence raises: only an X state
-    with no HH-VV coherence has the concurrence of `_x_concurrence`."""
+    there).  The config of the block checks T and p, then each eps gets the check of
+    `eps_to_filter`.  An entry off the diagonal and the HV-VH coherence raises: only an X
+    state with no HH-VV coherence has the concurrence of `_x_concurrence`."""
     import numpy as np
 
-    t, p, e = (np.array(axis, dtype=float) for axis in (ts, ps, es))
-    cfg = CouplingConfig(t, p)
-    filters = eps_to_filter(e, t)
+    cfg = CouplingConfig(np.array(ts, dtype=float), np.array(ps, dtype=float))
+    es = [check_unit_interval(e, "eps", open_at_zero=True) for e in es]
+    att_a = [e * q for e, q in zip(es, cfg.werner_weight.tolist())]  # eps_to_filter's bits
     stacks = np.stack([outcome.state for outcome in coupled_stages(cfg)])  # stage I, stage II
     outside = ~np.eye(4, dtype=bool)
     outside[1, 2] = outside[2, 1] = False
@@ -303,14 +283,25 @@ def _overlapping_rows(ts: tuple, ps: tuple, es: tuple) -> list:
                          "is nonzero")
     entries = np.concatenate([stacks.diagonal(axis1=-2, axis2=-1).real,
                               abs(stacks[..., 1, 2, None])], axis=-1)
-    limits = concurrence_closed_form(Stage.FILTRATION, cfg)
-    return list(map(_point_concurrences, *entries.tolist(), filters.att_a.tolist(),
-                    filters.att_b.tolist(), limits.tolist()))
+    limits = map(_filtration_limit, cfg.transmittivity.tolist(), cfg.overlap.tolist())
+    return list(map(_point_concurrences, *entries.tolist(), att_a, es, limits))
 
 
-def concurrence_closed_form(stage: Stage, cfg: CouplingConfig,
-                            eps: float | None = None) -> float | np.ndarray:
-    """Closed-form concurrence of a stage, evaluated verbatim.
+def _filtration_limit(t: float, p: float) -> float:
+    """The stage III limit of one point (`concurrence_closed_form`, eps None) in floats."""
+    if p == 0.0:
+        return t / math.sqrt(t * t + (1.0 - t) * (1.0 - t))
+    numerator = abs(t - p * (1.0 - t))  # 0 at T = 1/2, p = 1, where the root is 0 too
+    radicand = 1.0 - 2.0 * (1.0 + p) * t * (1.0 - t)
+    if radicand <= 0.0 and numerator != 0.0:  # the equal form (concurrence_closed_form)
+        d = 2.0 * t - 1.0
+        numerator = abs(d + (1.0 - p) * (1.0 - t))
+        radicand = d * d + 2.0 * (1.0 - p) * t * (1.0 - t)
+    return min(numerator / math.sqrt(radicand), 1.0) if numerator != 0.0 else 0.0
+
+
+def concurrence_closed_form(stage: Stage, cfg: CouplingConfig, eps: float | None = None) -> float:
+    """Closed-form concurrence of a stage at one point, evaluated verbatim in plain floats.
 
     Distinguishable surrounding photon (p = 0):
       I    max(0, (2T^2 - R^2) / (2 (R^2 + T^2)))
@@ -319,7 +310,8 @@ def concurrence_closed_form(stage: Stage, cfg: CouplingConfig,
            `eps_to_filter` schedule.  Note: away from eps -> 0 this published
            form disagrees with the constructive filtering map of
            `stage3_filter` (which is what reproduces the benchmark tables);
-           it is kept verbatim for comparison.  See README.
+           it is kept verbatim for comparison.  See README.  It is 0 where
+           2 T^2 rounds to 0.
            with eps None:  the eps -> 0 limit T / sqrt(T^2 + R^2).
 
     Partially indistinguishable (p > 0):
@@ -336,47 +328,34 @@ def concurrence_closed_form(stage: Stage, cfg: CouplingConfig,
            exactly at T = 0 no finite filter attains it.
       I    no closed form exists (only the disappearance threshold); raises.
 
-    A grid config gives an array, each point with its own bits; finite eps takes a point.
+    A grid config raises ValueError: map the function over the grid's points.
     """
-    import numpy as np
-
     stage = Stage(stage)
-    t, p = (np.asarray(value, dtype=float) for value in (cfg.transmittivity, cfg.overlap))
+    if getattr(cfg.transmittivity, "ndim", 0):
+        raise ValueError("the closed forms take a point config, not a grid")
+    if eps is not None and stage is not Stage.FILTRATION:
+        raise ValueError(f"eps does not apply to stage {stage.value}")
+    t, p = float(cfg.transmittivity), float(cfg.overlap)
     r = 1.0 - t
     if stage is Stage.COUPLING:
-        if eps is not None:
-            raise ValueError("eps does not apply to stage I")
-        if np.any(p != 0.0):
+        if p != 0.0:
             raise ValueError("stage I has no closed-form concurrence for overlap > 0; "
                              "use the simulation (see also disappearance_threshold)")
-        value = np.maximum(0.0, (2.0 * t * t - r * r) / (2.0 * (r * r + t * t)))
-    elif stage is Stage.MEASUREMENT:
-        if eps is not None:
-            raise ValueError("eps does not apply to stage II")
-        value = np.where(p == 0.0, t * t / (t * t + r * r),
-                         t * abs(t - p * (1.0 - t)) / (1.0 - (2.0 + p) * t * (1.0 - t)))
-    elif eps is not None:
-        if t.ndim:
-            raise ValueError("the finite-eps form takes a point config, not a grid")
-        if p != 0.0:
-            raise ValueError("no published finite-eps concurrence for overlap > 0")
-        if not 0.0 < eps <= 1.0:
-            raise ValueError(f"eps must lie in (0, 1], got {eps}")
-        if t == 0.0:
-            raise ValueError("the published finite-eps form is undefined at T = 0")
-        with np.errstate(divide="ignore", over="ignore"):  # below T ~ 1e-154 the ratio is inf
-            value = t / ((1.0 + eps * r * r / (2.0 * t * t)) * np.sqrt(t * t + r * r))
-    else:
-        numerator = abs(t - p * (1.0 - t))  # 0 at T = 1/2, p = 1, where the root is 0 too
-        radicand = 1.0 - 2.0 * (1.0 + p) * t * (1.0 - t)
-        cancelled = (radicand <= 0.0) & (numerator != 0.0)  # the equal form of the docstring
-        d = 2.0 * t - 1.0
-        numerator = np.where(cancelled, abs(d + (1.0 - p) * (1.0 - t)), numerator)
-        radicand = np.where(cancelled, d * d + 2.0 * (1.0 - p) * t * (1.0 - t), radicand)
-        limit = np.divide(numerator, np.sqrt(radicand),
-                          out=np.zeros_like(numerator), where=numerator != 0.0)
-        value = np.where(p == 0.0, t / np.sqrt(t * t + r * r), np.minimum(limit, 1.0))
-    return float(value) if np.ndim(value) == 0 else value
+        return max(0.0, (2.0 * t * t - r * r) / (2.0 * (r * r + t * t)))
+    if stage is Stage.MEASUREMENT:
+        return (t * t / (t * t + r * r) if p == 0.0
+                else t * abs(t - p * (1.0 - t)) / (1.0 - (2.0 + p) * t * (1.0 - t)))
+    if eps is None:
+        return _filtration_limit(t, p)
+    if p != 0.0:
+        raise ValueError("no published finite-eps concurrence for overlap > 0")
+    if not 0.0 < eps <= 1.0:
+        raise ValueError(f"eps must lie in (0, 1], got {eps}")
+    if t == 0.0:
+        raise ValueError("the published finite-eps form is undefined at T = 0")
+    if 2.0 * t * t == 0.0:  # the ratio is inf, so the form is T / inf
+        return 0.0
+    return t / ((1.0 + eps * r * r / (2.0 * t * t)) * math.sqrt(t * t + r * r))
 
 
 def probability_closed_form(stage: Stage, cfg: CouplingConfig, eps: float | None = None) -> float:

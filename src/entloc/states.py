@@ -47,8 +47,7 @@ def werner(q) -> np.ndarray:
     q = T^2 / (T^2 + R^2); it is separable for q <= 1/3.  An array of weights
     gives a (..., 4, 4) stack, each matrix with the bits of its float `q`.
     """
-    q = check_unit_interval(q, "q")
-    q = q[..., None, None] if isinstance(q, np.ndarray) else q  # an array weights a stack
+    q = np.asarray(check_unit_interval(q, "q"))[..., None, None]  # an array weights a stack
     return q * _SINGLET_DENSITY + (1.0 - q) * np.eye(4, dtype=complex) / 4.0
 
 
@@ -61,8 +60,7 @@ def post_measurement_state(q, outcome: str = "H") -> np.ndarray:
     with |H>_A<H| noise, diag(1/2, 1/2, 0, 0), instead.  An array of weights
     gives a (..., 4, 4) stack, like `werner`.
     """
-    q = check_unit_interval(q, "q")
-    q = q[..., None, None] if isinstance(q, np.ndarray) else q  # an array weights a stack
+    q = np.asarray(check_unit_interval(q, "q"))[..., None, None]  # an array weights a stack
     if outcome == "H":
         noise = np.diag(np.array([0.0, 0.0, 0.5, 0.5], dtype=complex))
     elif outcome == "V":

@@ -1,7 +1,8 @@
 """Shared test helpers: seeded random states and unitaries, the pipeline's
 stage states, the X-state concurrence and the sweep's columns by the route of
-4x4 matrices, an exact decimal evaluation of their concurrences, the tensor
-product and partial trace used to build and inspect them, and call
+4x4 matrices, the published closed forms in numpy's grid arithmetic, an exact
+decimal evaluation of the concurrences, the sweep over a broadcast grid, the
+tensor product and partial trace used to build and inspect states, and call
 counters."""
 
 import inspect
@@ -67,12 +68,47 @@ def x_concurrence(rho) -> float | np.ndarray:
     return float(clamped) if clamped.ndim == 0 else clamped
 
 
+def grid_closed_form(stage: Stage, ts, ps, eps=None) -> np.ndarray:
+    """The published concurrence of `stage` (see `protocol.concurrence_closed_form`) on the
+    broadcast grid of T, p (and eps), in numpy's array arithmetic: both branches of each
+    `np.where` evaluated, the limit's cancelled radicand masked and the finite-eps ratio
+    inf where 2 T^2 rounds to 0.  The reference of the plain-float point path, bit for
+    bit.  Stage I and the finite-eps form take p = 0."""
+    t, p = np.broadcast_arrays(np.asarray(ts, dtype=float), np.asarray(ps, dtype=float))
+    r = 1.0 - t
+    if stage is Stage.COUPLING:
+        return np.maximum(0.0, (2.0 * t * t - r * r) / (2.0 * (r * r + t * t)))
+    if stage is Stage.MEASUREMENT:
+        return np.where(p == 0.0, t * t / (t * t + r * r),
+                        t * abs(t - p * (1.0 - t)) / (1.0 - (2.0 + p) * t * (1.0 - t)))
+    if eps is not None:
+        with np.errstate(divide="ignore", over="ignore"):  # below T ~ 1e-154 the ratio is inf
+            return t / ((1.0 + eps * r * r / (2.0 * t * t)) * np.sqrt(t * t + r * r))
+    numerator = abs(t - p * (1.0 - t))
+    radicand = 1.0 - 2.0 * (1.0 + p) * t * (1.0 - t)
+    cancelled = (radicand <= 0.0) & (numerator != 0.0)
+    d = 2.0 * t - 1.0
+    numerator = np.where(cancelled, abs(d + (1.0 - p) * (1.0 - t)), numerator)
+    radicand = np.where(cancelled, d * d + 2.0 * (1.0 - p) * t * (1.0 - t), radicand)
+    limit = np.divide(numerator, np.sqrt(radicand),
+                      out=np.zeros_like(numerator), where=numerator != 0.0)
+    return np.where(p == 0.0, t / np.sqrt(t * t + r * r), np.minimum(limit, 1.0))
+
+
+def grid_concurrences(ts, ps, eps) -> list:
+    """`protocol.stage_concurrences` at the points of the broadcast grid of the arguments,
+    passed as three lists; its four columns as arrays of the grid's shape."""
+    grid = np.broadcast_arrays(*(np.asarray(axis, dtype=float) for axis in (ts, ps, eps)))
+    columns = protocol.stage_concurrences(*(axis.ravel().tolist() for axis in grid))
+    return [np.array(column, dtype=float).reshape(grid[0].shape) for column in columns]
+
+
 def matrix_route_columns(ts, ps, eps) -> list:
     """The four `stage_concurrences` columns of a 1-D grid (the arguments broadcast) whose
     points are all at p = 0 or all at p > 0, by the route of 4x4 stacks: `coupled_stages`,
     one `filter_states` pass over the stage II states its filters do not block (a blocked
     state is found by filtering it alone), `x_concurrence` of every state and the
-    `concurrence_closed_form` limit; stage III is nan where the filters block."""
+    `grid_closed_form` limit; stage III is nan where the filters block."""
     ts, ps, eps = np.broadcast_arrays(*(np.asarray(axis, dtype=float) for axis in (ts, ps, eps)))
     cfg = CouplingConfig(ts, ps)
     stage1, stage2 = (outcome.state for outcome in protocol.coupled_stages(cfg))
@@ -87,7 +123,7 @@ def matrix_route_columns(ts, ps, eps) -> list:
             except protocol.FilterBlockedError:
                 passed[i] = False
     columns = [x_concurrence(stage1), x_concurrence(stage2), np.full(ts.size, np.nan),
-               protocol.concurrence_closed_form(Stage.FILTRATION, cfg)]
+               grid_closed_form(Stage.FILTRATION, ts, ps)]
     if passed.any():
         filtered, _ = protocol.filter_states(stage2[passed], FilterConfig(filters.att_a[passed],
                                                                           filters.att_b[passed]))

@@ -9,7 +9,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
-from conftest import counting, functions_of, reduced_sizes, x_concurrence
+from conftest import counting, functions_of, grid_concurrences, reduced_sizes, x_concurrence
 
 from entloc import cli, fock_oracle, measures, protocol
 from entloc.params import CouplingConfig, Stage
@@ -213,7 +213,7 @@ class TestSweepGrid:
         # sides of the 1e-15 threshold
         ts = np.concatenate([[0.0], np.geomspace(1e-9, 1e-6, 25 if p else 60)])[:, None]
         eps = np.array([1e-12, 1e-9, 1e-6, 1e-3, 0.15, 1.0])
-        columns = protocol.stage_concurrences(ts, p, eps)
+        columns = grid_concurrences(ts, p, eps)
         expected = per_point_columns(ts, p, eps)
         for got, want in zip(columns, expected):
             assert got.shape == (len(ts), len(eps)) and got.tobytes() == want.tobytes()
@@ -228,7 +228,7 @@ class TestSweepGrid:
         calls = counting(monkeypatch, {protocol: ["filter_states"], measures: MEASURES})
         for p, reduced in ((0.0, []), (0.5, [4, 4, 4, 1])):
             sizes.clear()
-            columns = protocol.stage_concurrences(ts, p, 0.15)
+            columns = grid_concurrences(ts, p, 0.15)
             for got, want in zip(columns, expected[p]):
                 assert got.tobytes() == want.tobytes()
             assert np.isnan(columns[2]).tolist() == (ts == 0.0).tolist()
@@ -240,7 +240,7 @@ class TestSweepGrid:
 
     def test_an_eps_sweep_at_zero_transmittivity_is_blocked_everywhere(self):
         eps = np.concatenate([np.geomspace(1e-12, 1.0, 13), np.linspace(0.001, 1.0, 300)])
-        columns = protocol.stage_concurrences(0.0, 0.0, eps)
+        columns = grid_concurrences(0.0, 0.0, eps)
         for got, want in zip(columns, per_point_columns(0.0, 0.0, eps)):
             assert got.tobytes() == want.tobytes()
         assert np.isnan(columns[2]).all()
@@ -333,8 +333,12 @@ class TestReproduce:
         pytest.param(["--table", "distinguishable"], TABLE_KEYS, id="distinguishable"),
         pytest.param(["--table", "indistinguishable"], TABLE_KEYS + ["C_III_limit"],
                      id="indistinguishable"),
-        # at T = 0 the filters block the stage II state, so stage III has no row
-        pytest.param(["--table", "formulas", "--T", "0"], FORMULA_KEYS, id="formulas-T-0"),
+        # where the eps = 1e-6 filters block the stage II state (at T = 0, and at every T up
+        # to about 3e-5), stage III has no row
+        *(pytest.param(["--table", "formulas", "--T", t], FORMULA_KEYS, id=f"formulas-T-{t}")
+          for t in ("0", "1e-5", "1e-9", "1e-300")),
+        pytest.param(["--table", "formulas", "--T", "1e-4"], FORMULA_KEYS + ["C_III_limit"],
+                     id="formulas-T-1e-4"),
         pytest.param(["--table", "formulas", "--T", "1"], FORMULA_KEYS + ["C_III_limit"],
                      id="formulas-T-1"),
     ])

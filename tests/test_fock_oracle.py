@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import counting
+from conftest import counting, grid_concurrences
 
 from entloc import fock_oracle as fo
 from entloc import measures, protocol, qmat, reference, states
@@ -330,7 +330,7 @@ class TestReduceToAb:
             return ([fo.simulate(cfg, outcome) for cfg in points for outcome in outcomes]
                     + [fo.simulate(CouplingConfig(ts, ps), outcome) for outcome in outcomes],
                     [fo.hom_coincidence(cfg.transmittivity, cfg.overlap) for cfg in points],
-                    np.array(protocol.stage_concurrences(ts, ps, 0.15)))
+                    np.array(grid_concurrences(ts, ps, 0.15)))
 
         symmetric = run()
         probe = fo.propagate(points[0])
@@ -561,7 +561,7 @@ class TestSingleReduction:
     ])
     def test_a_sweep_reduces_each_propagation_once(self, monkeypatch, ts, ps, propagations):
         calls = counting(monkeypatch, {fo: ["propagate", "reduce_to_ab"]})
-        protocol.stage_concurrences(ts, ps, 0.15)
+        protocol.stage_concurrences(ts.tolist(), ps.tolist(), [0.15] * ts.size)
         assert calls == {"propagate": propagations, "reduce_to_ab": propagations}
 
     @pytest.mark.parametrize("grid, blocks", [(10, 1), (50, 2)])

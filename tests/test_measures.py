@@ -145,7 +145,8 @@ class TestXConcurrence:
         if overlap == 0.0:
             found[Stage.COUPLING] = stage1
         for stage, stack in found.items():
-            closed_form = protocol.concurrence_closed_form(stage, cfg)
+            closed_form = [protocol.concurrence_closed_form(stage, CouplingConfig(t, overlap))
+                           for t in ts.tolist()]
             assert np.max(abs(x_concurrence(stack) - closed_form)) <= 2e-15
 
     def test_equals_its_closed_form_on_random_x_states(self, rng):

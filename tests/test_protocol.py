@@ -1,12 +1,12 @@
 import itertools
 import math
-import warnings
 from decimal import Decimal
 
 import numpy as np
 import pytest
-from conftest import (counting, exact_stage_concurrences, functions_of, matrix_route_columns,
-                      random_density, random_pure_density, reduced_sizes, x_concurrence)
+from conftest import (counting, exact_stage_concurrences, functions_of, grid_closed_form,
+                      grid_concurrences, matrix_route_columns, random_density,
+                      random_pure_density, reduced_sizes, x_concurrence)
 
 from entloc import fock_oracle, measures, protocol, qmat, states
 from entloc.params import CouplingConfig, FilterConfig, Stage, StageOutcome
@@ -400,13 +400,18 @@ class TestCoupledStages:
                         == np.asarray(expected.probability).tobytes())
 
 
+def sweep_point(t: float, p: float, eps: float) -> tuple:
+    """The four `stage_concurrences` values of one point, a grid of one."""
+    return tuple(column[0] for column in protocol.stage_concurrences([t], [p], [eps]))
+
+
 class TestStageConcurrences:
     def test_matches_closed_forms_at_p0(self):
         for t in np.linspace(0.05, 1.0, 20):
             cfg = CouplingConfig(float(t))
             q = cfg.werner_weight
             for eps in (0.01, 0.15, 0.5, 1.0):
-                stage1, stage2, filtered, limit = protocol.stage_concurrences(float(t), 0.0, eps)
+                stage1, stage2, filtered, limit = sweep_point(float(t), 0.0, eps)
                 assert abs(stage1 - protocol.concurrence_closed_form(Stage.COUPLING, cfg)) < 1e-12
                 assert abs(stage2 - protocol.concurrence_closed_form(Stage.MEASUREMENT, cfg)) < 1e-12
                 # the constructive filtered form (README), not the published one
@@ -414,16 +419,17 @@ class TestStageConcurrences:
                 assert abs(limit - protocol.concurrence_closed_form(Stage.FILTRATION, cfg)) < 1e-12
 
     def test_grid_equals_its_points(self):
-        ts = np.linspace(0.0, 1.0, 6).reshape(2, 3)
+        ts = np.linspace(0.0, 1.0, 6).tolist()
         for p in (0.0, 0.5):
-            columns = protocol.stage_concurrences(ts, p, 0.15)
-            for index in np.ndindex(ts.shape):
-                point = protocol.stage_concurrences(float(ts[index]), p, 0.15)
+            columns = protocol.stage_concurrences(ts, [p] * len(ts), [0.15] * len(ts))
+            assert all(type(column) is list for column in columns)
+            for index, t in enumerate(ts):
+                point = sweep_point(t, p, 0.15)
                 assert all(type(value) is float for value in point)
-                got = [float(column[index]) for column in columns]
+                got = [column[index] for column in columns]
                 assert np.array_equal(got, point, equal_nan=True)
 
-    def test_a_block_takes_its_limit_column_from_one_closed_form_call(self, monkeypatch):
+    def test_the_limit_column_equals_the_closed_form_point_by_point(self, monkeypatch):
         counts = {"configs": 0, "closed_forms": 0}
 
         class CountedConfig(CouplingConfig):
@@ -438,24 +444,26 @@ class TestStageConcurrences:
         closed_form = protocol.concurrence_closed_form
         monkeypatch.setattr(protocol, "CouplingConfig", CountedConfig)
         monkeypatch.setattr(protocol, "concurrence_closed_form", counted_closed_form)
-        found = []
-        for steps in (2, 101):
-            columns = protocol.stage_concurrences(np.linspace(0.0, 1.0, steps), 0.3, 0.15)
-            found.append(dict(counts))
-            counts.update(configs=0, closed_forms=0)
-            assert columns[3].tobytes() == np.array(
-                [closed_form(Stage.FILTRATION, CouplingConfig(t, 0.3)) for t in
-                 np.linspace(0.0, 1.0, steps).tolist()]).tobytes()
-        assert found[0] == found[1] and found[0]["closed_forms"] == 1
+        for p in (0.0, 0.3, 1.0):
+            found = []
+            for steps in (2, 101):
+                ts = np.linspace(0.0, 1.0, steps).tolist()
+                columns = protocol.stage_concurrences(ts, [p] * steps, [0.15] * steps)
+                found.append(dict(counts))
+                counts.update(configs=0, closed_forms=0)
+                assert [value.hex() for value in columns[3]] == [
+                    closed_form(Stage.FILTRATION, CouplingConfig(t, p)).hex() for t in ts]
+            # no config per point (one per p > 0 block) and no closed-form call
+            assert found[0] == found[1] == {"configs": int(p > 0.0), "closed_forms": 0}
 
     def test_a_grid_larger_than_a_block_is_measured_block_by_block(self, monkeypatch):
         ts, ps = np.linspace(0.0, 1.0, 11)[:, None], np.array([0.0, 0.5])
-        whole = protocol.stage_concurrences(ts, ps, 0.15)
+        whole = grid_concurrences(ts, ps, 0.15)
         sizes = reduced_sizes(monkeypatch)
         monkeypatch.setattr(protocol, "GRID_BLOCK", 4)
         calls = counting(monkeypatch, {protocol: ["distinguishable_concurrences", "filter_states"],
                                        measures: MEASURES})
-        blocked = protocol.stage_concurrences(ts, ps, 0.15)
+        blocked = grid_concurrences(ts, ps, 0.15)
         # 22 points in blocks of 4, 4, 4, 4, 4 and 2, half of them at p = 0.5: one oracle
         # reduction of each block's p > 0 points, whose entries are measured in plain floats
         # like the 11 p = 0 points, with no filter_states pass and no measures function
@@ -468,7 +476,7 @@ class TestStageConcurrences:
     def test_an_overlap_sweep_from_zero_in_blocks_equals_one_block(self, monkeypatch):
         ps = np.concatenate([np.zeros(2), np.linspace(0.0, 1.0, 11)])[:, None]
         ts = np.array([0.3, 0.5])
-        whole = protocol.stage_concurrences(ts, ps, 0.15)
+        whole = grid_concurrences(ts, ps, 0.15)
         calls = []
         apply_beamsplitter = fock_oracle.apply_beamsplitter
 
@@ -478,7 +486,7 @@ class TestStageConcurrences:
 
         monkeypatch.setattr(fock_oracle, "apply_beamsplitter", counted)
         monkeypatch.setattr(protocol, "GRID_BLOCK", 4)
-        blocked = protocol.stage_concurrences(ts, ps, 0.15)
+        blocked = grid_concurrences(ts, ps, 0.15)
         # 26 points, p-major, in blocks of 4: the first holds only p = 0 and makes no call, the
         # second mixes two p = 0 and two p > 0 points; a block propagates its p > 0 points
         # once, with one apply_beamsplitter call per environment polarization
@@ -487,13 +495,17 @@ class TestStageConcurrences:
             assert got.shape == (13, 2) and got.tobytes() == expected.tobytes()
 
     def test_blocked_filter_is_nan(self):
-        assert np.isnan(protocol.stage_concurrences(0.0, 0.0, 0.15)[2])
+        assert np.isnan(sweep_point(0.0, 0.0, 0.15)[2])
 
-    @pytest.mark.parametrize("eps", [0.0, 5.0])
-    def test_invalid_eps_raises(self, eps):
-        with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\]"):
-            protocol.stage_concurrences(0.4, 0.0, eps)
-
+    @pytest.mark.parametrize("p", [0.0, 0.5])
+    @pytest.mark.parametrize("eps", [0.0, 5.0, math.nan, -1e-300])
+    def test_invalid_eps_raises(self, eps, p):
+        # the message of eps_to_filter, also where a p > 0 block checks its eps in floats
+        with pytest.raises(ValueError) as expected:
+            protocol.eps_to_filter(eps, 0.4)
+        with pytest.raises(ValueError, match=r"^eps must lie in \(0, 1\]") as raised:
+            protocol.stage_concurrences([0.4, 0.4], [p, p], [0.15, eps])
+        assert str(raised.value) == str(expected.value)
 
     def test_a_p_gt_0_sweep_checks_its_oracle_stacks_once_per_block(self, monkeypatch):
         checked = []
@@ -506,7 +518,8 @@ class TestStageConcurrences:
         monkeypatch.setattr(qmat, "validate_density_matrix", counted)
         calls = counting(monkeypatch, {fock_oracle: ["reduce_to_ab"], protocol: ["filter_states"],
                                        measures: MEASURES})
-        columns = protocol.stage_concurrences(np.linspace(0.0, 1.0, 600), 0.5, 0.15)
+        columns = protocol.stage_concurrences(np.linspace(0.0, 1.0, 600).tolist(), [0.5] * 600,
+                                              [0.15] * 600)
         # three blocks, each with one oracle reduction that checks the stage I and II states
         # of its points as one stack; every state, and the stage III states of the 599 points
         # the filters pass (not T = 0), then gets the plain-float checks as it is measured
@@ -514,25 +527,16 @@ class TestStageConcurrences:
         assert checked == [2 * 256, 2 * 256, 2 * 88]
         assert calls == {"reduce_to_ab": 3, "filter_states": 0, **dict.fromkeys(MEASURES, 0)}
 
-    def test_lists_give_lists_with_the_bits_of_arrays(self):
-        ts = np.linspace(0.0, 1.0, 301)
-        for args in ((ts, 0.0, 0.15), (0.4, 0.0, ts[1:]), (ts, 0.5, 0.15), (0.3, ts, 0.15),
-                     (ts, ts, ts[::-1] * 0.99 + 1e-3)):
-            arrays = protocol.stage_concurrences(*args)
-            lists = protocol.stage_concurrences(*(a.tolist() if isinstance(a, np.ndarray) else a
-                                                  for a in args))
-            assert all(type(column) is list for column in lists)
-            for got, want in zip(lists, arrays):
-                assert np.array(got).tobytes() == want.tobytes()
-
     def test_lists_of_two_lengths_raise(self):
         with pytest.raises(ValueError, match=r"one length, got \[2, 3\]"):
-            protocol.stage_concurrences([0.1, 0.2], 0.0, [0.1, 0.2, 0.3])
+            protocol.stage_concurrences([0.1, 0.2], [0.0, 0.0], [0.1, 0.2, 0.3])
+
+    def test_a_float_is_not_a_grid(self):
+        with pytest.raises(TypeError):
+            protocol.stage_concurrences(0.4, 0.0, 0.15)
 
     def test_an_empty_grid_gives_empty_columns(self):
-        assert protocol.stage_concurrences([], 0.0, 0.15) == ([], [], [], [])
-        assert all(column.shape == (0,) for column in
-                   protocol.stage_concurrences(np.array([]), 0.0, 0.15))
+        assert protocol.stage_concurrences([], [], []) == ([], [], [], [])
 
 
 def x_matrix(hh, hv, vh, vv, coherence):
@@ -560,7 +564,8 @@ class TestDistinguishableConcurrences:
                   for t, e in zip(ts.tolist(), eps.tolist())]
         for got, want in zip(zip(*points), expected):
             assert [value.hex() for value in got] == [value.hex() for value in want.tolist()]
-        for got, want in zip(protocol.stage_concurrences(ts.tolist(), 0.0, eps.tolist()), expected):
+        for got, want in zip(protocol.stage_concurrences(ts.tolist(), [0.0] * ts.size,
+                                                         eps.tolist()), expected):
             assert [value.hex() for value in got] == [value.hex() for value in want.tolist()]
         blocked = np.isnan(expected[2][near])
         assert ts.size >= 20000 and blocked.sum() > 100 and (~blocked).sum() > 100
@@ -676,9 +681,9 @@ class TestOverlappingConcurrences:
     def test_a_state_that_is_not_an_x_state_raises(self, monkeypatch, stage, entry):
         non_x_reduction(monkeypatch, stage, entry)
         with pytest.raises(ValueError, match="^not an X state: "):
-            protocol.stage_concurrences(np.linspace(0.1, 0.9, 5), 0.5, 0.15)
+            protocol.stage_concurrences(np.linspace(0.1, 0.9, 5).tolist(), [0.5] * 5, [0.15] * 5)
         with pytest.raises(ValueError, match="^not an X state: "):
-            protocol.stage_concurrences(0.4, np.array([0.0, 0.5]), 0.15)
+            protocol.stage_concurrences([0.4, 0.4], [0.0, 0.5], [0.15, 0.15])
 
 
 EXACT_BOUND = 1e-15  # absolute; the largest error seen is 5.4e-16 (7.0e-16 over five more seeds)
@@ -709,7 +714,7 @@ class TestExactReference:
 
     def test_columns_within_the_bound(self, rng):
         ts, ps, eps = exact_reference_grid(rng)
-        columns = protocol.stage_concurrences(ts, ps, eps)
+        columns = protocol.stage_concurrences(ts.tolist(), ps.tolist(), eps.tolist())
         exact = [exact_stage_concurrences(*point) for point in zip(ts.tolist(), ps.tolist(),
                                                                    eps.tolist())]
         for got, want in zip(columns[:3], zip(*exact)):
@@ -730,7 +735,7 @@ class TestExactReference:
         kraus = np.array([kraus_matrix(a, b) for a, b in zip(filters.att_a.tolist(),
                                                                filters.att_b.tolist())])
         rates = np.trace(kraus @ stage2 @ kraus, axis1=-2, axis2=-1).real
-        blocked = np.isnan(protocol.stage_concurrences(ts, ps, eps)[2])
+        blocked = np.isnan(protocol.stage_concurrences(ts.tolist(), ps.tolist(), eps.tolist())[2])
         assert blocked.tolist() == (rates <= 1e-15).tolist()
         assert blocked.any() and not blocked.all()
         exact_rates = np.array([float(exact_stage_concurrences(*point)[3])
@@ -827,8 +832,9 @@ def closed_form_message(stage, t, p, eps=None):
     return None
 
 
-class TestClosedFormGrid:
-    """A grid config gives every point the bits it gets alone; the finite-eps form takes points."""
+class TestClosedFormPoints:
+    """Each point gives a float with the bits of the numpy grid form (`grid_closed_form`)
+    and of Python's float arithmetic; a grid config raises."""
 
     @staticmethod
     def grid(rng, n=400):
@@ -838,74 +844,122 @@ class TestClosedFormGrid:
         ps[:6] = (0.0, 1.0, 1.0, 0.0, 1.0, 0.0)  # T = 1/2, p = 1 is the 0/0 point
         return ts, ps
 
-    def assert_grid_equals_points(self, stage, ts, ps):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no RuntimeWarning from the array division
-            got = protocol.concurrence_closed_form(stage, CouplingConfig(ts, ps))
-        assert isinstance(got, np.ndarray) and got.shape == np.broadcast(ts, ps).shape
+    @staticmethod
+    def values(stage, ts, ps, eps=None) -> list:
+        """`concurrence_closed_form` at each point of the broadcast grid, each a float."""
+        points = zip(*(axis.ravel().tolist() for axis in np.broadcast_arrays(ts, ps)))
+        found = [protocol.concurrence_closed_form(stage, CouplingConfig(t, p), eps)
+                 for t, p in points]
+        assert all(type(value) is float for value in found)
+        return found
+
+    def assert_points(self, stage, ts, ps):
         points = zip(*(axis.tolist() for axis in np.broadcast_arrays(ts, ps)))
-        for value, (t, p) in zip(got.tolist(), points):
-            point = protocol.concurrence_closed_form(stage, CouplingConfig(t, p))
-            assert type(point) is float
-            assert value.hex() == point.hex() == clamped_closed_form(stage, t, p).hex()
+        for value, want, (t, p) in zip(self.values(stage, ts, ps),
+                                       grid_closed_form(stage, ts, ps).tolist(), points):
+            assert value.hex() == want.hex() == clamped_closed_form(stage, t, p).hex()
 
     def test_stage_II_and_the_filtration_limit(self, rng):
         ts, ps = self.grid(rng)
         for stage in (Stage.MEASUREMENT, Stage.FILTRATION):
-            self.assert_grid_equals_points(stage, ts, ps)
-            self.assert_grid_equals_points(stage, ts, 0.0)
+            self.assert_points(stage, ts, ps)
+            self.assert_points(stage, ts, 0.0)
 
     def test_stage_I_at_p0(self, rng):
         ts, _ = self.grid(rng)
-        self.assert_grid_equals_points(Stage.COUPLING, ts, 0.0)
-        self.assert_grid_equals_points(Stage.COUPLING, ts, np.zeros(ts.size))
+        self.assert_points(Stage.COUPLING, ts, 0.0)
+
+    def test_bits_equal_the_grid_form(self, rng, monkeypatch):
+        # random points at p = 0, p = 1e-9, random p and p = 1; p = 1 within 1e-8 and within
+        # 1e-4 of T = 1/2, where the limit cancels; T = 1/2 at p = 1, the 0/0 point
+        segments = [(rng.random(4000), rng.choice([0.0, 1e-9, 1.0], 4000)),
+                    (rng.random(4000), rng.random(4000)),
+                    (rng.random(3000), np.full(3000, 1e-9)),
+                    (0.5 + rng.uniform(-1e-8, 1e-8, 3000), np.ones(3000)),
+                    (0.5 + rng.uniform(-1e-4, 1e-4, 3000), np.ones(3000)),
+                    (10.0 ** rng.uniform(-320, 0, 3000), np.zeros(3000)),
+                    (np.array([0.5, 0.5, 0.0, 1.0]), np.array([1.0, 0.0, 1.0, 1.0]))]
+        ts, ps = (np.concatenate(axis) for axis in zip(*segments))
+        assert ts.size >= 20000 and np.count_nonzero((ts == 0.5) & (ps == 1.0)) == 1
+        for stage in (Stage.MEASUREMENT, Stage.FILTRATION):
+            got = self.values(stage, ts, ps)
+            assert [value.hex() for value in got] == [
+                value.hex() for value in grid_closed_form(stage, ts, ps).tolist()]
+        distinguishable = ts[ps == 0.0]
+        got = self.values(Stage.COUPLING, distinguishable, 0.0)
+        want = grid_closed_form(Stage.COUPLING, distinguishable, 0.0)
+        assert [value.hex() for value in got] == [value.hex() for value in want.tolist()]
+        # the finite-eps form down to T = 1e-320, where 2 T^2 rounds to 0: the value is 0
+        positive = distinguishable[distinguishable > 0.0]
+        eps = 10.0 ** rng.uniform(-12, 0, positive.size)
+        got = [protocol.concurrence_closed_form(Stage.FILTRATION, CouplingConfig(t), e)
+               for t, e in zip(positive.tolist(), eps.tolist())]
+        want = grid_closed_form(Stage.FILTRATION, positive, 0.0, eps)
+        assert [value.hex() for value in got] == [value.hex() for value in want.tolist()]
+        assert positive.min() < 1e-319 and np.count_nonzero(np.array(got) == 0.0) > 100
+        # each point's attenuations, as a sweep hands them to filter_x_state, against
+        # eps_to_filter of the point and of the grid
+        found = []
+        filter_x_state = protocol.filter_x_state
+
+        def recorded(*entries_and_attenuations):
+            found.append(entries_and_attenuations[-2:])
+            return filter_x_state(*entries_and_attenuations)
+
+        monkeypatch.setattr(protocol, "filter_x_state", recorded)
+        eps = 10.0 ** rng.uniform(-17, 0, ts.size)
+        for route in (ps == 0.0, ps != 0.0):  # each route measures its points in order
+            protocol.stage_concurrences(ts[route].tolist(), ps[route].tolist(), eps[route].tolist())
+        ordered = np.concatenate([np.flatnonzero(ps == 0.0), np.flatnonzero(ps != 0.0)])
+        grid = protocol.eps_to_filter(eps[ordered], ts[ordered])
+        assert len(found) == ts.size
+        for (att_a, att_b), a, b, t, e in zip(found, grid.att_a.tolist(), grid.att_b.tolist(),
+                                               ts[ordered].tolist(), eps[ordered].tolist()):
+            point = protocol.eps_to_filter(e, t)
+            assert att_a.hex() == point.att_a.hex() == a.hex()
+            assert att_b.hex() == point.att_b.hex() == b.hex()
 
     def test_finite_eps_at_points(self, rng):
         ts = np.concatenate([[1.0, 0.5], rng.random(200)]).tolist()
         eps = np.concatenate([[1e-12, 1.0], 10.0 ** rng.uniform(-12, 0, 200)]).tolist()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for t, e in zip(ts, eps):
-                got = protocol.concurrence_closed_form(Stage.FILTRATION, CouplingConfig(t), e)
-                assert type(got) is float
-                assert got.hex() == verbatim_closed_form(Stage.FILTRATION, t, 0.0, e).hex()
-            for t in (1e-150, 1e-160, 1e-200):  # the ratio overflows, or T^2 underflows to 0
-                assert protocol.concurrence_closed_form(
-                    Stage.FILTRATION, CouplingConfig(t), eps=0.5) == 0.0
+        for t, e in zip(ts, eps):
+            got = protocol.concurrence_closed_form(Stage.FILTRATION, CouplingConfig(t), e)
+            assert type(got) is float
+            assert got.hex() == verbatim_closed_form(Stage.FILTRATION, t, 0.0, e).hex()
+        # the ratio overflows, or 2 T^2 rounds to 0, where a float division would raise
+        for t in (1e-150, 1e-160, 1e-162, 1e-200, 1e-320, 5e-324):
+            assert protocol.concurrence_closed_form(
+                Stage.FILTRATION, CouplingConfig(t), eps=0.5) == 0.0
 
     def test_the_limit_keeps_its_verbatim_bits_where_its_radicand_is_positive(self):
         # clamped at 1 where the verbatim value rounds above it
         ts = np.concatenate([np.linspace(0.0, 1.0, 1001), 0.5 + np.geomspace(1e-16, 1e-2, 60),
                              0.5 - np.geomspace(1e-16, 1e-2, 60)])[:, None]
         ps = np.linspace(0.0, 1.0, 51)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = protocol.concurrence_closed_form(Stage.FILTRATION, CouplingConfig(ts, ps))
+        got = self.values(Stage.FILTRATION, ts, ps)
         points = zip(*(axis.ravel().tolist() for axis in np.broadcast_arrays(ts, ps)))
         kept = clamped = 0
-        for value, (t, p) in zip(got.ravel().tolist(), points):
+        for value, (t, p) in zip(got, points):
             if 1.0 - 2.0 * (1.0 + p) * t * (1.0 - t) > 0.0 or abs(t - p * (1.0 - t)) == 0.0:
                 assert value.hex() == clamped_closed_form(Stage.FILTRATION, t, p).hex()
                 kept += 1
                 clamped += verbatim_closed_form(Stage.FILTRATION, t, p) > 1.0
             else:  # the cancelled radicand of p = 1 near T = 1/2: |2T - 1| / |2T - 1|
                 assert p == 1.0 and abs(t - 0.5) < 1e-7 and value == 1.0
-        assert 0 < kept < got.size and clamped > 0
+        assert 0 < kept < len(got) and clamped > 0
 
     def test_the_limit_is_at_most_1(self):
         # at p = 1 the verbatim limit rounds above 1 at about 28,000 of these points
         ts = np.linspace(0.0, 1.0, 100001)
-        got = protocol.concurrence_closed_form(Stage.FILTRATION,
-                                               CouplingConfig(ts, np.ones(ts.size)))
-        assert np.all(got <= 1.0)
+        got = self.values(Stage.FILTRATION, ts, 1.0)
+        assert max(got) <= 1.0
         verbatim = [verbatim_closed_form(Stage.FILTRATION, t, 1.0) for t in ts.tolist()]
         assert np.count_nonzero(np.array(verbatim) > 1.0) > 10000
-        for value, expected in zip(got.tolist(), verbatim):
+        for value, expected in zip(got, verbatim):
             assert value.hex() == min(expected, 1.0).hex()
 
     def test_balanced_full_overlap_keeps_its_zero(self):
-        values = protocol.concurrence_closed_form(
-            Stage.FILTRATION, CouplingConfig(np.array([0.3, 0.5, 0.7]), np.array([1.0, 1.0, 1.0])))
+        values = self.values(Stage.FILTRATION, np.array([0.3, 0.5, 0.7]), 1.0)
         assert values[1] == 0.0 and np.all(np.isfinite(values))
 
     @pytest.mark.parametrize("stage, t, p, eps, message", [
@@ -924,12 +978,13 @@ class TestClosedFormGrid:
     def test_point_messages(self, stage, t, p, eps, message):
         assert closed_form_message(stage, t, p, eps) == message
 
-    def test_grid_messages(self):
-        ts, ps = np.array([0.3, 0.5, 0.7]), np.array([0.0, 0.2, 0.0])
-        with pytest.raises(ValueError, match="^stage I has no closed-form concurrence for overlap"):
-            protocol.concurrence_closed_form(Stage.COUPLING, CouplingConfig(ts, ps))
-        with pytest.raises(ValueError, match="^the finite-eps form takes a point config, not a grid"):
-            protocol.concurrence_closed_form(Stage.FILTRATION, CouplingConfig(ts), eps=0.15)
+    @pytest.mark.parametrize("stage, eps", [(Stage.COUPLING, None), (Stage.MEASUREMENT, None),
+                                            (Stage.FILTRATION, None), (Stage.FILTRATION, 0.15)])
+    @pytest.mark.parametrize("ps", [0.0, np.array([0.0, 0.2, 0.0])], ids=["p-float", "p-grid"])
+    def test_a_grid_config_raises(self, stage, eps, ps):
+        cfg = CouplingConfig(np.array([0.3, 0.5, 0.7]), ps)
+        with pytest.raises(ValueError, match="^the closed forms take a point config, not a grid"):
+            protocol.concurrence_closed_form(stage, cfg, eps)
 
 
 class TestThresholds:

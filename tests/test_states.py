@@ -111,6 +111,20 @@ class TestWeightArrays:
         for q, matrix in zip(self.WEIGHTS.tolist(), stack.reshape(-1, 4, 4)):
             assert matrix.tobytes() == make(q).tobytes()
 
+    def test_a_float_weight_has_the_bits_of_scalar_arithmetic(self):
+        # a Python float times the complex matrices, as the states were built before one
+        # broadcasting expression served a float and an array
+        singlet = states.singlet_density()
+        noise = {"H": np.diag(np.array([0.0, 0.0, 0.5, 0.5], dtype=complex)),
+                 "V": np.diag(np.array([0.5, 0.5, 0.0, 0.0], dtype=complex))}
+        for q in self.WEIGHTS.tolist():
+            assert states.werner(q).shape == (4, 4)
+            assert states.werner(q).tobytes() == (
+                q * singlet + (1.0 - q) * np.eye(4, dtype=complex) / 4.0).tobytes()
+            for outcome, mixed in noise.items():
+                assert states.post_measurement_state(q, outcome).tobytes() == (
+                    q * singlet + (1.0 - q) * mixed).tobytes()
+
     def test_rejects_out_of_range_and_empty_arrays(self):
         for make in (states.werner, states.post_measurement_state):
             with pytest.raises(ValueError, match=r"^q must lie in \[0, 1\], got 1.5$"):

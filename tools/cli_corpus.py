@@ -13,9 +13,9 @@ To see what a change moves in the command line output, run the tool on the
 source tree before and after the change and diff the two listings.  The corpus
 covers T, p and eps sweeps (T in {0, 1/2, 1} and random, p in {0, 1} and
 random, mixed p, eps down to 1e-15), `verify` grids, every `reproduce` table
-with and without its overrides, `hom` (T within 1e-9 of 0 and of 1 included)
-and usage errors.  It is drawn from a fixed seed, so every run lists the same
-invocations.
+with and without its overrides (the formulas table at T down to 1e-300), `hom`
+(T within 1e-9 of 0 and of 1 included) and usage errors.  It is drawn from a
+fixed seed, so every run lists the same invocations.
 """
 
 from __future__ import annotations
@@ -100,7 +100,14 @@ def corpus() -> list[list[str]]:
     blocks.append(["sweep", "--variable", "p", "--min", "0", "--steps", "300", "--T", "0.3"])
     blocks = [[*argv, "--out", OUT] for argv in blocks]
     blocks.append(["sweep", "--variable", "eps", "--p", "0.5", "--min", "0"])
-    return runs + usage_errors + blocks
+    # the formulas table where its eps = 1e-6 filters block the stage II state (T = 1e-5 and
+    # 1e-300) and where they pass (1e-4), a p sweep to the limit's zero at T = 1/2, p = 1,
+    # and an eps sweep at p > 0 whose smallest pass rates fall below the block threshold
+    limits = [["reproduce", "--table", "formulas", "--T", t] for t in ["1e-5", "1e-4", "1e-300"]]
+    limits.append(["sweep", "--variable", "p", "--T", "0.5", "--min", "0.9", "--max", "1",
+                   "--steps", "11"])
+    limits.append(["sweep", "--variable", "eps", "--T", "1e-5", "--p", "0.5", "--min", "1e-12"])
+    return runs + usage_errors + blocks + [[*argv, "--out", OUT] for argv in limits]
 
 
 def sha256(data: bytes | None) -> str:
