@@ -7,16 +7,16 @@ Subcommands:
   hom        two-photon interference dip versus the overlap p (CSV)
 
 The computations live in the library (`protocol.stage_concurrences`,
-`reference.report`, `reference.verify`, `fock_oracle.hom_coincidence`).
+`reference.report`, `reference.verify`, `protocol.hom_closed_form`).
 Each `cmd_*` validates its arguments, calls the library and maps the result
 to (exit status, output text), raising ValueError on invalid input; `main`
 alone writes the text to --out or stdout.  `sweep` hands its whole grid to
 one `stage_concurrences` call as three lists (T, p, eps): the swept one from
 `_linspace`, a fixed value once per point.  Every call is parsed by one shared
 parser, and a call with --config once more, with the config's defaults; `main`
-looks up the subcommand's `cmd_*` at call time.  `reference`, `fock_oracle`,
-numpy, `json` and `configparser` are imported only by the commands that use
-them, so a p = 0 `sweep` and a usage error run without numpy.
+looks up the subcommand's `cmd_*` at call time.  `reference`, numpy, `json` and
+`configparser` are imported only by the commands that use them, so `hom` (one
+`hom_closed_form` call per p), a p = 0 `sweep` and a usage error run without numpy.
 Output is deterministic: identical invocations produce byte-identical files.
 Reals are rendered with 10 significant digits; CSV is UTF-8 with LF line
 endings and a single header row.  Exit codes: 0 success / within tolerance,
@@ -125,16 +125,7 @@ def cmd_verify(args) -> tuple[int, str]:
 def cmd_hom(args) -> tuple[int, str]:
     if args.steps < 2:
         raise ValueError("--steps must be at least 2")
-    if args.T in (0.0, 1.0):  # the visibility would be rounding noise
-        raise ValueError("no two-photon interference at T = 0 or T = 1")
-    from . import fock_oracle
-
-    baseline = fock_oracle.hom_coincidence(args.T, 0.0)
-    rows = []
-    for p in _linspace(0.0, 1.0, args.steps):
-        coincidence = fock_oracle.hom_coincidence(args.T, p)
-        visibility = (baseline - coincidence) / baseline
-        rows.append((p, coincidence, visibility))
+    rows = [(p, *protocol.hom_closed_form(args.T, p)) for p in _linspace(0.0, 1.0, args.steps)]
     return 0, _csv_text(HOM_HEADER, rows)
 
 

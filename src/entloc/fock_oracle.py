@@ -45,7 +45,8 @@ stage II; the sum of both projections traces it out (stage I).
 The beamsplitter phase convention is symmetric (factor i on reflection).
 The convention is not observable in any post-selected polarization state
 produced here, which the tests confirm by substituting the asymmetric real
-matrix for `beamsplitter_matrix` and comparing.
+matrix for `beamsplitter_matrix` and comparing.  `hom_coincidence` is only the
+brute-force reference of the interference dip's `protocol.hom_closed_form`.
 """
 
 from __future__ import annotations
@@ -264,27 +265,10 @@ def hom_coincidence(transmittivity: float, overlap: float) -> float:
     Two photons of identical polarization, one per input arm, with temporal
     overlap `overlap`, meet at a beamsplitter of the given transmittivity;
     returns the probability of finding one photon in each output arm.  At
-    T = 0.5 this is (1 - p)/2, the textbook interference dip.
+    T = 0.5 this is (1 - p)/2, the textbook interference dip; no command calls it.
     """
     check_unit_interval(overlap, "overlap")
     m_sig = mode_index(ARM_BOB, POL_H, TIME_SIGNAL)
     # no idle photon here; the A slot is a spectator
     amps = {(0, m_sig, mode_index(ARM_MEAS, POL_H, t)): t_amp for t, t_amp in _time_bins(overlap)}
     return norm_squared(postselect_one_each(apply_beamsplitter(amps, transmittivity)))
-
-
-def overlap_from_coincidence(coincidence: float, transmittivity: float = 0.5) -> float:
-    """Invert the interference dip to estimate the photon overlap.
-
-    The coincidence rate is (T^2 + R^2) - 2 p T R, so
-    p = (T^2 + R^2 - coincidence) / (2 T R); at T = 0.5 this reduces to
-    p = 1 - 2 * coincidence.
-    """
-    t = check_unit_interval(transmittivity, "transmittivity")
-    r = 1.0 - t
-    if t == 0.0 or t == 1.0:
-        raise ValueError("no two-photon interference at T = 0 or T = 1")
-    p = (t * t + r * r - float(coincidence)) / (2.0 * t * r)
-    if not -1e-9 <= p <= 1.0 + 1e-9:
-        raise ValueError(f"coincidence rate {coincidence} is outside the physical range")
-    return min(max(p, 0.0), 1.0)

@@ -14,11 +14,11 @@ filters a stack of stage II states in one pass (`verify`'s stage III).
 
 `stage_concurrences` measures every sweep point one way, in plain floats,
 from the entries of its X states: the closed form gives them at p = 0, a
-block of oracle stacks at p > 0.  `concurrence_closed_form` is arithmetic on
-one point.  numpy, `fock_oracle`, `measures`, `qmat` and `states` are imported
-only by the functions that use them, so a p = 0 sweep never imports numpy and
-no sweep imports `measures`.  `reference` keeps the Wootters
-`measures.concurrence` as the second route.
+block of oracle stacks at p > 0.  `concurrence_closed_form` and the interference
+dip `hom_closed_form` are arithmetic on one point.  numpy, `fock_oracle`,
+`measures`, `qmat` and `states` are imported only by the functions that use
+them, so a p = 0 sweep and `hom` never import numpy and no sweep imports
+`measures`.  `reference` keeps the Wootters `measures.concurrence` as the second route.
 """
 
 from __future__ import annotations
@@ -389,6 +389,30 @@ def probability_closed_form(stage: Stage, cfg: CouplingConfig, eps: float | None
     if eps is None or not 0.0 < eps <= 1.0:
         raise ValueError("stage III requires eps in (0, 1]")
     return 0.5 * eps * t * t + 0.25 * eps * eps * r * r
+
+
+def hom_closed_form(transmittivity: float, overlap: float) -> tuple:
+    """The two-photon interference dip at one point in plain floats: the coincidence
+    T^2 + R^2 - 2pTR (simulated by `fock_oracle.hom_coincidence`) and the visibility, its
+    relative dip below p = 0, as 2pTR / (T^2 + R^2), which cancels nowhere; at T = 1/2 they
+    are (1 - p)/2 and p.  T = 0 or 1, where the photons never meet, raises ValueError."""
+    t = check_unit_interval(transmittivity, "transmittivity")
+    if t == 0.0 or t == 1.0:
+        raise ValueError("no two-photon interference at T = 0 or T = 1")
+    r = 1.0 - t
+    base, mix = t * t + r * r, 2.0 * check_unit_interval(overlap, "overlap") * t * r
+    return base - mix, mix / base
+
+
+def overlap_from_coincidence(coincidence: float, transmittivity: float = 0.5) -> float:
+    """Invert `hom_closed_form`: p = (T^2 + R^2 - coincidence) / (2 T R), at T = 1/2
+    1 - 2 coincidence, clamped to [0, 1]; a p more than 1e-9 outside it raises."""
+    base, _ = hom_closed_form(transmittivity, 0.0)  # T^2 + R^2, with the checks of T
+    t = float(transmittivity)
+    p = (base - float(coincidence)) / (2.0 * t * (1.0 - t))
+    if not -1e-9 <= p <= 1.0 + 1e-9:
+        raise ValueError(f"coincidence rate {coincidence} is outside the physical range")
+    return min(max(p, 0.0), 1.0)
 
 
 def separability_threshold() -> float:

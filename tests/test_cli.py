@@ -295,19 +295,21 @@ def imported_modules(*argv) -> tuple:
 
 
 class TestNumpyFreeProcess:
-    """A p = 0 T or eps sweep and a usage error run without importing numpy, and no sweep
-    imports `entloc.measures`, which only `verify` and `reproduce` use."""
+    """A p = 0 T or eps sweep, `hom` and a usage error run without importing numpy, and no
+    sweep imports `entloc.measures`, which only `verify` and `reproduce` use."""
 
     @pytest.mark.parametrize("argv, status", [
         (["sweep", "--variable", "T", "--p", "0"], 0),  # through T = 0, where the filters block
         (["sweep", "--variable", "eps", "--min", "0.001", "--T", "0.3"], 0),
         (["sweep", "--eps", "0"], 2),
-    ], ids=["T", "eps", "usage-error"])
-    def test_a_p0_sweep_imports_no_numpy(self, tmp_path, argv, status):
+        (["hom", "--T", "0.3"], 0),
+        (["hom", "--T", "0"], 2),
+    ], ids=["T", "eps", "usage-error", "hom", "hom-usage-error"])
+    def test_imports_neither_numpy_nor_the_oracle(self, tmp_path, argv, status):
         out = tmp_path / "out.csv"
         code, modules = imported_modules(*argv, "--out", str(out))
         assert code == status and out.exists() == (status == 0)
-        assert "entloc.protocol" in modules
+        assert "entloc.protocol" in modules and "entloc.fock_oracle" not in modules
         assert not {name for name in modules if name.split(".")[0] == "numpy"}
 
     def test_a_p_gt_0_sweep_imports_numpy(self, tmp_path):

@@ -630,14 +630,3 @@ class TestHom:
             p = float(rng.uniform(0.0, 1.0))
             expected = t * t + (1 - t) ** 2 - 2.0 * p * t * (1 - t)
             assert abs(fo.hom_coincidence(t, p) - expected) < 1e-12
-
-    def test_overlap_inversion(self):
-        assert abs(fo.overlap_from_coincidence(0.075) - 0.85) < 1e-9
-        coincidence = fo.hom_coincidence(0.3, 0.6)
-        assert abs(fo.overlap_from_coincidence(coincidence, 0.3) - 0.6) < 1e-9
-
-    def test_inversion_errors(self):
-        with pytest.raises(ValueError):
-            fo.overlap_from_coincidence(0.1, transmittivity=1.0)
-        with pytest.raises(ValueError, match="physical range"):
-            fo.overlap_from_coincidence(0.9, transmittivity=0.5)

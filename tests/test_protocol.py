@@ -1,6 +1,7 @@
 import itertools
 import math
-from decimal import Decimal
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from conftest import (counting, exact_stage_concurrences, functions_of, grid_clo
                       grid_concurrences, matrix_route_columns, random_density,
                       random_pure_density, reduced_sizes, x_concurrence)
 
-from entloc import fock_oracle, measures, protocol, qmat, states
+from entloc import cli, fock_oracle, measures, protocol, qmat, states
 from entloc.params import CouplingConfig, FilterConfig, Stage, StageOutcome
 
 SQRT2 = np.sqrt(2.0)
@@ -985,6 +986,87 @@ class TestClosedFormPoints:
         cfg = CouplingConfig(np.array([0.3, 0.5, 0.7]), ps)
         with pytest.raises(ValueError, match="^the closed forms take a point config, not a grid"):
             protocol.concurrence_closed_form(stage, cfg, eps)
+
+
+HOM_TS = [k / 206 for k in range(1, 206)]  # 205 interior transmittivities
+HOM_PS = np.linspace(0.0, 1.0, 101).tolist()  # the overlaps of `hom --steps 101`
+
+
+def exact_dip(t: float, p: float) -> tuple:
+    """The coincidence and visibility of the floats T, R = fl(1 - T) and p, in exact
+    rational arithmetic: T^2 + R^2 - 2pTR and 2pTR / (T^2 + R^2)."""
+    t, r, p = Fraction(t), Fraction(1.0 - t), Fraction(p)
+    base, mix = t * t + r * r, 2 * p * t * r
+    return base - mix, mix / base
+
+
+def ten_digits(value: Fraction) -> Decimal:
+    """`value` rounded to 10 significant digits, half to even, from a 60-digit quotient."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        quotient = Decimal(value.numerator) / Decimal(value.denominator)
+        ctx.prec = 10
+        return +quotient
+
+
+class TestHomClosedForm:
+    """`protocol.hom_closed_form` against exact arithmetic and against the oracle's
+    `hom_coincidence`, the `hom` CSV it writes, and `overlap_from_coincidence`."""
+
+    def test_correctly_rounded_at_ten_digits(self):
+        edges = [1e-9, 1e-12, 1e-5, 0.99999, 1.0 - 1e-9, 1.0 - 1e-12, 1e-300]
+        points = [(t, p) for t in HOM_TS + edges for p in HOM_PS]
+        assert len(points) >= 20_000
+        wrong = [(t, p) for t, p in points
+                 for got, want in zip(protocol.hom_closed_form(t, p), exact_dip(t, p))
+                 if Decimal(format(got, ".10g")) != ten_digits(want)]
+        assert not wrong
+
+    def test_the_oracle_gives_the_coincidence(self):
+        worst = max(abs(fock_oracle.hom_coincidence(t, p) - protocol.hom_closed_form(t, p)[0])
+                    for t in HOM_TS for p in HOM_PS)
+        assert worst <= 1e-15
+
+    def test_hom_writes_the_oracle_route_bytes(self, capsys):
+        # every T of the form 0.ddd in [0.1, 0.9]: the values a benchmark session draws
+        for t in (f"{k / 1000:.3f}" for k in range(100, 901)):
+            assert cli.main(["hom", "--T", t, "--steps", "101", "--out", "-"]) == 0
+            base = fock_oracle.hom_coincidence(float(t), 0.0)
+            coincidences = [fock_oracle.hom_coincidence(float(t), p) for p in HOM_PS]
+            rows = [(p, c, (base - c) / base) for p, c in zip(HOM_PS, coincidences)]
+            expected = "".join(",".join(format(v, ".10g") for v in row) + "\n" for row in rows)
+            assert capsys.readouterr().out == "p,coincidence,visibility\n" + expected, t
+
+    def test_overlap_inversion(self):
+        assert abs(protocol.overlap_from_coincidence(0.075) - 0.85) < 1e-9
+        coincidence = fock_oracle.hom_coincidence(0.3, 0.6)
+        assert abs(protocol.overlap_from_coincidence(coincidence, 0.3) - 0.6) < 1e-9
+
+    def test_inversion_errors(self):
+        with pytest.raises(ValueError):
+            protocol.overlap_from_coincidence(0.1, transmittivity=1.0)
+        with pytest.raises(ValueError, match="physical range"):
+            protocol.overlap_from_coincidence(0.9, transmittivity=0.5)
+
+    @pytest.mark.parametrize("t", [0.0, -0.0, 1.0])
+    def test_no_interference_at_t_0_or_1(self, t):
+        message = "^no two-photon interference at T = 0 or T = 1$"
+        with pytest.raises(ValueError, match=message):
+            protocol.hom_closed_form(t, 0.5)
+        with pytest.raises(ValueError, match=message):
+            protocol.overlap_from_coincidence(0.5, t)
+
+    @pytest.mark.parametrize("t", [1.5, -0.1, math.nan])
+    def test_transmittivity_outside_the_unit_interval(self, t):
+        message = rf"^transmittivity must lie in \[0, 1\], got {t}$"
+        with pytest.raises(ValueError, match=message):
+            protocol.hom_closed_form(t, 0.5)
+        with pytest.raises(ValueError, match=message):
+            protocol.overlap_from_coincidence(0.5, t)
+
+    def test_overlap_outside_the_unit_interval(self):
+        with pytest.raises(ValueError, match=r"^overlap must lie in \[0, 1\], got 1.5$"):
+            protocol.hom_closed_form(0.5, 1.5)
 
 
 class TestThresholds:

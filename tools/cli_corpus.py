@@ -14,7 +14,8 @@ source tree before and after the change and diff the two listings.  The corpus
 covers T, p and eps sweeps (T in {0, 1/2, 1} and random, p in {0, 1} and
 random, mixed p, eps down to 1e-15), `verify` grids, every `reproduce` table
 with and without its overrides (the formulas table at T down to 1e-300), `hom`
-(T within 1e-9 of 0 and of 1 included) and usage errors.  It is drawn from a
+(T within 1e-9 of 0 and of 1, 1e-5, 0.99999 and subnormal T included) and usage
+errors.  It is drawn from a
 fixed seed, so every run lists the same invocations.
 """
 
@@ -107,7 +108,12 @@ def corpus() -> list[list[str]]:
     limits.append(["sweep", "--variable", "p", "--T", "0.5", "--min", "0.9", "--max", "1",
                    "--steps", "11"])
     limits.append(["sweep", "--variable", "eps", "--T", "1e-5", "--p", "0.5", "--min", "1e-12"])
-    return runs + usage_errors + blocks + [[*argv, "--out", OUT] for argv in limits]
+    # hom where a visibility taken as a difference of coincidences loses digits (T = 1e-5,
+    # 0.99999) or all of them (subnormal T), and its usage errors for T outside [0, 1] or -0
+    limits += [["hom", "--T", "1e-5"], ["hom", "--T", "0.99999"],
+               ["hom", "--T", "5e-324", "--steps", "2"], ["hom", "--T", "1e-300", "--steps", "3"]]
+    hom_errors = [["hom", "--T", t] for t in ["1.5", "nan", "-0.0"]]
+    return runs + usage_errors + blocks + [[*argv, "--out", OUT] for argv in limits] + hom_errors
 
 
 def sha256(data: bytes | None) -> str:
