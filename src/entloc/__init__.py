@@ -20,11 +20,11 @@ __version__ = "0.1.0"
 _EXPORTS = {name: module for module, names in [  # name -> the module that defines it
     ("params", "CouplingConfig FilterConfig Stage StageOutcome"),
     ("measures", "chsh_max concurrence fidelity purity"),
-    ("fock_oracle", "hom_coincidence simulate"),
+    ("fock_oracle", "hom_coincidence"),
     ("states", "post_measurement_state singlet werner"),
-    ("protocol", "concurrence_closed_form disappearance_threshold eps_to_filter "
-                 "hom_closed_form overlap_from_coincidence probability_closed_form "
-                 "separability_threshold stage1_couple stage2_measure stage3_filter"),
+    ("protocol", "concurrence_closed_form coupled_stages disappearance_threshold "
+                 "eps_to_filter hom_closed_form overlap_from_coincidence "
+                 "probability_closed_form separability_threshold stage3_filter"),
 ] for name in names.split()}
 
 __all__ = [*sorted(_EXPORTS), "__version__"]

@@ -18,13 +18,14 @@ mode_lo <= mode_hi, to the amplitude of the normalized occupation basis
 state; a doubled key (m, m) is the two-photon occupation of one mode.
 Branches may be sub-normalized after post-selection.
 
-The same dict carries a grid of points: a `CouplingConfig` whose T and p are
-(n,) arrays makes every amplitude an (n,) array, and `build_input`,
-`beamsplitter_matrix`, `apply_beamsplitter`, `propagate`, `coupled_branches`
-and `reduce_to_ab` then evaluate the n points in one call (`reduce_to_ab` as
-two `StageOutcome`s of stacks).  A grid state keeps a key that vanishes at some
-or all of its points; its zero entries leave every other amplitude
-unchanged.  One point stays scalar arithmetic, on plain
+The stage I and stage II states of a config are
+`reduce_to_ab(propagate(cfg), outcome)`.  The same dict carries a grid of
+points: a `CouplingConfig` whose T and p are (n,) arrays makes every amplitude
+an (n,) array, and `build_input`, `beamsplitter_matrix`, `apply_beamsplitter`,
+`propagate` and `reduce_to_ab` then evaluate the n points in one call
+(`reduce_to_ab` as two `StageOutcome`s of stacks).  A grid state keeps a key
+that vanishes at some or all of its points; its zero entries leave every other
+amplitude unchanged.  One point stays scalar arithmetic, on plain
 Python `complex` matrix entries: an elementwise complex product over an
 array need not round like the same products taken one at a time (numpy's
 vectorised loops may fuse multiply and add), which would move the residuals
@@ -201,40 +202,33 @@ def pattern_probabilities(propagated: list[dict]) -> dict[str, float]:
     return totals
 
 
-def branch_probabilities(cfg: CouplingConfig) -> dict[str, float]:
-    """The detection pattern probabilities after the coupling:
-    `pattern_probabilities(propagate(cfg))`."""
-    return pattern_probabilities(propagate(cfg))
+def reduce_to_ab(propagated: list[dict], outcome: str = "H") -> tuple:
+    """The stage I and stage II A-B polarization outcomes of `propagate`'s states.
 
-
-def reduce_to_ab(branches: list[dict], outcome: str = "H") -> tuple:
-    """Reduce post-selected branches to the stage I and stage II A-B polarization outcomes.
-
-    `branches` are the equally weighted classical components of the
-    environment mixture (one per env_pol input).  One contraction per branch
-    traces out the temporal bins and keeps the MEAS-arm polarization: its
-    `outcome` ("H" or "V") slice is stage II, the sum of both slices stage I.
-    The probabilities are cumulative over the post-selection and, at stage
-    II, the measurement outcome.  Grid branches give (n, 4, 4) stacks of
-    states and (n,) arrays of probabilities; all are checked in one pass.
+    `propagated` are the equally weighted classical components of the
+    environment mixture (one per env_pol input).  Each is post-selected on
+    one photon per arm (`postselect_one_each`), and one contraction per
+    branch traces out the temporal bins and keeps the MEAS-arm polarization:
+    its `outcome` ("H" or "V") slice is stage II, the sum of both slices
+    stage I.  The probabilities are cumulative over the post-selection and,
+    at stage II, the measurement outcome.  Grid states give (n, 4, 4) stacks
+    of states and (n,) arrays of probabilities; all are checked in one pass.
     """
-    if not branches:
+    if not propagated:
         raise ValueError("at least one branch is required")
     if outcome not in ("H", "V"):
         raise ValueError(f"outcome must be 'H' or 'V', got {outcome!r}")
 
-    shape = np.shape(next(iter(branches[0].values()), 0.0))  # () for one point, (n,) for a grid
+    shape = np.shape(next(iter(propagated[0].values()), 0.0))  # () for one point, (n,) for a grid
     rho = np.zeros(shape + (2, 4, 4), dtype=complex)  # the MEAS-arm polarization, then A-B
-    for branch in branches:
+    for vec in propagated:
         psi = np.zeros((2, 4, 4) + shape, dtype=complex)
-        for (a_pol, bob, meas), amp in branch.items():
-            if bob // 4 != ARM_BOB or meas // 4 != ARM_MEAS:
-                raise ValueError("branch is not post-selected on one photon per arm")
+        for (a_pol, bob, meas), amp in postselect_one_each(vec).items():
             psi[a_pol, bob % 4, meas % 4] = amp  # index % 4 is 2 * pol + time
         # psi[a_pol, bob_pol, bob_time, meas_pol, meas_time], then the grid axis if any
         psi = psi.reshape((2, 2, 2, 2, 2) + shape)
         rho += np.einsum("abtcu...,ABtcu...->...cabAB", psi, psi.conj()).reshape(rho.shape)
-    rho /= len(branches)
+    rho /= len(propagated)
     rho = np.stack([rho.sum(axis=-3), rho[..., POL_H if outcome == "H" else POL_V, :, :]])  # I, II
 
     probability = np.real(np.trace(rho, axis1=-2, axis2=-1))
@@ -244,19 +238,6 @@ def reduce_to_ab(branches: list[dict], outcome: str = "H") -> tuple:
     stages = (Stage.COUPLING, Stage.MEASUREMENT)
     return tuple(StageOutcome(state=state, probability=p, stage=stage)  # one point's p: a float
                  for state, p, stage in zip(states, probability, stages))
-
-
-def coupled_branches(cfg: CouplingConfig) -> list[dict]:
-    """`propagate(cfg)` post-selected on one photon per arm: the branches
-    `reduce_to_ab` takes."""
-    return [postselect_one_each(vec) for vec in propagate(cfg)]
-
-
-def simulate(cfg: CouplingConfig, outcome: str | None = None) -> StageOutcome:
-    """Run the full pipeline from first principles: `reduce_to_ab(coupled_branches(cfg))`'s
-    stage I outcome for `outcome` None, else its stage II outcome of `outcome`."""
-    stage1, stage2 = reduce_to_ab(coupled_branches(cfg), "H" if outcome is None else outcome)
-    return stage1 if outcome is None else stage2
 
 
 def hom_coincidence(transmittivity: float, overlap: float) -> float:

@@ -8,7 +8,9 @@ surrounding photon (overlap p = 0) every stage has an exact matrix form.
 For p > 0 the states come from the brute-force simulation in `fock_oracle`
 (only their concurrences have closed forms), so the analytic expressions in
 `concurrence_closed_form` stay available as an independent cross-check.
-`coupled_stages` alone chooses between the two, for one point or a grid
+`coupled_stages` is the one entry to the stage I and II states and alone
+chooses between the two routes (at p > 0 it returns the oracle's
+`reduce_to_ab(propagate(cfg), outcome)`), for one point or a grid
 (a `CouplingConfig` of arrays, whose outcomes hold stacks); `filter_states`
 filters a stack of stage II states in one pass (`verify`'s stage III).
 
@@ -35,18 +37,6 @@ NEVER_DISAPPEARS = "never-disappears"
 # the HV and VH diagonal entries and the HV-VH coherence of |psi-><psi-| as
 # `states.singlet_density` rounds them: (1/sqrt(2))^2, two ulps below 1/2
 _SINGLET_ENTRY = (1.0 / math.sqrt(2.0)) * (1.0 / math.sqrt(2.0))
-
-
-def stage1_couple(cfg: CouplingConfig) -> StageOutcome:
-    """Signal-pair state after the coupling, conditioned on one photon per arm:
-    `coupled_stages(cfg)[0]`."""
-    return coupled_stages(cfg)[0]
-
-
-def stage2_measure(cfg: CouplingConfig, outcome: str = "H") -> StageOutcome:
-    """State after the surrounding photon is detected with the given outcome:
-    `coupled_stages(cfg, outcome)[1]`."""
-    return coupled_stages(cfg, outcome)[1]
 
 
 class FilterBlockedError(ValueError):
@@ -223,7 +213,7 @@ def coupled_stages(cfg: CouplingConfig, outcome: str = "H") -> tuple:
         raise ValueError(f"outcome must be 'H' or 'V', got {outcome!r}")
     overlapping = np.asarray(cfg.overlap != 0.0)  # a mask of the grid, 0-d for a point
     if overlapping.all():
-        return fock_oracle.reduce_to_ab(fock_oracle.coupled_branches(cfg), outcome)
+        return fock_oracle.reduce_to_ab(fock_oracle.propagate(cfg), outcome)
     if overlapping.any():
         raise ValueError("a grid of overlaps must be 0 everywhere (the closed form) "
                          "or nowhere (the simulation)")
@@ -291,13 +281,13 @@ def _filtration_limit(t: float, p: float) -> float:
     """The stage III limit of one point (`concurrence_closed_form`, eps None) in floats."""
     if p == 0.0:
         return t / math.sqrt(t * t + (1.0 - t) * (1.0 - t))
-    numerator = abs(t - p * (1.0 - t))  # 0 at T = 1/2, p = 1, where the root is 0 too
-    radicand = 1.0 - 2.0 * (1.0 + p) * t * (1.0 - t)
-    if radicand <= 0.0 and numerator != 0.0:  # the equal form (concurrence_closed_form)
-        d = 2.0 * t - 1.0
-        numerator = abs(d + (1.0 - p) * (1.0 - t))
-        radicand = d * d + 2.0 * (1.0 - p) * t * (1.0 - t)
-    return min(numerator / math.sqrt(radicand), 1.0) if numerator != 0.0 else 0.0
+    d = 2.0 * t - 1.0
+    numerator = abs(d + (1.0 - p) * (1.0 - t))  # |T - p (1 - T)|, within about 4e-16
+    if numerator < 1e-3:  # near its zero that error shows in 10 digits: round it once
+        from fractions import Fraction
+        numerator = abs(float(Fraction(t) - Fraction(p) * (1 - Fraction(t))))
+    radicand = d * d + 2.0 * (1.0 - p) * t * (1.0 - t)  # a sum of non-negative terms
+    return min(numerator / math.sqrt(radicand), 1.0) if numerator != 0.0 else 0.0  # 0/0: 0
 
 
 def concurrence_closed_form(stage: Stage, cfg: CouplingConfig, eps: float | None = None) -> float:
@@ -317,15 +307,18 @@ def concurrence_closed_form(stage: Stage, cfg: CouplingConfig, eps: float | None
     Partially indistinguishable (p > 0):
       II   T |T - p (1 - T)| / (1 - (2 + p) T (1 - T))
       III  (eps None only) the asymptotic-filtration limit
-           |T - p (1 - T)| / sqrt(1 - 2 (1 + p) T (1 - T)).  At the single
-           point T = 1/2, p = 1 both numerator and denominator vanish and the
-           constructive value 0 is returned.  Where the radicand rounds to 0
-           or below (T within about 1e-8 of 1/2 at p = 1) its equal form
-           |(2T - 1) + (1 - p)(1 - T)| / sqrt((2T - 1)^2 + 2 (1 - p) T (1 - T))
-           is evaluated instead.  Near T = 1/2 at p = 1 the verbatim value
-           can round above 1, a concurrence no state has; it is clamped at 1.
-           The formula is also the T -> 0 limit of the supremum over filters;
-           exactly at T = 0 no finite filter attains it.
+           |T - p (1 - T)| / sqrt(1 - 2 (1 + p) T (1 - T)), evaluated in its
+           equal form
+           |(2T - 1) + (1 - p)(1 - T)| / sqrt((2T - 1)^2 + 2 (1 - p) T (1 - T)),
+           whose radicand cannot cancel: the verbatim one does near T = 1/2
+           at p close to 1, where the exact value (1 at p = 1, T != 1/2) then
+           loses digits as far out as T = 0.49998.  A numerator below 1e-3,
+           near the zero T = p (1 - T), is rounded once from exact rational
+           arithmetic.  At the single point T = 1/2, p = 1 both numerator and
+           denominator vanish and the constructive value 0 is returned.  A
+           value that rounds above 1, a concurrence no state has, is clamped
+           at 1.  The formula is also the T -> 0 limit of the supremum over
+           filters; exactly at T = 0 no finite filter attains it.
       I    no closed form exists (only the disappearance threshold); raises.
 
     A grid config raises ValueError: map the function over the grid's points.
@@ -434,7 +427,7 @@ def locate_separability_threshold(tol: float = 1e-8) -> float:
         raise ValueError(f"tol must be positive and finite, got {tol}")
 
     def entangled(t: float) -> bool:
-        return measures.concurrence(stage1_couple(CouplingConfig(t)).state) > 0.0
+        return measures.concurrence(coupled_stages(CouplingConfig(t))[0].state) > 0.0
 
     lo, hi = 0.25, 0.60
     if entangled(lo) or not entangled(hi):

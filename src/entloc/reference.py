@@ -168,7 +168,7 @@ def verify(grid: int, tolerance: float) -> dict:
     grid below 2 or a tolerance outside (0, inf) raises ValueError.  Each
     interior T gives a row of six p values; blocks of whole rows, at most
     `protocol.GRID_BLOCK` points, take one oracle propagation (the source of
-    both the post-selected branches and the branch totals), one
+    both the stage states and the branch totals), one
     `fock_oracle.reduce_to_ab` call for their stage I and stage II states, one
     `protocol.coupled_stages` call for the analytic (p = 0) states and
     probabilities of their T, one stacked `concurrence` call, one
@@ -207,8 +207,7 @@ def verify(grid: int, tolerance: float) -> dict:
         block = interior[start:start + rows]
         points = CouplingConfig(np.repeat(block, len(overlaps)), np.tile(overlaps, len(block)))
         propagated = fock_oracle.propagate(points)  # one propagation for the whole block
-        branches = [fock_oracle.postselect_one_each(vec) for vec in propagated]
-        coupled, measured = fock_oracle.reduce_to_ab(branches)
+        coupled, measured = fock_oracle.reduce_to_ab(propagated)
         totals = sum(fock_oracle.pattern_probabilities(propagated).values()).reshape(len(block), -1)
         stage2 = measured.state.reshape(len(block), -1, 4, 4)
         concurrences = measures.concurrence(stage2[:, 2:])  # the closed_ps columns

@@ -7,6 +7,7 @@ counters."""
 
 import inspect
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -71,8 +72,9 @@ def x_concurrence(rho) -> float | np.ndarray:
 def grid_closed_form(stage: Stage, ts, ps, eps=None) -> np.ndarray:
     """The published concurrence of `stage` (see `protocol.concurrence_closed_form`) on the
     broadcast grid of T, p (and eps), in numpy's array arithmetic: both branches of each
-    `np.where` evaluated, the limit's cancelled radicand masked and the finite-eps ratio
-    inf where 2 T^2 rounds to 0.  The reference of the plain-float point path, bit for
+    `np.where` evaluated, the limit at p > 0 in its equal form (its numerator below 1e-3
+    rounded once from exact arithmetic) and the finite-eps ratio inf where 2 T^2 rounds
+    to 0.  The reference of the plain-float point path, bit for
     bit.  Stage I and the finite-eps form take p = 0."""
     t, p = np.broadcast_arrays(np.asarray(ts, dtype=float), np.asarray(ps, dtype=float))
     r = 1.0 - t
@@ -84,12 +86,12 @@ def grid_closed_form(stage: Stage, ts, ps, eps=None) -> np.ndarray:
     if eps is not None:
         with np.errstate(divide="ignore", over="ignore"):  # below T ~ 1e-154 the ratio is inf
             return t / ((1.0 + eps * r * r / (2.0 * t * t)) * np.sqrt(t * t + r * r))
-    numerator = abs(t - p * (1.0 - t))
-    radicand = 1.0 - 2.0 * (1.0 + p) * t * (1.0 - t)
-    cancelled = (radicand <= 0.0) & (numerator != 0.0)
     d = 2.0 * t - 1.0
-    numerator = np.where(cancelled, abs(d + (1.0 - p) * (1.0 - t)), numerator)
-    radicand = np.where(cancelled, d * d + 2.0 * (1.0 - p) * t * (1.0 - t), radicand)
+    numerator = abs(d + (1.0 - p) * (1.0 - t))
+    exact = [abs(float(Fraction(a) - Fraction(b) * (1 - Fraction(a))))
+             for a, b in zip(t.ravel().tolist(), p.ravel().tolist())]
+    numerator = np.where(numerator < 1e-3, np.reshape(exact, t.shape), numerator)
+    radicand = d * d + 2.0 * (1.0 - p) * t * (1.0 - t)
     limit = np.divide(numerator, np.sqrt(radicand),
                       out=np.zeros_like(numerator), where=numerator != 0.0)
     return np.where(p == 0.0, t / np.sqrt(t * t + r * r), np.minimum(limit, 1.0))
@@ -241,8 +243,8 @@ def reduced_sizes(monkeypatch) -> list:
     sizes = []
     reduce_to_ab = fock_oracle.reduce_to_ab
 
-    def recorded(branches, outcome="H"):
-        found = reduce_to_ab(branches, outcome)
+    def recorded(propagated, outcome="H"):
+        found = reduce_to_ab(propagated, outcome)
         sizes.append(found[0].state[..., 0, 0].size)
         return found
 

@@ -23,8 +23,7 @@ def report(name: str, ok: bool, detail: str = "") -> None:
 
 def test_criterion_1_distinguishable_benchmark_regression():
     cfg = CouplingConfig(0.4, 0.0)
-    stage1 = protocol.stage1_couple(cfg)
-    stage2 = protocol.stage2_measure(cfg, "H")
+    stage1, stage2 = protocol.coupled_stages(cfg, "H")
     stage3 = protocol.stage3_filter(stage2, FilterConfig(att_a=0.33, att_b=1.0))
 
     c1 = measures.concurrence(stage1.state)
@@ -47,7 +46,7 @@ def test_criterion_1_distinguishable_benchmark_regression():
 
 def test_criterion_2_indistinguishable_benchmark_regression():
     cfg = CouplingConfig(0.3, 0.85)
-    stage2 = protocol.stage2_measure(cfg, "H")
+    stage2 = protocol.coupled_stages(cfg, "H")[1]
     stage3 = protocol.stage3_filter(stage2, FilterConfig(att_a=0.12, att_b=0.30))
 
     c2 = measures.concurrence(stage2.state)
@@ -71,8 +70,8 @@ def test_criterion_2_indistinguishable_benchmark_regression():
 
 def test_criterion_3_separability_threshold():
     threshold = protocol.separability_threshold()
-    below = measures.concurrence(protocol.stage1_couple(CouplingConfig(threshold - 1e-4)).state)
-    above = measures.concurrence(protocol.stage1_couple(CouplingConfig(threshold + 1e-4)).state)
+    below, above = (measures.concurrence(protocol.coupled_stages(CouplingConfig(t))[0].state)
+                    for t in (threshold - 1e-4, threshold + 1e-4))
     located = protocol.locate_separability_threshold(tol=1e-8)
     ok = below == 0.0 and above > 0.0 and abs(located - threshold) <= 1e-6
     report(
@@ -87,10 +86,8 @@ def test_criterion_4_oracle_equivalence():
     worst_probability_gap = 0.0
     for t in T_GRID_19:
         cfg = CouplingConfig(t, 0.0)
-        oracle1 = fock_oracle.simulate(cfg)
-        oracle2 = fock_oracle.simulate(cfg, "H")
-        analytic1 = protocol.stage1_couple(cfg)
-        analytic2 = protocol.stage2_measure(cfg, "H")
+        oracle1, oracle2 = fock_oracle.reduce_to_ab(fock_oracle.propagate(cfg), "H")
+        analytic1, analytic2 = protocol.coupled_stages(cfg, "H")
         worst_fidelity_deficit = max(
             worst_fidelity_deficit,
             1.0 - measures.fidelity(oracle1.state, analytic1.state),
@@ -106,7 +103,8 @@ def test_criterion_4_oracle_equivalence():
     for p in (0.25, 0.5, 0.75, 1.0):
         for t in T_GRID_19:
             cfg = CouplingConfig(t, p)
-            simulated = measures.concurrence(fock_oracle.simulate(cfg, "H").state)
+            _, measured = fock_oracle.reduce_to_ab(fock_oracle.propagate(cfg), "H")
+            simulated = measures.concurrence(measured.state)
             closed = protocol.concurrence_closed_form(Stage.MEASUREMENT, cfg)
             worst_concurrence_gap = max(worst_concurrence_gap, abs(simulated - closed))
 
@@ -126,7 +124,7 @@ def test_criterion_4_oracle_equivalence():
 
 def test_criterion_5_filtration_limit():
     cfg = CouplingConfig(0.4, 0.0)
-    stage2 = protocol.stage2_measure(cfg, "H")
+    stage2 = protocol.coupled_stages(cfg, "H")[1]
     limit = 0.4 / np.sqrt(0.52)
 
     at_tiny_eps = measures.concurrence(
@@ -171,12 +169,13 @@ def test_criterion_7_probability_closed_forms():
         cfg = CouplingConfig(float(t), 0.0)
         expected1 = protocol.probability_closed_form(Stage.COUPLING, cfg)
         expected2 = protocol.probability_closed_form(Stage.MEASUREMENT, cfg)
-        worst1 = max(worst1, abs(protocol.stage1_couple(cfg).probability - expected1))
-        worst2 = max(worst2, abs(protocol.stage2_measure(cfg, "H").probability - expected2))
+        stage1, stage2 = protocol.coupled_stages(cfg, "H")
+        worst1 = max(worst1, abs(stage1.probability - expected1))
+        worst2 = max(worst2, abs(stage2.probability - expected2))
 
     cfg = CouplingConfig(0.4, 0.0)
     schedule_value = protocol.probability_closed_form(Stage.FILTRATION, cfg, eps=1.0)
-    stage2 = protocol.stage2_measure(cfg, "H")
+    stage2 = protocol.coupled_stages(cfg, "H")[1]
     cumulative = protocol.stage3_filter(stage2, FilterConfig(0.33, 1.0)).probability
 
     ok = (
@@ -213,9 +212,8 @@ def test_criterion_8_property_suites():
         for t in T_GRID_19:
             for p in (0.0, 0.25, 0.5, 0.75, 1.0):
                 cfg = CouplingConfig(t, p)
-                stage1 = protocol.stage1_couple(cfg)
-                measured_h = protocol.stage2_measure(cfg, "H")
-                measured_v = protocol.stage2_measure(cfg, "V")
+                stage1, measured_h = protocol.coupled_stages(cfg, "H")
+                measured_v = protocol.coupled_stages(cfg, "V")[1]
                 filtered = protocol.stage3_filter(measured_h, protocol.eps_to_filter(0.15, t))
                 for outcome in (stage1, measured_h, measured_v, filtered):
                     qmat.validate_density_matrix(outcome.state, dim=4)
@@ -231,7 +229,7 @@ def test_criterion_8_property_suites():
 
     # filtering strictly raises the CHSH parameter of the benchmark state
     cfg = CouplingConfig(0.4, 0.0)
-    stage2 = protocol.stage2_measure(cfg, "H")
+    stage2 = protocol.coupled_stages(cfg, "H")[1]
     stage3 = protocol.stage3_filter(stage2, FilterConfig(0.33, 1.0))
     chsh_before = measures.chsh_max(stage2.state)
     chsh_after = measures.chsh_max(stage3.state)

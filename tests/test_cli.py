@@ -133,14 +133,14 @@ def per_point_stage_concurrences(transmittivity, overlap, eps):
     """The one-point evaluation a sweep made before it measured its grid in one call, each
     state measured from its X-state entries as the grid is."""
     cfg = CouplingConfig(transmittivity, overlap)
-    stage2 = protocol.stage2_measure(cfg, "H")
+    stage1, stage2 = protocol.coupled_stages(cfg, "H")
     filters = protocol.eps_to_filter(eps, transmittivity)
     try:
         filtered = x_concurrence(protocol.stage3_filter(stage2, filters).state)
     except ValueError:
         filtered = float("nan")
     return (
-        x_concurrence(protocol.stage1_couple(cfg).state),
+        x_concurrence(stage1.state),
         x_concurrence(stage2.state),
         filtered,
         protocol.concurrence_closed_form(Stage.FILTRATION, cfg, eps=None),

@@ -28,10 +28,6 @@ class TestModes:
             index = fo.mode_index(arm, pol, time)
             assert (index // 4, (index % 4) // 2, index % 2) == (arm, pol, time)
 
-    def test_rejects_bad_index(self):
-        # a mode index outside range(8) belongs to no arm and cannot be reduced
-        with pytest.raises(ValueError):
-            fo.reduce_to_ab([{(0, 0, fo.N_MODES): 1.0}])
 
 
 class TestBuildInput:
@@ -250,7 +246,7 @@ class TestPostselection:
         # both-to-one-arm branches carry TR each at p = 0, TR (1 + p/2) in
         # general; everything sums to 1
         for t, p in ((0.4, 0.0), (0.3, 0.85), (0.5, 1.0), (0.75, 0.4)):
-            branches = fo.branch_probabilities(CouplingConfig(t, p))
+            branches = fo.pattern_probabilities(fo.propagate(CouplingConfig(t, p)))
             expected_bunched = t * (1 - t) * (1.0 + p / 2.0)
             assert abs(branches["both_bob"] - expected_bunched) < 1e-12
             assert abs(branches["both_meas"] - expected_bunched) < 1e-12
@@ -261,7 +257,7 @@ class TestReduceToAb:
     def test_matches_analytic_coupling_state(self):
         for t in (0.1, 0.4, 0.41421356, 0.7, 0.95):
             cfg = CouplingConfig(t, 0.0)
-            outcome = fo.simulate(cfg, None)
+            outcome = fo.reduce_to_ab(fo.propagate(cfg))[0]
             assert outcome.stage is Stage.COUPLING
             analytic = states.werner(cfg.werner_weight)
             assert measures.fidelity(outcome.state, analytic) >= 1.0 - 1e-9
@@ -270,12 +266,12 @@ class TestReduceToAb:
     def test_matches_analytic_measured_state(self):
         for t in (0.1, 0.4, 0.7):
             cfg = CouplingConfig(t, 0.0)
-            outcome = fo.simulate(cfg, "H")
+            outcome = fo.reduce_to_ab(fo.propagate(cfg), "H")[1]
             assert outcome.stage is Stage.MEASUREMENT
             analytic = states.post_measurement_state(cfg.werner_weight, "H")
             assert measures.fidelity(outcome.state, analytic) >= 1.0 - 1e-9
             assert abs(outcome.probability - (t * t + (1 - t) ** 2) / 2) < 1e-10
-            mirror = fo.simulate(cfg, "V")
+            mirror = fo.reduce_to_ab(fo.propagate(cfg), "V")[1]
             analytic_v = states.post_measurement_state(cfg.werner_weight, "V")
             assert measures.fidelity(mirror.state, analytic_v) >= 1.0 - 1e-9
 
@@ -291,14 +287,15 @@ class TestReduceToAb:
         for t in (0.0, 0.37, 0.5, 1.0):
             u = asymmetric_matrix(t)
             np.testing.assert_allclose(u @ u.conj().T, np.eye(8), atol=1e-14)
-        cases = [
-            (CouplingConfig(t, p), outcome)
-            for t, p in ((0.37, 0.6), (0.5, 1.0), (0.7, 0.2))
-            for outcome in (None, "H", "V")
-        ]
-        symmetric = [fo.simulate(cfg, outcome) for cfg, outcome in cases]
         grid = CouplingConfig(np.array([0.0, 0.37, 0.5, 1.0]), np.array([0.3, 0.6, 1.0, 0.2]))
-        symmetric_grid = [fo.simulate(grid, outcome) for outcome in (None, "H", "V")]
+        configs = [CouplingConfig(t, p) for t, p in ((0.37, 0.6), (0.5, 1.0), (0.7, 0.2))] + [grid]
+
+        def outcomes():  # stage I and the stage II outcome of H and of V, for each config
+            return [stage for cfg in configs for outcome in "HV"
+                    for stage in fo.reduce_to_ab(fo.propagate(cfg), outcome)]
+
+        symmetric = outcomes()
+        assert symmetric[-1].state.shape == (4, 4, 4)  # the grid's
         probe = fo.build_input(CouplingConfig(0.37, 0.6), fo.POL_H)
         before = fo.apply_beamsplitter(probe, 0.37)
         grid_probe = fo.build_input(grid, fo.POL_H)
@@ -307,13 +304,8 @@ class TestReduceToAb:
         assert fo.apply_beamsplitter(probe, 0.37) != before  # the swap took effect
         grid_after = fo.apply_beamsplitter(grid_probe, grid.transmittivity)  # for a grid too
         assert any(np.any(grid_after[key] != value) for key, value in grid_before.items())
-        for (cfg, outcome), sym in zip(cases, symmetric):
-            asym = fo.simulate(cfg, outcome)
-            assert np.max(np.abs(sym.state - asym.state)) < 1e-12
-            assert abs(sym.probability - asym.probability) < 1e-12
-        for outcome, sym in zip((None, "H", "V"), symmetric_grid):
-            asym = fo.simulate(grid, outcome)
-            assert sym.state.shape == asym.state.shape == (4, 4, 4)
+        for sym, asym in zip(symmetric, outcomes()):
+            assert sym.state.shape == asym.state.shape
             assert np.max(np.abs(sym.state - asym.state)) < 1e-12
             assert np.max(np.abs(sym.probability - asym.probability)) < 1e-12
 
@@ -324,11 +316,10 @@ class TestReduceToAb:
         rng = np.random.default_rng(20261019)
         ts, ps = rng.uniform(0.02, 0.98, 9), np.append(rng.uniform(0.01, 1.0, 6), [1.0] * 3)
         points = [CouplingConfig(t, p) for t, p in zip(ts.tolist(), ps.tolist())]
-        outcomes = (None, "H", "V")
 
         def run():
-            return ([fo.simulate(cfg, outcome) for cfg in points for outcome in outcomes]
-                    + [fo.simulate(CouplingConfig(ts, ps), outcome) for outcome in outcomes],
+            return ([stage for cfg in points + [CouplingConfig(ts, ps)] for outcome in "HV"
+                     for stage in fo.reduce_to_ab(fo.propagate(cfg), outcome)],
                     [fo.hom_coincidence(cfg.transmittivity, cfg.overlap) for cfg in points],
                     np.array(grid_concurrences(ts, ps, 0.15)))
 
@@ -366,31 +357,29 @@ class TestReduceToAb:
                 probability = 1.0 - (2.0 + p) * t * (1.0 - t)
                 q = t * (t - p * (1.0 - t)) / probability
                 expected = q * states.singlet_density() + (1.0 - q) * np.eye(4) / 4.0
-                outcome = fo.simulate(CouplingConfig(t, p))
+                outcome = fo.reduce_to_ab(fo.propagate(CouplingConfig(t, p)))[0]
                 assert np.max(np.abs(outcome.state - expected)) <= 1e-12
                 assert abs(outcome.probability - probability) <= 1e-12
 
     def test_rejects_unknown_outcome(self):
         cfg = CouplingConfig(0.4, 0.5)
         with pytest.raises(ValueError, match="outcome"):
-            fo.simulate(cfg, "D")
-        branch = fo.postselect_one_each(fo.apply_beamsplitter(fo.build_input(cfg, fo.POL_H), 0.4))
+            fo.reduce_to_ab(fo.propagate(cfg), "D")
         with pytest.raises(ValueError, match="outcome"):
-            fo.reduce_to_ab([branch], "D")
+            protocol.coupled_stages(cfg, "D")
 
     def test_rejects_no_branches(self):
         with pytest.raises(ValueError, match="at least one branch"):
             fo.reduce_to_ab([])
 
     def test_overlap_continuity_at_zero(self):
-        for outcome in (None, "H"):
-            base = fo.simulate(CouplingConfig(0.4, 0.0), outcome)
-            near = fo.simulate(CouplingConfig(0.4, 1e-9), outcome)
+        stages = [fo.reduce_to_ab(fo.propagate(CouplingConfig(0.4, p))) for p in (0.0, 1e-9)]
+        for base, near in zip(*stages):  # stage I, then stage II
             assert np.max(np.abs(base.state - near.state)) < 1e-8
             assert abs(base.probability - near.probability) < 1e-8
 
     def test_partially_indistinguishable_concurrence(self):
-        outcome = fo.simulate(CouplingConfig(0.3, 0.85), "H")
+        outcome = fo.reduce_to_ab(fo.propagate(CouplingConfig(0.3, 0.85)), "H")[1]
         assert abs(measures.concurrence(outcome.state) - 0.2204234122) < 1e-9
         assert abs(outcome.probability - 0.20075) < 1e-10
 
@@ -398,13 +387,14 @@ class TestReduceToAb:
         for t in (0.15, 0.3, 0.5, 0.65, 0.9):
             for p in (0.25, 0.5, 0.75, 1.0):
                 cfg = CouplingConfig(t, p)
-                outcome = fo.simulate(cfg, "H")
+                outcome = fo.reduce_to_ab(fo.propagate(cfg), "H")[1]
                 closed = protocol.concurrence_closed_form(Stage.MEASUREMENT, cfg)
                 assert abs(measures.concurrence(outcome.state) - closed) < 1e-8
 
     def test_coupled_concurrence_respects_disappearance_threshold(self):
         def coupled_concurrence(t, p):
-            return measures.concurrence(fo.simulate(CouplingConfig(t, p), None).state)
+            stage1, _ = fo.reduce_to_ab(fo.propagate(CouplingConfig(t, p)))
+            return measures.concurrence(stage1.state)
 
         for t in (0.45, 0.5, 0.55):
             threshold = protocol.disappearance_threshold(t)
@@ -427,11 +417,22 @@ class TestReduceToAb:
         with pytest.raises(ValueError, match="zero probability"):
             fo.reduce_to_ab([branch])
 
-    def test_rejects_unpostselected_branch(self):
-        vec = fo.build_input(CouplingConfig(0.4), fo.POL_H)
-        coupled = fo.apply_beamsplitter(vec, 0.4)
-        with pytest.raises(ValueError, match="post-selected"):
-            fo.reduce_to_ab([coupled])
+    @pytest.mark.parametrize("outcome", ["H", "V"])
+    def test_reduces_the_postselected_branches(self, rng, outcome):
+        # the photons that left on one arm together carry no stage I or II weight
+        overlaps = [0.0, 1e-9, 0.3, 0.5, 1.0]
+        grid = CouplingConfig(np.repeat(np.linspace(0.0, 1.0, 11), 5), np.tile(overlaps, 11))
+        points = [CouplingConfig(t, p) for t, p in zip(rng.random(50), rng.random(50))]
+        for cfg in [grid, CouplingConfig(0.5, 1.0), CouplingConfig(0.4)] + points:
+            propagated = fo.propagate(cfg)
+            branches = [fo.postselect_one_each(vec) for vec in propagated]
+            assert sum(map(len, branches)) < sum(map(len, propagated))  # bunched keys to drop
+            for found, expected in zip(fo.reduce_to_ab(propagated, outcome),
+                                       fo.reduce_to_ab(branches, outcome)):
+                assert found.stage is expected.stage
+                assert found.state.tobytes() == expected.state.tobytes()
+                assert (np.asarray(found.probability).tobytes()
+                        == np.asarray(expected.probability).tobytes())
 
     def test_filtered_pipeline_consistency(self):
         # filtering the simulated measured state equals filtering the
@@ -439,8 +440,9 @@ class TestReduceToAb:
         for t in (0.2, 0.4, 0.8):
             cfg = CouplingConfig(t, 0.0)
             filters = protocol.eps_to_filter(0.15, t)
-            from_oracle = protocol.stage3_filter(fo.simulate(cfg, "H"), filters)
-            from_analytic = protocol.stage3_filter(protocol.stage2_measure(cfg, "H"), filters)
+            _, oracle = fo.reduce_to_ab(fo.propagate(cfg), "H")
+            from_oracle = protocol.stage3_filter(oracle, filters)
+            from_analytic = protocol.stage3_filter(protocol.coupled_stages(cfg, "H")[1], filters)
             assert measures.fidelity(from_oracle.state, from_analytic.state) >= 1.0 - 1e-9
             assert abs(from_oracle.probability - from_analytic.probability) < 1e-10
 
@@ -451,63 +453,59 @@ class TestGrid:
     TS = (0.0, 0.37, 0.5, 1.0)
     PS = (0.0, 1e-9, 0.25, 0.5, 1.0)
 
-    @pytest.mark.parametrize("outcome", [None, "H", "V"])  # None: stage I
+    @pytest.mark.parametrize("outcome", ["H", "V"])
     def test_grid_equals_its_points(self, outcome):
         ts, ps = (axis.ravel() for axis in np.meshgrid(self.TS, self.PS))
-        grid = fo.simulate(CouplingConfig(ts, ps), outcome)
-        assert grid.state.shape == (ts.size, 4, 4) and grid.probability.shape == (ts.size,)
-        assert grid.probability.dtype == float
-        for t, p, state, probability in zip(ts.tolist(), ps.tolist(), grid.state,
-                                            grid.probability.tolist()):
-            alone = fo.simulate(CouplingConfig(t, p), outcome)
-            assert grid.stage is alone.stage
-            assert type(alone.probability) is float
-            assert state.tobytes() == alone.state.tobytes()
-            assert probability.hex() == alone.probability.hex()
+        stages = fo.reduce_to_ab(fo.propagate(CouplingConfig(ts, ps)), outcome)
+        for grid in stages:
+            assert grid.state.shape == (ts.size, 4, 4) and grid.probability.shape == (ts.size,)
+            assert grid.probability.dtype == float
+        for i, (t, p) in enumerate(zip(ts.tolist(), ps.tolist())):
+            for grid, alone in zip(stages, fo.reduce_to_ab(fo.propagate(CouplingConfig(t, p)),
+                                                           outcome)):
+                assert grid.stage is alone.stage
+                assert type(alone.probability) is float
+                assert grid.state[i].tobytes() == alone.state.tobytes()
+                assert float(grid.probability[i]).hex() == alone.probability.hex()
 
     def test_grid_branch_probabilities_equal_its_points(self):
         ts, ps = (axis.ravel() for axis in np.meshgrid(self.TS, self.PS))
-        grid = fo.branch_probabilities(CouplingConfig(ts, ps))
+        grid = fo.pattern_probabilities(fo.propagate(CouplingConfig(ts, ps)))
         for i, (t, p) in enumerate(zip(ts.tolist(), ps.tolist())):
-            alone = fo.branch_probabilities(CouplingConfig(t, p))
+            alone = fo.pattern_probabilities(fo.propagate(CouplingConfig(t, p)))
             assert list(grid) == list(alone)
             for key, value in alone.items():
                 assert float(grid[key][i]).hex() == float(value).hex()
             assert float(sum(grid.values())[i]).hex() == float(sum(alone.values())).hex()
 
-    def test_one_propagation_gives_the_branches_and_the_pattern_totals(self):
-        # verify takes both from one `propagate` call per block
+    def test_pattern_totals_equal_the_reference(self):
+        # verify takes them and the stage states from one `propagate` call per block
         def same_bits(a, b):
             return np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
         ts, ps = (axis.ravel() for axis in np.meshgrid(self.TS, self.PS))
         points = [CouplingConfig(t, p) for t, p in ((0.37, 0.5), (1.0, 0.0))]
         for cfg in [CouplingConfig(ts, ps)] + points:
-            propagated = fo.propagate(cfg)
-            totals = fo.pattern_probabilities(propagated)
-            probabilities = fo.branch_probabilities(cfg)
+            totals = fo.pattern_probabilities(fo.propagate(cfg))
             expected = reference_branch_probabilities(cfg)
-            assert list(totals) == list(probabilities) == list(expected)
+            assert list(totals) == list(expected)
             for key, value in expected.items():
-                assert same_bits(totals[key], value) and same_bits(probabilities[key], value)
+                assert same_bits(totals[key], value)
             assert same_bits(sum(totals.values()), sum(expected.values()))
-            for vec, branch in zip(propagated, fo.coupled_branches(cfg)):
-                assert list(fo.postselect_one_each(vec)) == list(branch)
-                assert all(same_bits(vec[key], amp) for key, amp in branch.items())
 
     def test_stacked_concurrence_of_grid_states_equals_its_points(self):
         ts, ps = (axis.ravel() for axis in np.meshgrid(np.linspace(0.05, 0.95, 19), self.PS))
-        branches = fo.coupled_branches(CouplingConfig(ts, ps))
+        propagated = fo.propagate(CouplingConfig(ts, ps))
         for outcome in ("H", "V"):
-            for stage in fo.reduce_to_ab(branches, outcome):
+            for stage in fo.reduce_to_ab(propagated, outcome):
                 stacked = measures.concurrence(stage.state)
                 for value, state in zip(stacked.tolist(), stage.state):
                     assert value.hex() == measures.concurrence(state).hex()
 
     def test_grid_amplitudes_are_arrays_over_the_points(self):
         grid = CouplingConfig(np.array([0.2, 0.7]), np.array([0.5, 1.0]))
-        for branch in fo.coupled_branches(grid):
-            assert branch and all(np.shape(amp) == (2,) for amp in branch.values())
+        for vec in fo.propagate(grid):
+            assert vec and all(np.shape(amp) == (2,) for amp in vec.values())
         assert fo.beamsplitter_matrix(grid.transmittivity).shape == (fo.N_MODES, fo.N_MODES, 2)
 
 
@@ -517,8 +515,9 @@ class TestSingleReduction:
 
     @staticmethod
     def assert_reference_bits(cfg, outcome):
-        branches = fo.coupled_branches(cfg)
-        found = fo.reduce_to_ab(branches, outcome)
+        propagated = fo.propagate(cfg)
+        branches = [fo.postselect_one_each(vec) for vec in propagated]
+        found = fo.reduce_to_ab(propagated, outcome)
         expected = (reference_reduce_to_ab(branches), reference_reduce_to_ab(branches, outcome))
         for stage, reference_stage in zip(found, expected):
             assert stage.stage is reference_stage.stage
@@ -549,9 +548,9 @@ class TestSingleReduction:
             self.assert_reference_bits(CouplingConfig(t, p), outcome)
 
     def test_both_stages_are_checked_in_one_pass(self, monkeypatch):
-        branches = fo.coupled_branches(CouplingConfig(np.linspace(0.0, 1.0, 11), np.full(11, 0.5)))
+        propagated = fo.propagate(CouplingConfig(np.linspace(0.0, 1.0, 11), np.full(11, 0.5)))
         calls = counting(monkeypatch, {qmat: ["validate_density_matrix"]})
-        fo.reduce_to_ab(branches, "V")
+        fo.reduce_to_ab(propagated, "V")
         assert calls == {"validate_density_matrix": 1}
 
     @pytest.mark.parametrize("ts, ps, propagations", [
@@ -588,15 +587,16 @@ class TestStageStructure:
         ts[:9], ps[:9] = np.repeat([0.0, 0.5, 1.0], 3), np.tile([0.0, 1e-9, 1.0], 3)
         for start in range(0, ts.size, protocol.GRID_BLOCK):
             block = slice(start, start + protocol.GRID_BLOCK)
-            branches = fo.coupled_branches(CouplingConfig(ts[block], ps[block]))
-            (stage1, h), (stage1_v, v) = (fo.reduce_to_ab(branches, outcome) for outcome in "HV")
+            propagated = fo.propagate(CouplingConfig(ts[block], ps[block]))
+            (stage1, h), (stage1_v, v) = (fo.reduce_to_ab(propagated, outcome) for outcome in "HV")
             assert stage1.state.tobytes() == stage1_v.state.tobytes()
             self.assert_mixture(stage1, h, v)
 
     def test_oracle_points(self, rng):
         for t, p in zip(rng.random(100).tolist(), rng.random(100).tolist()):
             cfg = CouplingConfig(t, p)
-            self.assert_mixture(fo.simulate(cfg), fo.simulate(cfg, "H"), fo.simulate(cfg, "V"))
+            (stage1, h), (_, v) = (fo.reduce_to_ab(fo.propagate(cfg), outcome) for outcome in "HV")
+            self.assert_mixture(stage1, h, v)
 
     def test_analytic_states_at_p0(self, rng):
         ts = np.concatenate([[0.0, 0.5, 1.0], rng.random(1000)])

@@ -1,6 +1,7 @@
 """The package namespace: lazy exports that keep `import entloc` free of numpy."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -38,3 +39,10 @@ def test_star_import_and_unknown_names():
         entloc.nope  # noqa: B018
     with pytest.raises(ImportError):
         exec("from entloc import nope", {})
+
+
+def test_the_version_is_the_one_pyproject_declares():
+    # a regex, not tomllib, which Python 3.10 lacks: the first version key of [project]
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    project = re.search(r"^\[project\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+    assert re.search(r'^version\s*=\s*"([^"]+)"', project, re.M).group(1) == entloc.__version__

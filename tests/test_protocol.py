@@ -93,13 +93,13 @@ class TestConfigs:
 
 class TestStage1:
     def test_benchmark_point_is_separable(self):
-        outcome = protocol.stage1_couple(CouplingConfig(0.4))
+        outcome = protocol.coupled_stages(CouplingConfig(0.4))[0]
         assert measures.concurrence(outcome.state) == 0.0
         assert abs(outcome.probability - 0.52) < 1e-12
         assert outcome.stage is Stage.COUPLING
 
     def test_fully_transmitting_beamsplitter(self):
-        outcome = protocol.stage1_couple(CouplingConfig(1.0))
+        outcome = protocol.coupled_stages(CouplingConfig(1.0))[0]
         assert measures.fidelity(outcome.state, states.singlet_density()) >= 1.0 - 1e-12
         assert abs(outcome.probability - 1.0) < 1e-12
         assert abs(measures.concurrence(outcome.state) - 1.0) < 1e-12
@@ -107,96 +107,95 @@ class TestStage1:
     def test_entangled_above_threshold(self):
         # closed form (2T^2 - R^2) / (2 (R^2 + T^2)) at T = 0.45 gives
         # 0.1025 / 1.01; cross-checked through the Wootters functional
-        outcome = protocol.stage1_couple(CouplingConfig(0.45))
+        outcome = protocol.coupled_stages(CouplingConfig(0.45))[0]
         value = measures.concurrence(outcome.state)
         assert abs(value - 0.1025 / 1.01) < 1e-12
         closed = protocol.concurrence_closed_form(Stage.COUPLING, CouplingConfig(0.45))
         assert abs(value - closed) < 1e-12
 
     def test_indistinguishable_case_uses_simulation(self):
-        outcome = protocol.stage1_couple(CouplingConfig(0.3, 0.85))
+        outcome = protocol.coupled_stages(CouplingConfig(0.3, 0.85))[0]
         assert measures.concurrence(outcome.state) == 0.0
         assert abs(outcome.probability - 0.4015) < 1e-10
 
     def test_closed_form_agrees_on_grid(self):
         for t in np.arange(0.0, 1.0001, 0.01):
             cfg = CouplingConfig(float(t))
-            constructed = measures.concurrence(protocol.stage1_couple(cfg).state)
+            constructed = measures.concurrence(protocol.coupled_stages(cfg)[0].state)
             assert abs(constructed - protocol.concurrence_closed_form(Stage.COUPLING, cfg)) < 1e-10
 
 
 class TestStage2:
     def test_benchmark_point(self):
-        outcome = protocol.stage2_measure(CouplingConfig(0.4), "H")
+        outcome = protocol.coupled_stages(CouplingConfig(0.4), "H")[1]
         assert abs(measures.concurrence(outcome.state) - 4.0 / 13.0) < 1e-12
         assert abs(outcome.probability - 0.26) < 1e-12
         assert outcome.stage is Stage.MEASUREMENT
 
     def test_fully_reflecting_beamsplitter(self):
-        outcome = protocol.stage2_measure(CouplingConfig(0.0), "H")
+        outcome = protocol.coupled_stages(CouplingConfig(0.0), "H")[1]
         np.testing.assert_allclose(outcome.state, np.diag([0.0, 0.0, 0.5, 0.5]), atol=1e-12)
         assert measures.concurrence(outcome.state) == 0.0
 
     def test_partially_indistinguishable_point(self):
-        outcome = protocol.stage2_measure(CouplingConfig(0.3, 0.85), "H")
+        outcome = protocol.coupled_stages(CouplingConfig(0.3, 0.85), "H")[1]
         assert abs(measures.concurrence(outcome.state) - 0.2204234122) < 1e-9
 
     def test_outcome_symmetry(self):
         for t in np.linspace(0.05, 0.95, 10):
             for p in (0.0, 0.4, 0.85):
                 cfg = CouplingConfig(float(t), p)
-                c_h = measures.concurrence(protocol.stage2_measure(cfg, "H").state)
-                c_v = measures.concurrence(protocol.stage2_measure(cfg, "V").state)
+                c_h = measures.concurrence(protocol.coupled_stages(cfg, "H")[1].state)
+                c_v = measures.concurrence(protocol.coupled_stages(cfg, "V")[1].state)
                 assert abs(c_h - c_v) < 1e-10
-                p_h = protocol.stage2_measure(cfg, "H").probability
-                p_v = protocol.stage2_measure(cfg, "V").probability
+                p_h = protocol.coupled_stages(cfg, "H")[1].probability
+                p_v = protocol.coupled_stages(cfg, "V")[1].probability
                 assert abs(p_h - p_v) < 1e-10
 
     def test_localization_never_hurts(self):
         for t in np.linspace(0.01, 0.99, 50):
             cfg = CouplingConfig(float(t))
-            c1 = measures.concurrence(protocol.stage1_couple(cfg).state)
-            c2 = measures.concurrence(protocol.stage2_measure(cfg, "H").state)
+            c1, c2 = (measures.concurrence(stage.state) for stage in protocol.coupled_stages(cfg))
             assert c2 >= c1 - 1e-12
 
     def test_interference_kills_entanglement_at_balanced_coupling(self):
         # at T = 1/2, p = 1 the measured pair carries no coherence at all
-        outcome = protocol.stage2_measure(CouplingConfig(0.5, 1.0), "H")
+        outcome = protocol.coupled_stages(CouplingConfig(0.5, 1.0), "H")[1]
         assert measures.concurrence(outcome.state) < 1e-12
 
     def test_closed_form_agrees_on_grid(self):
         for t in np.arange(0.0, 1.0001, 0.01):
             cfg = CouplingConfig(float(t))
-            constructed = measures.concurrence(protocol.stage2_measure(cfg, "H").state)
+            constructed = measures.concurrence(protocol.coupled_stages(cfg, "H")[1].state)
             closed = protocol.concurrence_closed_form(Stage.MEASUREMENT, cfg)
             assert abs(constructed - closed) < 1e-10
 
     def test_rejects_bad_outcome(self):
         with pytest.raises(ValueError):
-            protocol.stage2_measure(CouplingConfig(0.4), "D")
+            protocol.coupled_stages(CouplingConfig(0.4), "D")
 
 
 class TestStage3:
     def test_identity_filter_is_a_no_op(self):
-        prev = protocol.stage2_measure(CouplingConfig(0.4), "H")
+        prev = protocol.coupled_stages(CouplingConfig(0.4), "H")[1]
         outcome = protocol.stage3_filter(prev, FilterConfig(1.0, 1.0))
         np.testing.assert_allclose(outcome.state, prev.state, atol=1e-12)
         assert abs(outcome.probability - prev.probability) < 1e-12
         assert outcome.stage is Stage.FILTRATION
 
     def test_benchmark_filtering(self):
-        prev = protocol.stage2_measure(CouplingConfig(0.4), "H")
+        prev = protocol.coupled_stages(CouplingConfig(0.4), "H")[1]
         outcome = protocol.stage3_filter(prev, FilterConfig(0.33, 1.0))
         assert abs(measures.concurrence(outcome.state) - 0.4081394420) < 1e-9
         assert abs(outcome.probability - 0.1126) < 1e-10
 
     def test_requires_measured_input(self):
-        stage1 = protocol.stage1_couple(CouplingConfig(0.4))
+        stage1 = protocol.coupled_stages(CouplingConfig(0.4))[0]
         with pytest.raises(ValueError, match="stage II"):
             protocol.stage3_filter(stage1, FilterConfig(0.5, 0.5))
 
     def test_fully_blocked_raises(self):
-        prev = protocol.stage2_measure(CouplingConfig(0.0), "H")  # diag(0, 0, .5, .5)
+        prev = protocol.coupled_stages(CouplingConfig(0.0), "H")[1]  # diag(0, 0, .5, .5)
         with pytest.raises(ValueError, match="blocked"):
             protocol.stage3_filter(prev, FilterConfig(0.0, 1.0))
 
@@ -227,13 +226,13 @@ class TestStage3:
         assert str(grid.value) == str(point.value) == f"eps must lie in (0, 1], got {eps}"
 
     def test_filtration_limit(self):
-        prev = protocol.stage2_measure(CouplingConfig(0.4), "H")
+        prev = protocol.coupled_stages(CouplingConfig(0.4), "H")[1]
         limit = 0.4 / np.sqrt(0.52)
         outcome = protocol.stage3_filter(prev, protocol.eps_to_filter(1e-6, 0.4))
         assert abs(measures.concurrence(outcome.state) - limit) < 1e-6
 
     def test_filtration_monotone_as_eps_decreases(self):
-        prev = protocol.stage2_measure(CouplingConfig(0.4), "H")
+        prev = protocol.coupled_stages(CouplingConfig(0.4), "H")[1]
         values = []
         for eps in np.geomspace(1.0, 1e-6, 100):
             outcome = protocol.stage3_filter(prev, protocol.eps_to_filter(float(eps), 0.4))
@@ -242,7 +241,7 @@ class TestStage3:
         assert np.all(diffs >= -1e-12)
 
     def test_filtering_of_indistinguishable_benchmark(self):
-        prev = protocol.stage2_measure(CouplingConfig(0.3, 0.85), "H")
+        prev = protocol.coupled_stages(CouplingConfig(0.3, 0.85), "H")[1]
         outcome = protocol.stage3_filter(prev, FilterConfig(0.12, 0.30))
         assert abs(measures.concurrence(outcome.state) - 0.4703555847) < 1e-9
         pass_rate = outcome.probability / prev.probability
@@ -285,9 +284,11 @@ class TestFilterStates:
         for t in np.linspace(0.01, 0.99, 50).tolist():
             for p in (0.0, 0.3, 1.0):
                 cfg = CouplingConfig(t, p)
-                found = [protocol.stage2_measure(cfg, "H"), fock_oracle.simulate(cfg, "V")]
-                if p == 0.0:
-                    found.append(fock_oracle.simulate(cfg, "H"))  # the oracle route at p = 0
+                propagated = fock_oracle.propagate(cfg)
+                found = [protocol.coupled_stages(cfg, "H")[1],
+                         fock_oracle.reduce_to_ab(propagated, "V")[1]]
+                if p == 0.0:  # the oracle route at p = 0
+                    found.append(fock_oracle.reduce_to_ab(propagated, "H")[1])
                 for eps in (1e-6, 0.15, 1.0):
                     prevs += found
                     filters += [protocol.eps_to_filter(eps, t)] * len(found)
@@ -300,7 +301,7 @@ class TestFilterStates:
         self.assert_each_filtered_alone(prevs, filters)
 
     def test_one_filter_for_a_stack_and_a_stack_of_one(self):
-        prev = protocol.stage2_measure(CouplingConfig(0.4), "H")
+        prev = protocol.coupled_stages(CouplingConfig(0.4), "H")[1]
         filters = FilterConfig(0.33, 1.0)
         alone = protocol.stage3_filter(prev, filters)
         for stack in (prev.state[None], np.array([prev.state] * 3).reshape(3, 1, 4, 4)):
@@ -323,8 +324,8 @@ class TestFilterStates:
         self.assert_each_filtered_alone(prevs, filters)
 
     def test_one_blocked_state_blocks_the_stack(self):
-        blocked = protocol.stage2_measure(CouplingConfig(0.0), "H")  # diag(0, 0, .5, .5)
-        passed = protocol.stage2_measure(CouplingConfig(0.4), "H")
+        blocked = protocol.coupled_stages(CouplingConfig(0.0), "H")[1]  # diag(0, 0, .5, .5)
+        passed = protocol.coupled_stages(CouplingConfig(0.4), "H")[1]
         stack = np.array([passed.state, blocked.state, passed.state])
         message = r"^filters fully blocked the state \(zero pass rate\)$"
         with pytest.raises(ValueError, match=message) as raised:
@@ -334,7 +335,7 @@ class TestFilterStates:
     def test_a_stack_raises_exactly_when_one_of_its_states_raises_alone(self):
         # T = 0 states block when A_A = 0; tiny T at tiny eps straddles the 1e-15 threshold
         ts = np.array([0.0, 1e-9, 1e-8, 1e-7, 1e-6, 0.4, 1.0, 0.0]).reshape(2, 4)
-        stack = np.array([[protocol.stage2_measure(CouplingConfig(t), "H").state for t in row]
+        stack = np.array([[protocol.coupled_stages(CouplingConfig(t), "H")[1].state for t in row]
                           for row in ts.tolist()])
         message = r"^filters fully blocked the state \(zero pass rate\)$"
         for eps in (1e-12, 1e-3, 1.0):
@@ -372,8 +373,7 @@ class TestCoupledStages:
         assert (stage1.stage, stage2.stage) == (Stage.COUPLING, Stage.MEASUREMENT)
         for i, (t, p) in enumerate(zip(ts.tolist(), ps.tolist())):
             cfg = CouplingConfig(t, p)
-            for grid, alone in ((stage1, protocol.stage1_couple(cfg)),
-                                (stage2, protocol.stage2_measure(cfg, outcome))):
+            for grid, alone in zip((stage1, stage2), protocol.coupled_stages(cfg, outcome)):
                 assert type(alone.probability) is float
                 assert grid.state[i].tobytes() == alone.state.tobytes()
                 assert float(grid.probability[i]).hex() == alone.probability.hex()
@@ -394,7 +394,7 @@ class TestCoupledStages:
         assert stage2.state.tobytes() == expected.tobytes()
         for cfg in (CouplingConfig(0.37, 0.5),
                     CouplingConfig(np.array([0.37, 0.81]), np.array([0.5, 1.0]))):
-            oracle = (fock_oracle.simulate(cfg), fock_oracle.simulate(cfg, outcome))
+            oracle = fock_oracle.reduce_to_ab(fock_oracle.propagate(cfg), outcome)
             for found, expected in zip(protocol.coupled_stages(cfg, outcome), oracle):
                 assert found.state.tobytes() == expected.state.tobytes()
                 assert (np.asarray(found.probability).tobytes()
@@ -710,8 +710,23 @@ def exact_reference_grid(rng):
             np.concatenate([eps, 10.0 ** rng.uniform(-12, 0, near.size), corners[2]]))
 
 
+def exact_limit(transmittivity: float, overlap: float) -> Decimal:
+    """The stage III filtration limit |T - p (1 - T)| / sqrt(1 - 2 (1 + p) T (1 - T)) of the
+    float T and p to 60 digits, 0 at T = 1/2, p = 1, where both vanish: the root of its
+    square, which is taken in exact rational arithmetic, so nothing cancels and no value
+    exceeds 1."""
+    t, p = Fraction(transmittivity), Fraction(overlap)
+    numerator = t - p * (1 - t)
+    if not numerator:
+        return Decimal(0)
+    square = numerator * numerator / (1 - 2 * (1 + p) * t * (1 - t))
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return (Decimal(square.numerator) / Decimal(square.denominator)).sqrt()
+
+
 class TestExactReference:
-    """The sweep's stage I, II and III(eps) columns against a 60-digit evaluation of the model."""
+    """The sweep's four columns against a 60-digit evaluation of the model."""
 
     def test_columns_within_the_bound(self, rng):
         ts, ps, eps = exact_reference_grid(rng)
@@ -723,6 +738,25 @@ class TestExactReference:
             assert all(np.isnan(g) for g, value in zip(got, want) if value.is_nan())
             errors = [abs(value - Decimal(g)) for g, value in zip(got, want) if not np.isnan(g)]
             assert float(max(errors)) <= EXACT_BOUND
+
+    def test_the_limit_column_within_the_bound_and_rounded_at_ten_digits(self, rng):
+        ts, ps, _ = exact_reference_grid(rng)
+        # p = 1 near T = 1/2, where the verbatim radicand cancels, and p = 1 - 10^-k there
+        near = 0.5 + np.concatenate([-np.geomspace(1e-16, 1e-2, 60), np.geomspace(1e-16, 1e-2, 60)])
+        near_ts = np.concatenate([near, [0.5, 0.49999999999999994, 0.3, 0.7]])
+        overlaps = np.concatenate([1.0 - 10.0 ** -np.arange(1.0, 17.0), [1.0]])
+        grid_ts, grid_ps = (axis.ravel() for axis in np.meshgrid(near_ts, overlaps))
+        ts, ps = np.concatenate([ts, grid_ts]).tolist(), np.concatenate([ps, grid_ps]).tolist()
+        got = protocol.stage_concurrences(ts, ps, [0.15] * len(ts))[3]
+        exact = [exact_limit(t, p) for t, p in zip(ts, ps)]
+        assert max(exact) <= 1 and exact_limit(0.5, 1.0) == 0  # (1/2, 1) is in the grid
+        assert max(got) <= 1.0
+        assert float(max(abs(value - Decimal(g)) for g, value in zip(got, exact))) <= EXACT_BOUND
+        with localcontext() as ctx:
+            ctx.prec = 10
+            wrong = [(t, p) for t, p, g, value in zip(ts, ps, got, exact)
+                     if Decimal(cli.fmt(g)) != +value]
+        assert not wrong
 
     def test_nan_exactly_where_the_float_pass_rate_is_at_most_1e_15(self, rng):
         ts, ps, eps = exact_reference_grid(rng)
@@ -795,8 +829,7 @@ class TestClosedForms:
     def test_probabilities_match_pipeline_on_grid(self):
         for t in np.arange(0.0, 1.0001, 0.01):
             cfg = CouplingConfig(float(t))
-            p1 = protocol.stage1_couple(cfg).probability
-            p2 = protocol.stage2_measure(cfg, "H").probability
+            p1, p2 = (stage.probability for stage in protocol.coupled_stages(cfg))
             assert abs(p1 - protocol.probability_closed_form(Stage.COUPLING, cfg)) < 1e-12
             assert abs(p2 - protocol.probability_closed_form(Stage.MEASUREMENT, cfg)) < 1e-12
 
@@ -819,9 +852,17 @@ def verbatim_closed_form(stage, t, p, eps=None):
 
 
 def clamped_closed_form(stage, t, p):
-    """`verbatim_closed_form` with the filtration limit at p > 0 clamped at 1."""
-    value = verbatim_closed_form(stage, t, p)
-    return min(value, 1.0) if stage is Stage.FILTRATION and p != 0.0 else value
+    """`verbatim_closed_form`, but the filtration limit at p > 0 in its equal form
+    |(2T - 1) + (1 - p)(1 - T)| / sqrt((2T - 1)^2 + 2 (1 - p) T (1 - T)), clamped at 1,
+    with a numerator below 1e-3 rounded once from exact arithmetic."""
+    if stage is not Stage.FILTRATION or p == 0.0:
+        return verbatim_closed_form(stage, t, p)
+    d = 2.0 * t - 1.0
+    numerator = abs(d + (1.0 - p) * (1.0 - t))
+    if numerator < 1e-3:
+        numerator = abs(float(Fraction(t) - Fraction(p) * (1 - Fraction(t))))
+    return 0.0 if numerator == 0.0 else min(
+        numerator / math.sqrt(d * d + 2.0 * (1.0 - p) * t * (1.0 - t)), 1.0)
 
 
 def closed_form_message(stage, t, p, eps=None):
@@ -872,7 +913,7 @@ class TestClosedFormPoints:
 
     def test_bits_equal_the_grid_form(self, rng, monkeypatch):
         # random points at p = 0, p = 1e-9, random p and p = 1; p = 1 within 1e-8 and within
-        # 1e-4 of T = 1/2, where the limit cancels; T = 1/2 at p = 1, the 0/0 point
+        # 1e-4 of T = 1/2, where the verbatim limit cancels; T = 1/2 at p = 1, the 0/0 point
         segments = [(rng.random(4000), rng.choice([0.0, 1e-9, 1.0], 4000)),
                     (rng.random(4000), rng.random(4000)),
                     (rng.random(3000), np.full(3000, 1e-9)),
@@ -931,33 +972,6 @@ class TestClosedFormPoints:
         for t in (1e-150, 1e-160, 1e-162, 1e-200, 1e-320, 5e-324):
             assert protocol.concurrence_closed_form(
                 Stage.FILTRATION, CouplingConfig(t), eps=0.5) == 0.0
-
-    def test_the_limit_keeps_its_verbatim_bits_where_its_radicand_is_positive(self):
-        # clamped at 1 where the verbatim value rounds above it
-        ts = np.concatenate([np.linspace(0.0, 1.0, 1001), 0.5 + np.geomspace(1e-16, 1e-2, 60),
-                             0.5 - np.geomspace(1e-16, 1e-2, 60)])[:, None]
-        ps = np.linspace(0.0, 1.0, 51)
-        got = self.values(Stage.FILTRATION, ts, ps)
-        points = zip(*(axis.ravel().tolist() for axis in np.broadcast_arrays(ts, ps)))
-        kept = clamped = 0
-        for value, (t, p) in zip(got, points):
-            if 1.0 - 2.0 * (1.0 + p) * t * (1.0 - t) > 0.0 or abs(t - p * (1.0 - t)) == 0.0:
-                assert value.hex() == clamped_closed_form(Stage.FILTRATION, t, p).hex()
-                kept += 1
-                clamped += verbatim_closed_form(Stage.FILTRATION, t, p) > 1.0
-            else:  # the cancelled radicand of p = 1 near T = 1/2: |2T - 1| / |2T - 1|
-                assert p == 1.0 and abs(t - 0.5) < 1e-7 and value == 1.0
-        assert 0 < kept < len(got) and clamped > 0
-
-    def test_the_limit_is_at_most_1(self):
-        # at p = 1 the verbatim limit rounds above 1 at about 28,000 of these points
-        ts = np.linspace(0.0, 1.0, 100001)
-        got = self.values(Stage.FILTRATION, ts, 1.0)
-        assert max(got) <= 1.0
-        verbatim = [verbatim_closed_form(Stage.FILTRATION, t, 1.0) for t in ts.tolist()]
-        assert np.count_nonzero(np.array(verbatim) > 1.0) > 10000
-        for value, expected in zip(got, verbatim):
-            assert value.hex() == min(expected, 1.0).hex()
 
     def test_balanced_full_overlap_keeps_its_zero(self):
         values = self.values(Stage.FILTRATION, np.array([0.3, 0.5, 0.7]), 1.0)
@@ -1075,8 +1089,8 @@ class TestThresholds:
 
     def test_concurrence_crosses_at_threshold(self):
         threshold = SQRT2 - 1.0
-        below = protocol.stage1_couple(CouplingConfig(threshold - 1e-4))
-        above = protocol.stage1_couple(CouplingConfig(threshold + 1e-4))
+        below = protocol.coupled_stages(CouplingConfig(threshold - 1e-4))[0]
+        above = protocol.coupled_stages(CouplingConfig(threshold + 1e-4))[0]
         assert measures.concurrence(below.state) == 0.0
         assert measures.concurrence(above.state) > 0.0
 
@@ -1104,15 +1118,15 @@ class TestThresholds:
 
     def test_disappearance_threshold_constructively(self):
         # at T = 0.5 the coupled pair loses its entanglement above p = 0.5
-        below = protocol.stage1_couple(CouplingConfig(0.5, 0.45))
-        above = protocol.stage1_couple(CouplingConfig(0.5, 0.55))
+        below = protocol.coupled_stages(CouplingConfig(0.5, 0.45))[0]
+        above = protocol.coupled_stages(CouplingConfig(0.5, 0.55))[0]
         assert measures.concurrence(below.state) > 0.0
         assert measures.concurrence(above.state) == 0.0
         # and within 1e-6 on either side of the threshold away from T = 0.5
         for t in (0.45, 0.55):
             threshold = protocol.disappearance_threshold(t)
-            below = protocol.stage1_couple(CouplingConfig(t, threshold - 1e-6))
-            above = protocol.stage1_couple(CouplingConfig(t, threshold + 1e-6))
+            below = protocol.coupled_stages(CouplingConfig(t, threshold - 1e-6))[0]
+            above = protocol.coupled_stages(CouplingConfig(t, threshold + 1e-6))[0]
             assert measures.concurrence(below.state) > 0.0
             assert measures.concurrence(above.state) == 0.0
 
@@ -1126,7 +1140,7 @@ class TestThresholds:
 
     def test_stage2_zero_crossing_constructively(self):
         p_star = protocol.stage2_concurrence_zero(0.3)
-        outcome = protocol.stage2_measure(CouplingConfig(0.3, p_star), "H")
+        outcome = protocol.coupled_stages(CouplingConfig(0.3, p_star), "H")[1]
         assert measures.concurrence(outcome.state) < 1e-9
 
 
@@ -1134,5 +1148,6 @@ class TestBranchBookkeeping:
     def test_stage1_branches_sum_to_one(self):
         for t in np.linspace(0.05, 0.95, 7):
             for p in (0.0, 0.5, 1.0):
-                branches = fock_oracle.branch_probabilities(CouplingConfig(float(t), p))
+                cfg = CouplingConfig(float(t), p)
+                branches = fock_oracle.pattern_probabilities(fock_oracle.propagate(cfg))
                 assert abs(sum(branches.values()) - 1.0) < 1e-12

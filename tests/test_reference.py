@@ -47,9 +47,9 @@ class TestReport:
             conventions = {row["key"]: row["convention"] for row in rows}
         if att_a is not None:
             assert result["filters"] == {"att_a": att_a, "att_b": att_b}
-        stage2 = protocol.stage2_measure(cfg, "H")
+        stage1, stage2 = protocol.coupled_stages(cfg, "H")
         outcomes = {
-            "I": protocol.stage1_couple(cfg),
+            "I": stage1,
             "II": stage2,
             "III": protocol.stage3_filter(stage2, filters),
         }
@@ -112,9 +112,9 @@ class TestVerify:
             assert all(type(failure["value"]) is float for failure in check["failures"])
 
     def test_no_interior_point_calls_no_oracle(self, monkeypatch):
-        def refuse(cfg):
+        def refuse(*args):
             raise AssertionError("oracle called")
-        for name in ("propagate", "coupled_branches", "branch_probabilities"):
+        for name in ("propagate", "pattern_probabilities", "reduce_to_ab"):
             monkeypatch.setattr(fock_oracle, name, refuse)
         assert reference.verify(2, 1e-9)["passed"] is True
 
@@ -163,8 +163,8 @@ class TestVerify:
         expected = {name: [] for name in names}
         for t in [float(t) for t in np.linspace(0.0, 1.0, grid)][1:-1]:
             cfg = CouplingConfig(t, 0.0)
-            analytic1, analytic2 = protocol.stage1_couple(cfg), protocol.stage2_measure(cfg, "H")
-            oracle1, oracle2 = fock_oracle.simulate(cfg), fock_oracle.simulate(cfg, "H")
+            analytic1, analytic2 = protocol.coupled_stages(cfg, "H")
+            oracle1, oracle2 = fock_oracle.reduce_to_ab(fock_oracle.propagate(cfg), "H")
             filters = protocol.eps_to_filter(0.15, t)
             pairs = [(oracle1, analytic1), (oracle2, analytic2),
                      (protocol.stage3_filter(oracle2, filters),

@@ -14,8 +14,9 @@ source tree before and after the change and diff the two listings.  The corpus
 covers T, p and eps sweeps (T in {0, 1/2, 1} and random, p in {0, 1} and
 random, mixed p, eps down to 1e-15), `verify` grids, every `reproduce` table
 with and without its overrides (the formulas table at T down to 1e-300), `hom`
-(T within 1e-9 of 0 and of 1, 1e-5, 0.99999 and subnormal T included) and usage
-errors.  It is drawn from a
+(T within 1e-9 of 0 and of 1, 1e-5, 0.99999 and subnormal T included), the
+stage III limit at p = 1 within one ulp of T = 1/2 and at p within 1e-7 of 1, and
+usage errors.  It is drawn from a
 fixed seed, so every run lists the same invocations.
 """
 
@@ -112,6 +113,13 @@ def corpus() -> list[list[str]]:
     # 0.99999) or all of them (subnormal T), and its usage errors for T outside [0, 1] or -0
     limits += [["hom", "--T", "1e-5"], ["hom", "--T", "0.99999"],
                ["hom", "--T", "5e-324", "--steps", "2"], ["hom", "--T", "1e-300", "--steps", "3"]]
+    # the filtration limit at p = 1 within 2e-9 and one ulp of T = 1/2, and at p within 1e-7
+    # of 1, where its verbatim radicand 1 - 2 (1 + p) T (1 - T) cancels
+    limits += [["sweep", "--min", lo, "--max", hi, "--steps", steps, "--p", "1"]
+               for lo, hi, steps in [("0.499999998", "0.500000002", "3"),
+                                     ("0.49999999999999994", "0.5", "2")]]
+    limits.append(["sweep", "--variable", "p", "--T", "0.49999", "--min", "0.9999999", "--max",
+                   "1", "--steps", "11"])
     hom_errors = [["hom", "--T", t] for t in ["1.5", "nan", "-0.0"]]
     return runs + usage_errors + blocks + [[*argv, "--out", OUT] for argv in limits] + hom_errors
 
