@@ -224,6 +224,8 @@ def reduce_to_ab(propagated: list[dict], outcome: str = "H") -> tuple:
     for vec in propagated:
         psi = np.zeros((2, 4, 4) + shape, dtype=complex)
         for (a_pol, bob, meas), amp in postselect_one_each(vec).items():
+            if bob // 4 != ARM_BOB or meas // 4 != ARM_MEAS:
+                raise ValueError(f"mode index outside range({N_MODES}): {(bob, meas)}")
             psi[a_pol, bob % 4, meas % 4] = amp  # index % 4 is 2 * pol + time
         # psi[a_pol, bob_pol, bob_time, meas_pol, meas_time], then the grid axis if any
         psi = psi.reshape((2, 2, 2, 2, 2) + shape)

@@ -28,6 +28,11 @@ class TestModes:
             index = fo.mode_index(arm, pol, time)
             assert (index // 4, (index % 4) // 2, index % 2) == (arm, pol, time)
 
+    def test_rejects_bad_index(self):
+        # a mode index outside range(8) belongs to no arm and cannot be reduced
+        for key in ((0, 0, fo.N_MODES), (0, -1, 4)):
+            with pytest.raises(ValueError, match="outside range"):
+                fo.reduce_to_ab([{key: 1.0}])
 
 
 class TestBuildInput:

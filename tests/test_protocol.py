@@ -973,6 +973,33 @@ class TestClosedFormPoints:
             assert protocol.concurrence_closed_form(
                 Stage.FILTRATION, CouplingConfig(t), eps=0.5) == 0.0
 
+    def test_the_limit_keeps_its_equal_form_bits_where_the_verbatim_radicand_is_positive(self):
+        # clamped at 1 where the verbatim value rounds above it
+        ts = np.concatenate([np.linspace(0.0, 1.0, 1001), 0.5 + np.geomspace(1e-16, 1e-2, 60),
+                             0.5 - np.geomspace(1e-16, 1e-2, 60)])[:, None]
+        ps = np.linspace(0.0, 1.0, 51)
+        got = self.values(Stage.FILTRATION, ts, ps)
+        points = zip(*(axis.ravel().tolist() for axis in np.broadcast_arrays(ts, ps)))
+        kept = clamped = 0
+        for value, (t, p) in zip(got, points):
+            assert value.hex() == clamped_closed_form(Stage.FILTRATION, t, p).hex()
+            if 1.0 - 2.0 * (1.0 + p) * t * (1.0 - t) > 0.0 or abs(t - p * (1.0 - t)) == 0.0:
+                kept += 1
+                clamped += verbatim_closed_form(Stage.FILTRATION, t, p) > 1.0
+            else:  # the cancelled verbatim radicand of p = 1 near T = 1/2: |2T - 1| / |2T - 1|
+                assert p == 1.0 and abs(t - 0.5) < 1e-7 and value == 1.0
+        assert 0 < kept < len(got) and clamped > 0
+
+    def test_the_limit_is_at_most_1(self):
+        # at p = 1 the verbatim limit rounds above 1 at about 28,000 of these points
+        ts = np.linspace(0.0, 1.0, 100001)
+        got = self.values(Stage.FILTRATION, ts, 1.0)
+        assert max(got) <= 1.0
+        verbatim = [verbatim_closed_form(Stage.FILTRATION, t, 1.0) for t in ts.tolist()]
+        assert np.count_nonzero(np.array(verbatim) > 1.0) > 10000
+        for value, t in zip(got, ts.tolist()):
+            assert value.hex() == clamped_closed_form(Stage.FILTRATION, t, 1.0).hex()
+
     def test_balanced_full_overlap_keeps_its_zero(self):
         values = self.values(Stage.FILTRATION, np.array([0.3, 0.5, 0.7]), 1.0)
         assert values[1] == 0.0 and np.all(np.isfinite(values))
