@@ -25,16 +25,15 @@ an (n,) array, and `build_input`, `beamsplitter_matrix`, `apply_beamsplitter`,
 `propagate` and `reduce_to_ab` then evaluate the n points in one call
 (`reduce_to_ab` as two `StageOutcome`s of stacks).  A grid state keeps a key
 that vanishes at some or all of its points; its zero entries leave every other
-amplitude unchanged.  One point stays scalar arithmetic, on plain
-Python `complex` matrix entries: an elementwise complex product over an
-array need not round like the same products taken one at a time (numpy's
-vectorised loops may fuse multiply and add), which would move the residuals
-`verify` reports for dense random states.  Python's complex product and
-numpy's scalar one (built for the x86-64 baseline, which has no FMA) both
-round each real product and each sum once, so plain `complex` keeps numpy
-scalars' bits at a fraction of their cost.  Pipeline amplitudes and matrix
-entries are purely real or purely imaginary, so their products round alike
-either way, and a grid gives each point the bits it gets alone.
+amplitude unchanged.  A point and a grid take one path (`apply_beamsplitter`),
+which sums each amplitude's products in a fixed order, so a grid gives each
+point's amplitudes the bits they get alone; its one key order is that of its
+interior points, which a point at T = 0 or 1 does not share.  numpy may fuse
+a multiply and an add where Python rounds each real product and each sum
+once, but every beamsplitter matrix entry is purely real or purely
+imaginary: each part of a product with one is a single nonzero real product
+plus an exact zero, which rounds once either way, with or without numpy's
+SIMD kernels.  So the residuals `verify` reports keep their bits.
 
 The surrounding photon's completely mixed polarization I/2 is realized as a
 uniform classical mixture over {H, V} inputs, which is exact for a linear
@@ -51,6 +50,8 @@ brute-force reference of the interference dip's `protocol.hom_closed_form`.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -71,12 +72,22 @@ def mode_index(arm: int, pol: int, time: int) -> int:
     return 4 * arm + 2 * pol + time
 
 
-def norm_squared(amps: dict) -> float:
-    """Squared norm of a state: the probability of a post-selected branch."""
+def _left_fold(amps) -> float:
     total = 0.0  # a left fold: from Python 3.12 on, the builtin sum of floats is compensated
-    for a in amps.values():
+    for a in amps:
         total += abs(a) ** 2
     return float(total)
+
+
+def norm_squared(amps: dict):
+    """Squared norm of a state: the probability of a post-selected branch.
+
+    A grid state gives an (n,) array: each point's left fold over its amplitudes as
+    plain Python `complex`, the bits of that point's one-point call."""
+    values = list(amps.values())
+    if values and np.ndim(values[0]):
+        return np.array([_left_fold(row) for row in np.array(values).T.tolist()])
+    return _left_fold(values)
 
 
 def _time_bins(overlap) -> list:
@@ -106,19 +117,25 @@ def build_input(cfg: CouplingConfig, env_pol: int) -> dict:
     return amps
 
 
-def random_state(rng: np.random.Generator) -> dict:
-    """Normalized two-photon state with a complex Gaussian amplitude on every key.
+def random_states(rng: np.random.Generator, count: int) -> dict:
+    """`count` normalized two-photon states with a complex Gaussian amplitude on every
+    key, as a grid state of (count,) arrays.
 
-    The 72 keys run over a_pol, then mode_lo, then mode_hi, ascending; each
-    takes its real and then its imaginary part from one draw of 144
-    standard normals, which is the stream of 144 one-number draws.
+    The 72 keys run over a_pol, then mode_lo, then mode_hi, ascending; each state
+    takes its real and then its imaginary parts from the next 144 numbers of one
+    draw, which is the stream of one-number draws.  Each state is divided by its
+    own norm, each part apart, as Python divides a `complex` by a float.
     """
     keys = [(a_pol, lo, hi) for a_pol in (POL_H, POL_V)
             for lo in range(N_MODES) for hi in range(lo, N_MODES)]
-    draws = rng.standard_normal(2 * len(keys)).tolist()
-    amps = {key: complex(re, im) for key, re, im in zip(keys, draws[::2], draws[1::2])}
-    norm = np.sqrt(norm_squared(amps))
-    return {k: v / norm for k, v in amps.items()}
+    draws = rng.standard_normal(2 * len(keys) * count).reshape(count, 2 * len(keys))
+    norms = np.sqrt(norm_squared(dict(zip(keys, draws.view(complex).T))))
+    return dict(zip(keys, (draws / norms[:, None]).view(complex).T))
+
+
+def random_state(rng: np.random.Generator) -> dict:
+    """One state of `random_states`, on plain Python `complex` amplitudes."""
+    return {key: complex(amps[0]) for key, amps in random_states(rng, 1).items()}
 
 
 def beamsplitter_matrix(transmittivity) -> np.ndarray:
@@ -136,38 +153,80 @@ def beamsplitter_matrix(transmittivity) -> np.ndarray:
     return u.reshape((N_MODES, N_MODES) + block.shape[2:])
 
 
-def apply_beamsplitter(state: dict, transmittivity: float) -> dict:
+@lru_cache(maxsize=64)
+def _scatter_plan(keys: tuple, pattern: bytes) -> tuple:
+    """`apply_beamsplitter`'s products for input `keys` and the nonzero `pattern` of its
+    matrix, in the order of a loop over the keys, then the output modes i of mode_lo,
+    then those j of mode_hi (ascending), which adds each product onto its output key.
+
+    Returns the output keys in the order the loop first reaches them; each product's
+    input key and the flat indices of its two matrix entries, as a (3, n) array listed
+    by round: round r holds the (r+1)-th product of every output key with more than r;
+    the output keys of each round after the first; and the doubled input and output keys.
+    """
+    nonzero = np.frombuffer(pattern, dtype=bool).reshape(N_MODES, N_MODES)
+    outputs = [np.flatnonzero(nonzero[:, m]).tolist() for m in range(N_MODES)]
+    slots: dict = {}  # output key -> its products, each (input key, u1 index, u2 index)
+    for k, (a_pol, m1, m2) in enumerate(keys):
+        for i in outputs[m1]:
+            for j in outputs[m2]:
+                key = (a_pol, i, j) if i <= j else (a_pol, j, i)
+                slots.setdefault(key, []).append((k, i * N_MODES + m1, j * N_MODES + m2))
+    terms = list(slots.values())
+    rounds = [[s for s, t in enumerate(terms) if len(t) > r]
+              for r in range(max(map(len, terms), default=0))]
+    gather = _read_only([terms[s][r] for r, round_ in enumerate(rounds) for s in round_])
+    return (tuple(slots), gather.reshape(-1, 3).T, tuple(map(_read_only, rounds[1:])),
+            _read_only([k for k, (_, m1, m2) in enumerate(keys) if m1 == m2]),
+            _read_only([s for s, (_, lo, hi) in enumerate(slots) if lo == hi]))
+
+
+def _read_only(indices: list) -> np.ndarray:
+    array = np.array(indices, dtype=np.intp)
+    array.flags.writeable = False  # a cached plan's: every caller shares it
+    return array
+
+
+def apply_beamsplitter(state: dict, transmittivity) -> dict:
     """Propagate both photons through the beamsplitter.
 
     Each creation operator maps linearly under the single-photon matrix; the
     two-photon amplitudes are re-expanded in the normalized occupation basis
     (a doubly occupied mode carries the bosonic sqrt(2)).  The map is unitary,
-    so the total norm is preserved.  A grid state takes an (n,) array of T
-    and keeps every key it reaches, zero or not.
+    so the total norm is preserved.  One pass serves a point and a grid: a
+    cached `_scatter_plan` lists the products, which are summed in their order.
+    One point returns plain Python `complex` amplitudes and drops exact zeros;
+    a grid state (amplitudes that are (n,) arrays, or one scalar for every
+    point) takes an (n,) array of T and keeps every key it reaches, zero or not.
     """
     u = beamsplitter_matrix(transmittivity)
-    grid = u.ndim > 2
-    # outputs[m]: (i, u[i, m]) for u[i, m] != 0 (at any grid point), i ascending; each entry a
-    # Python complex, or an (n,) array for a grid
-    rows, cols = np.nonzero(u.any(axis=-1) if grid else u)
-    outputs = [[] for _ in range(N_MODES)]
-    entries = u[rows, cols] if grid else u[rows, cols].tolist()
-    for i, m, entry in zip(rows.tolist(), cols.tolist(), entries):
-        outputs[m].append((i, entry))
-    monomials: dict[tuple[int, int, int], complex] = {}
-    for (a_pol, m1, m2), amp in state.items():
-        # normalized occupation amplitude -> coefficient of the c+_m1 c+_m2 monomial
-        coeff = amp / SQRT2 if m1 == m2 else amp
-        for i, u1 in outputs[m1]:
-            ci = coeff * u1
-            for j, u2 in outputs[m2]:
-                key = (a_pol, i, j) if i <= j else (a_pol, j, i)
-                monomials[key] = monomials.get(key, 0.0) + ci * u2
-    return {
-        key: (value * SQRT2 if key[1] == key[2] else value)
-        for key, value in monomials.items()
-        if grid or value != 0.0
-    }
+    shape = u.shape[2:]  # () for one point, (n,) for a grid
+    nonzero = u.any(axis=-1) if shape else u != 0.0
+    keys, (source, first, second), rounds, doubled_in, doubled_out = _scatter_plan(
+        tuple(state), nonzero.tobytes())
+    coeff = np.array(list(state.values()), dtype=complex)
+    if coeff.ndim == 1 and shape:
+        coeff = coeff[:, None]  # one amplitude for every point of the grid
+    elif coeff.shape[1:] != shape:
+        raise ValueError(f"amplitudes of shape {coeff.shape[1:]} need transmittivities of "
+                         f"that shape, got {shape}")
+    if doubled_in.size:
+        # normalized occupation amplitude -> coefficient of the c+_m1 c+_m2 monomial; each
+        # part divided apart, as Python divides a complex by a float (numpy would multiply
+        # by a reciprocal)
+        for part in (coeff.real, coeff.imag):
+            part[doubled_in] /= SQRT2
+    u = u.reshape((N_MODES * N_MODES,) + shape)
+    products = coeff[source] * u[first] * u[second]
+    monomials = products[:len(keys)] + 0.0  # a sum from 0.0, as in Python: a -0.0 part -> 0.0
+    start = len(keys)
+    for round_ in rounds:
+        monomials[round_] += products[start:start + len(round_)]
+        start += len(round_)
+    monomials[doubled_out] *= SQRT2
+    if shape:
+        return dict(zip(keys, monomials))
+    return {key: value for key, value in zip(keys, monomials.tolist()) if value != 0.0}
 
 
 def postselect_one_each(state: dict) -> dict:
@@ -242,16 +301,19 @@ def reduce_to_ab(propagated: list[dict], outcome: str = "H") -> tuple:
                  for state, p, stage in zip(states, probability, stages))
 
 
-def hom_coincidence(transmittivity: float, overlap: float) -> float:
+def hom_coincidence(transmittivity, overlap):
     """Coincidence probability of a two-photon interference experiment.
 
     Two photons of identical polarization, one per input arm, with temporal
     overlap `overlap`, meet at a beamsplitter of the given transmittivity;
     returns the probability of finding one photon in each output arm.  At
     T = 0.5 this is (1 - p)/2, the textbook interference dip; no command calls it.
+    The grids of a `CouplingConfig` (T an (n,) array, p a float or an array of
+    T's shape) give an (n,) array, each point with the bits it gets alone.
     """
-    check_unit_interval(overlap, "overlap")
+    cfg = CouplingConfig(transmittivity, overlap)
     m_sig = mode_index(ARM_BOB, POL_H, TIME_SIGNAL)
     # no idle photon here; the A slot is a spectator
-    amps = {(0, m_sig, mode_index(ARM_MEAS, POL_H, t)): t_amp for t, t_amp in _time_bins(overlap)}
-    return norm_squared(postselect_one_each(apply_beamsplitter(amps, transmittivity)))
+    amps = {(0, m_sig, mode_index(ARM_MEAS, POL_H, t)): t_amp
+            for t, t_amp in _time_bins(cfg.overlap)}
+    return norm_squared(postselect_one_each(apply_beamsplitter(amps, cfg.transmittivity)))

@@ -174,8 +174,11 @@ def verify(grid: int, tolerance: float) -> dict:
     probabilities of their T, one stacked `concurrence` call, one
     `protocol.filter_states` pass over the oracle and analytic stage II states,
     and one stacked `fidelity` call over the three state comparisons of each
-    T.  The closed-form stage II concurrence and the dense random states of
-    `beamsplitter_unitarity` are evaluated one point at a time.
+    T.  The dense random states of `beamsplitter_unitarity`, one per interior
+    T, come from one `fock_oracle.random_states` draw and one grid
+    `apply_beamsplitter` call; each point's two norms are its own left folds,
+    so every residual keeps the bits of a one-point evaluation.  The
+    closed-form stage II concurrence is evaluated one point at a time.
     """
     if grid < 2:
         raise ValueError(f"grid must be at least 2, got {grid}")
@@ -244,12 +247,13 @@ def verify(grid: int, tolerance: float) -> dict:
             for name, deficit in zip(fidelity_checks, row_deficits):
                 records[name].append((deficit, {"transmittivity": t}))
 
-    rng = np.random.default_rng(20260810)
-    for t in interior:
-        vec = fock_oracle.random_state(rng)
-        propagated = fock_oracle.apply_beamsplitter(vec, t)
-        drift = abs(fock_oracle.norm_squared(propagated) - fock_oracle.norm_squared(vec))
-        records["beamsplitter_unitarity"].append((drift, {"transmittivity": t}))
+    if interior:  # one dense random state per interior T, propagated in one grid
+        vecs = fock_oracle.random_states(np.random.default_rng(20260810), len(interior))
+        propagated = fock_oracle.apply_beamsplitter(vecs, np.array(interior))
+        norms = zip(fock_oracle.norm_squared(propagated).tolist(),
+                    fock_oracle.norm_squared(vecs).tolist())
+        records["beamsplitter_unitarity"] += [(abs(after - before), {"transmittivity": t})
+                                              for t, (after, before) in zip(interior, norms)]
 
     checks = [_summary(name, tolerances[name], values) for name, values in records.items()]
     worst = {check["name"]: check["worst"] for check in checks}

@@ -143,6 +143,26 @@ def reference_random_state(rng):
     return {k: v / norm for k, v in amps.items()}
 
 
+def left_fold(state):
+    total = 0.0
+    for amp in state.values():
+        total += abs(amp) ** 2
+    return total
+
+
+def reference_unitarity_records(grid):
+    """Reference `beamsplitter_unitarity` records of `verify`: one random state per
+    interior T, drawn, propagated and measured one point at a time."""
+    rng = np.random.default_rng(20260810)
+    records = []
+    for t in np.linspace(0.0, 1.0, grid).tolist():
+        if 1e-12 <= t <= 1.0 - 1e-12:
+            vec = reference_random_state(rng)
+            drift = abs(left_fold(reference_apply_beamsplitter(vec, t)) - left_fold(vec))
+            records.append((drift, {"transmittivity": t}))
+    return records
+
+
 def reference_branch_probabilities(cfg):
     """Reference pattern totals: one propagation per environment input, accumulated in order."""
     totals = {"both_bob": 0.0, "both_meas": 0.0, "one_each": 0.0}
@@ -207,6 +227,64 @@ class TestPropagationIsBitIdentical:
                 self.assert_same_bits(fo.random_state(rng), reference_random_state(reference_rng))
             assert rng.bit_generator.state == reference_rng.bit_generator.state
 
+    @pytest.mark.parametrize("count", [1, 2, 9, 99])
+    def test_random_states_equal_one_state_at_a_time(self, count):
+        for seed in range(20):
+            rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            grid = fo.random_states(rng, count)
+            assert all(amps.shape == (count,) for amps in grid.values())
+            for i in range(count):
+                self.assert_same_bits({key: complex(amps[i]) for key, amps in grid.items()},
+                                      reference_random_state(reference_rng))
+            assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    @pytest.mark.parametrize("ts", [TS + [0.3, 0.37, 0.8], [0.0] * 3, [1.0] * 3])
+    def test_grid_of_random_states(self, rng, ts):
+        # T = 0 and T = 1 route each mode to one output, so alone they reach fewer keys than
+        # interior T, in another order; a grid keeps every key in one order, which is each
+        # point's own where all its points share one routing
+        vecs = fo.random_states(rng, len(ts))
+        out = fo.apply_beamsplitter(vecs, np.array(ts))
+        assert all(amps.shape == (len(ts),) for amps in out.values())
+        for i, t in enumerate(ts):
+            expected = reference_apply_beamsplitter(
+                {key: complex(amps[i]) for key, amps in vecs.items()}, t)
+            point = {key: complex(amps[i]) for key, amps in out.items() if amps[i] != 0.0}
+            if 0.0 < t < 1.0 or len(set(ts)) == 1:
+                self.assert_same_bits(point, expected)
+            else:
+                self.assert_same_bits(dict(sorted(point.items())), dict(sorted(expected.items())))
+
+    @pytest.mark.parametrize("grid", [2, 3, 10, 50])
+    def test_verify_unitarity_equals_one_point_at_a_time(self, monkeypatch, grid):
+        summaries = {}
+
+        def recording(name, tolerance, records):
+            summaries[name] = records
+            return summary(name, tolerance, records)
+
+        summary = reference._summary
+        monkeypatch.setattr(reference, "_summary", recording)
+        check = next(check for check in reference.verify(grid, 1e-9)["checks"]
+                     if check["name"] == "beamsplitter_unitarity")
+        expected = reference_unitarity_records(grid)
+        found = summaries["beamsplitter_unitarity"]
+        assert [where for _, where in found] == [where for _, where in expected]
+        assert [value.hex() for value, _ in found] == [value.hex() for value, _ in expected]
+        worst, worst_at = 0.0, {}
+        for value, where in expected:
+            if value > worst:
+                worst, worst_at = value, where
+        assert check["worst"].hex() == worst.hex() and check["worst_at"] == worst_at
+
+    def test_plans_are_cached_read_only_and_bounded(self, rng):
+        vec = fo.random_state(rng)
+        fo.apply_beamsplitter(vec, 0.3)
+        plan = fo._scatter_plan(tuple(vec), (fo.beamsplitter_matrix(0.3) != 0.0).tobytes())
+        assert fo._scatter_plan.cache_info().maxsize is not None
+        for array in (plan[1],) + plan[2] + plan[3:]:
+            assert not array.flags.writeable
+
     def test_pipeline_inputs(self):
         for t in self.TS:
             for p in (0.0, 0.5, 1.0):
@@ -231,6 +309,27 @@ class TestNormSquared:
             value = fo.norm_squared(amps)
         assert type(value) is float
         assert value.hex() == fold.hex()
+
+    def test_left_fold_on_a_grid(self, monkeypatch):
+        # squares 1, 1e-16, 1e-16 at the first point, as in the one-point case, and the
+        # same squares in the other order at the second, where the fold rounds up
+        amps = {(0, 0, 4): np.array([1.0, 1e-8]), (0, 1, 5): np.array([1e-8, 1e-8]),
+                (1, 2, 6): np.array([-1e-8j, 1.0])}
+        with monkeypatch.context() as patch:
+            patch.setattr(builtins, "sum", lambda values, start=0: start + math.fsum(values))
+            values = fo.norm_squared(amps)
+        assert values.shape == (2,) and values.dtype == float
+        assert [value.hex() for value in values.tolist()] == [(1.0).hex(), (1.0 + 2e-16).hex()]
+
+    def test_grid_gives_each_point_its_one_point_call(self, rng):
+        vecs = fo.random_states(rng, 5)
+        out = fo.apply_beamsplitter(vecs, np.array([0.0, 0.2, 0.5, 0.9, 1.0]))
+        for grid in (vecs, out, fo.postselect_one_each(out)):
+            values = fo.norm_squared(grid)
+            assert values.shape == (5,)
+            for i, value in enumerate(values.tolist()):
+                alone = fo.norm_squared({key: complex(amps[i]) for key, amps in grid.items()})
+                assert type(alone) is float and value.hex() == alone.hex()
 
 
 class TestPostselection:
@@ -627,6 +726,22 @@ class TestHom:
     def test_no_mixing_at_full_transmission(self):
         for p in (0.0, 0.5, 1.0):
             assert abs(fo.hom_coincidence(1.0, p) - 1.0) < 1e-12
+
+    def test_grids_equal_their_points(self):
+        ts, ps = (axis.ravel() for axis in np.meshgrid([0.0, 0.2, 0.5, 0.77, 1.0],
+                                                       [0.0, 1e-9, 0.3, 1.0]))
+        for overlap in (ps, 0.0, 0.3, 1.0):
+            found = fo.hom_coincidence(ts, overlap)
+            assert found.shape == ts.shape and found.dtype == float
+            for t, p, value in zip(ts.tolist(), np.broadcast_to(overlap, ts.shape).tolist(),
+                                   found.tolist()):
+                assert value.hex() == fo.hom_coincidence(t, p).hex()
+
+    def test_a_grid_of_overlaps_needs_a_grid_of_transmittivities(self):
+        with pytest.raises(ValueError, match="a grid of overlaps needs a grid of transmittivities"):
+            fo.hom_coincidence(0.5, np.array([0.2, 0.4]))
+        with pytest.raises(ValueError, match=r"need transmittivities of that shape"):
+            fo.hom_coincidence(np.array([0.5, 0.3]), np.array([0.2, 0.4, 0.6]))
 
     def test_general_transmittivity_closed_form(self, rng):
         # coincidence = (T^2 + R^2) - 2 p T R

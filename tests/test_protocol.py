@@ -1064,16 +1064,20 @@ class TestHomClosedForm:
         assert not wrong
 
     def test_the_oracle_gives_the_coincidence(self):
-        worst = max(abs(fock_oracle.hom_coincidence(t, p) - protocol.hom_closed_form(t, p)[0])
-                    for t in HOM_TS for p in HOM_PS)
+        ts, ps = (axis.ravel() for axis in np.meshgrid(HOM_TS, HOM_PS))
+        oracle = fock_oracle.hom_coincidence(ts, ps)  # the whole grid in one call
+        worst = max(abs(found - protocol.hom_closed_form(t, p)[0])
+                    for t, p, found in zip(ts.tolist(), ps.tolist(), oracle.tolist()))
         assert worst <= 1e-15
 
     def test_hom_writes_the_oracle_route_bytes(self, capsys):
         # every T of the form 0.ddd in [0.1, 0.9]: the values a benchmark session draws
+        assert HOM_PS[0] == 0.0  # the visibility's base
         for t in (f"{k / 1000:.3f}" for k in range(100, 901)):
             assert cli.main(["hom", "--T", t, "--steps", "101", "--out", "-"]) == 0
-            base = fock_oracle.hom_coincidence(float(t), 0.0)
-            coincidences = [fock_oracle.hom_coincidence(float(t), p) for p in HOM_PS]
+            coincidences = fock_oracle.hom_coincidence(np.full(len(HOM_PS), float(t)),
+                                                       np.array(HOM_PS)).tolist()
+            base = coincidences[0]
             rows = [(p, c, (base - c) / base) for p, c in zip(HOM_PS, coincidences)]
             expected = "".join(",".join(format(v, ".10g") for v in row) + "\n" for row in rows)
             assert capsys.readouterr().out == "p,coincidence,visibility\n" + expected, t
