@@ -13,27 +13,26 @@ measurement box), the polarization is H or V, and the temporal bin is SIGNAL
 never traverses any optics and is carried as a bare qubit index attached to
 every amplitude.
 
-A two-photon state is a plain dict mapping (a_pol, mode_lo, mode_hi), with
-mode_lo <= mode_hi, to the amplitude of the normalized occupation basis
-state; a doubled key (m, m) is the two-photon occupation of one mode.
-Branches may be sub-normalized after post-selection.
+A two-photon state is a dict mapping (a_pol, mode_lo, mode_hi), with
+mode_lo <= mode_hi, to the amplitudes of the normalized occupation basis
+state at the n points of a grid, an (n,) array; a doubled key (m, m) is the
+two-photon occupation of one mode.  Branches may be sub-normalized after
+post-selection.  A point is a grid of one: `protocol.coupled_stages` and
+`hom_coincidence` lift a point to one and return its 4x4 or float form.
 
-The stage I and stage II states of a config are
-`reduce_to_ab(propagate(cfg), outcome)`.  The same dict carries a grid of
-points: a `CouplingConfig` whose T and p are (n,) arrays makes every amplitude
-an (n,) array, and `build_input`, `beamsplitter_matrix`, `apply_beamsplitter`,
-`propagate` and `reduce_to_ab` then evaluate the n points in one call
-(`reduce_to_ab` as two `StageOutcome`s of stacks).  A grid state keeps a key
-that vanishes at some or all of its points; its zero entries leave every other
-amplitude unchanged.  A point and a grid take one path (`apply_beamsplitter`),
-which sums each amplitude's products in a fixed order, so a grid gives each
-point's amplitudes the bits they get alone; its one key order is that of its
-interior points, which a point at T = 0 or 1 does not share.  numpy may fuse
-a multiply and an add where Python rounds each real product and each sum
-once, but every beamsplitter matrix entry is purely real or purely
-imaginary: each part of a product with one is a single nonzero real product
-plus an exact zero, which rounds once either way, with or without numpy's
-SIMD kernels.  So the residuals `verify` reports keep their bits.
+The stage I and stage II states of a config whose T and p are (n,) arrays are
+`reduce_to_ab(propagate(cfg), outcome)`, two `StageOutcome`s of stacks.  The
+states of one input key set share one key order whatever their T:
+`apply_beamsplitter` sends every mode to both arms, so a key that vanishes at
+some or all points (every reflected one at T = 1) stays as an exact zero, which
+leaves every other amplitude unchanged.  It sums each amplitude's products in a
+fixed order, so every point of a grid gets the keys, the amplitudes and the
+`norm_squared` bits of a grid of one at that point.  numpy may fuse a multiply
+and an add where Python rounds each real product and each sum once, but every
+beamsplitter matrix entry is purely real or purely imaginary: each part of a
+product with one is a single nonzero real product plus an exact zero, which
+rounds once either way, with or without numpy's SIMD kernels.  So the residuals
+`verify` reports keep their bits.
 
 The surrounding photon's completely mixed polarization I/2 is realized as a
 uniform classical mixture over {H, V} inputs, which is exact for a linear
@@ -79,22 +78,15 @@ def _left_fold(amps) -> float:
     return float(total)
 
 
-def norm_squared(amps: dict):
-    """Squared norm of a state: the probability of a post-selected branch.
-
-    A grid state gives an (n,) array: each point's left fold over its amplitudes as
-    plain Python `complex`, the bits of that point's one-point call."""
-    values = list(amps.values())
-    if values and np.ndim(values[0]):
-        return np.array([_left_fold(row) for row in np.array(values).T.tolist()])
-    return _left_fold(values)
+def norm_squared(amps: dict) -> np.ndarray:
+    """Squared norms of a state, an (n,) array: the probabilities of a post-selected branch,
+    each point's left fold over its amplitudes as plain Python `complex`."""
+    return np.array([_left_fold(row) for row in np.array(list(amps.values())).T.tolist()])
 
 
 def _time_bins(overlap) -> list:
-    """The surrounding photon's temporal amplitudes sqrt(p) SIGNAL and sqrt(1 - p) ORTH:
-    the nonzero ones of one point, both of a grid."""
-    bins = ((TIME_SIGNAL, np.sqrt(overlap)), (TIME_ORTH, np.sqrt(1.0 - overlap)))
-    return [(t, t_amp) for t, t_amp in bins if t_amp.ndim or t_amp != 0.0]
+    """The surrounding photon's temporal amplitudes: sqrt(p) SIGNAL and sqrt(1 - p) ORTH."""
+    return [(TIME_SIGNAL, np.sqrt(overlap)), (TIME_ORTH, np.sqrt(1.0 - overlap))]
 
 
 def build_input(cfg: CouplingConfig, env_pol: int) -> dict:
@@ -103,8 +95,8 @@ def build_input(cfg: CouplingConfig, env_pol: int) -> dict:
     The A-B pair is (|H>_A |V>_B - i |V>_A |H>_B)/sqrt(2) with B on the BOB
     arm in the SIGNAL bin; the surrounding photon sits on the MEAS arm with
     amplitude sqrt(p) on SIGNAL and sqrt(1 - p) on ORTH.  Callers average
-    over env_pol in {H, V} to realize the depolarized environment.  A grid
-    config gives (n,) arrays of amplitudes.
+    over env_pol in {H, V} to realize the depolarized environment.  The
+    amplitudes have the shape of p, an (n,) array.
     """
     if env_pol not in (POL_H, POL_V):
         raise ValueError(f"env_pol must be 0 (H) or 1 (V), got {env_pol}")
@@ -133,11 +125,6 @@ def random_states(rng: np.random.Generator, count: int) -> dict:
     return dict(zip(keys, (draws / norms[:, None]).view(complex).T))
 
 
-def random_state(rng: np.random.Generator) -> dict:
-    """One state of `random_states`, on plain Python `complex` amplitudes."""
-    return {key: complex(amps[0]) for key, amps in random_states(rng, 1).items()}
-
-
 def beamsplitter_matrix(transmittivity) -> np.ndarray:
     """Single-photon mode map of the coupling beamsplitter.
 
@@ -154,22 +141,21 @@ def beamsplitter_matrix(transmittivity) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _scatter_plan(keys: tuple, pattern: bytes) -> tuple:
-    """`apply_beamsplitter`'s products for input `keys` and the nonzero `pattern` of its
-    matrix, in the order of a loop over the keys, then the output modes i of mode_lo,
-    then those j of mode_hi (ascending), which adds each product onto its output key.
+def _scatter_plan(keys: tuple) -> tuple:
+    """`apply_beamsplitter`'s products for input `keys`, in the order of a loop over the keys,
+    then the output modes i of mode_lo, then those j of mode_hi (each mode's BOB and its MEAS
+    twin, ascending), which adds each product onto its output key.
 
     Returns the output keys in the order the loop first reaches them; each product's
     input key and the flat indices of its two matrix entries, as a (3, n) array listed
     by round: round r holds the (r+1)-th product of every output key with more than r;
     the output keys of each round after the first; and the doubled input and output keys.
     """
-    nonzero = np.frombuffer(pattern, dtype=bool).reshape(N_MODES, N_MODES)
-    outputs = [np.flatnonzero(nonzero[:, m]).tolist() for m in range(N_MODES)]
+    arms = [(m % 4, m % 4 + 4) for m in range(N_MODES)]  # the modes each mode reaches
     slots: dict = {}  # output key -> its products, each (input key, u1 index, u2 index)
     for k, (a_pol, m1, m2) in enumerate(keys):
-        for i in outputs[m1]:
-            for j in outputs[m2]:
+        for i in arms[m1]:
+            for j in arms[m2]:
                 key = (a_pol, i, j) if i <= j else (a_pol, j, i)
                 slots.setdefault(key, []).append((k, i * N_MODES + m1, j * N_MODES + m2))
     terms = list(slots.values())
@@ -188,26 +174,20 @@ def _read_only(indices: list) -> np.ndarray:
 
 
 def apply_beamsplitter(state: dict, transmittivity) -> dict:
-    """Propagate both photons through the beamsplitter.
+    """Propagate both photons of a state through the beamsplitter at an (n,) array of T.
 
     Each creation operator maps linearly under the single-photon matrix; the
     two-photon amplitudes are re-expanded in the normalized occupation basis
     (a doubly occupied mode carries the bosonic sqrt(2)).  The map is unitary,
-    so the total norm is preserved.  One pass serves a point and a grid: a
-    cached `_scatter_plan` lists the products, which are summed in their order.
-    One point returns plain Python `complex` amplitudes and drops exact zeros;
-    a grid state (amplitudes that are (n,) arrays, or one scalar for every
-    point) takes an (n,) array of T and keeps every key it reaches, zero or not.
+    so the total norm is preserved.  A cached `_scatter_plan` of the input keys
+    lists the products, which are summed in their order; every output key is
+    kept, zero or not, in an order that does not depend on T.
     """
     u = beamsplitter_matrix(transmittivity)
-    shape = u.shape[2:]  # () for one point, (n,) for a grid
-    nonzero = u.any(axis=-1) if shape else u != 0.0
-    keys, (source, first, second), rounds, doubled_in, doubled_out = _scatter_plan(
-        tuple(state), nonzero.tobytes())
+    shape = u.shape[2:]
+    keys, (source, first, second), rounds, doubled_in, doubled_out = _scatter_plan(tuple(state))
     coeff = np.array(list(state.values()), dtype=complex)
-    if coeff.ndim == 1 and shape:
-        coeff = coeff[:, None]  # one amplitude for every point of the grid
-    elif coeff.shape[1:] != shape:
+    if coeff.shape[1:] != shape:
         raise ValueError(f"amplitudes of shape {coeff.shape[1:]} need transmittivities of "
                          f"that shape, got {shape}")
     if doubled_in.size:
@@ -224,9 +204,7 @@ def apply_beamsplitter(state: dict, transmittivity) -> dict:
         monomials[round_] += products[start:start + len(round_)]
         start += len(round_)
     monomials[doubled_out] *= SQRT2
-    if shape:
-        return dict(zip(keys, monomials))
-    return {key: value for key, value in zip(keys, monomials.tolist()) if value != 0.0}
+    return dict(zip(keys, monomials))
 
 
 def postselect_one_each(state: dict) -> dict:
@@ -241,14 +219,14 @@ def postselect_one_each(state: dict) -> dict:
 def propagate(cfg: CouplingConfig) -> list[dict]:
     """Both environment polarization inputs (`build_input`), coupled on the
     beamsplitter: the equally weighted components of the depolarized
-    environment, before any post-selection.  A grid config is propagated in
-    one pass."""
+    environment, before any post-selection.  The config's T and p are (n,)
+    arrays, propagated in one pass."""
     return [apply_beamsplitter(build_input(cfg, env_pol), cfg.transmittivity)
             for env_pol in (POL_H, POL_V)]
 
 
-def pattern_probabilities(propagated: list[dict]) -> dict[str, float]:
-    """Probabilities of the three detection patterns of `propagate`'s states.
+def pattern_probabilities(propagated: list[dict]) -> dict[str, np.ndarray]:
+    """Probabilities of the three detection patterns of `propagate`'s states, (n,) arrays.
 
     Averaged over the depolarized environment: both photons toward Bob, both
     toward the measurement box, or one photon in each arm.  They sum to 1.
@@ -270,25 +248,27 @@ def reduce_to_ab(propagated: list[dict], outcome: str = "H") -> tuple:
     branch traces out the temporal bins and keeps the MEAS-arm polarization:
     its `outcome` ("H" or "V") slice is stage II, the sum of both slices
     stage I.  The probabilities are cumulative over the post-selection and,
-    at stage II, the measurement outcome.  Grid states give (n, 4, 4) stacks
-    of states and (n,) arrays of probabilities; all are checked in one pass.
+    at stage II, the measurement outcome: (n, 4, 4) stacks of states and (n,)
+    arrays of probabilities, all checked in one pass.
     """
     if not propagated:
         raise ValueError("at least one branch is required")
     if outcome not in ("H", "V"):
         raise ValueError(f"outcome must be 'H' or 'V', got {outcome!r}")
 
-    shape = np.shape(next(iter(propagated[0].values()), 0.0))  # () for one point, (n,) for a grid
-    rho = np.zeros(shape + (2, 4, 4), dtype=complex)  # the MEAS-arm polarization, then A-B
+    rho = 0.0  # then rho[point, meas_pol, ab, AB], the MEAS-arm polarization, then A-B, whose
+    # C order fixes the order of the sums below
     for vec in propagated:
-        psi = np.zeros((2, 4, 4) + shape, dtype=complex)
-        for (a_pol, bob, meas), amp in postselect_one_each(vec).items():
+        branch = postselect_one_each(vec)
+        amps = np.array(list(branch.values()), dtype=complex)  # amps[key, point]
+        psi = np.zeros((2, 4, 4) + amps.shape[1:], dtype=complex)
+        for (a_pol, bob, meas), amp in zip(branch, amps):
             if bob // 4 != ARM_BOB or meas // 4 != ARM_MEAS:
                 raise ValueError(f"mode index outside range({N_MODES}): {(bob, meas)}")
             psi[a_pol, bob % 4, meas % 4] = amp  # index % 4 is 2 * pol + time
-        # psi[a_pol, bob_pol, bob_time, meas_pol, meas_time], then the grid axis if any
-        psi = psi.reshape((2, 2, 2, 2, 2) + shape)
-        rho += np.einsum("abtcu...,ABtcu...->...cabAB", psi, psi.conj()).reshape(rho.shape)
+        psi = psi.reshape(2, 2, 2, 2, 2, -1)  # a_pol, bob_pol, bob_time, meas_pol, meas_time
+        rho = np.add(rho, np.einsum("abtcu...,ABtcu...->...cabAB", psi, psi.conj()).reshape(
+            -1, 2, 4, 4), order="C")
     rho /= len(propagated)
     rho = np.stack([rho.sum(axis=-3), rho[..., POL_H if outcome == "H" else POL_V, :, :]])  # I, II
 
@@ -297,7 +277,7 @@ def reduce_to_ab(propagated: list[dict], outcome: str = "H") -> tuple:
         raise ValueError("post-selected branch has zero probability")
     states = qmat.validate_density_matrix(rho / probability[..., None, None], dim=4, stack=True)
     stages = (Stage.COUPLING, Stage.MEASUREMENT)
-    return tuple(StageOutcome(state=state, probability=p, stage=stage)  # one point's p: a float
+    return tuple(StageOutcome(state=state, probability=p, stage=stage)
                  for state, p, stage in zip(states, probability, stages))
 
 
@@ -308,12 +288,15 @@ def hom_coincidence(transmittivity, overlap):
     overlap `overlap`, meet at a beamsplitter of the given transmittivity;
     returns the probability of finding one photon in each output arm.  At
     T = 0.5 this is (1 - p)/2, the textbook interference dip; no command calls it.
-    The grids of a `CouplingConfig` (T an (n,) array, p a float or an array of
-    T's shape) give an (n,) array, each point with the bits it gets alone.
+    A point is simulated as a grid of one and gives a float; the grids of a
+    `CouplingConfig` (T an (n,) array, p a float or an array of T's shape) give
+    an (n,) array, each point with the bits it gets alone.
     """
     cfg = CouplingConfig(transmittivity, overlap)
+    t = np.atleast_1d(cfg.transmittivity)  # a point is simulated as a grid of one
     m_sig = mode_index(ARM_BOB, POL_H, TIME_SIGNAL)
     # no idle photon here; the A slot is a spectator
-    amps = {(0, m_sig, mode_index(ARM_MEAS, POL_H, t)): t_amp
-            for t, t_amp in _time_bins(cfg.overlap)}
-    return norm_squared(postselect_one_each(apply_beamsplitter(amps, cfg.transmittivity)))
+    amps = {(0, m_sig, mode_index(ARM_MEAS, POL_H, time)): t_amp
+            for time, t_amp in _time_bins(np.full(t.shape, cfg.overlap))}
+    found = norm_squared(postselect_one_each(apply_beamsplitter(amps, t)))
+    return found.reshape(np.shape(cfg.transmittivity))[()]  # a point: the float of its 0-d array

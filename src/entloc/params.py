@@ -51,8 +51,8 @@ class CouplingConfig:
         from the signal photon (squared wavepacket overlap).  0 means fully
         distinguishable, 1 fully indistinguishable.
 
-    Both may be (n,) arrays: a grid of points, which `protocol.coupled_stages`
-    evaluates in one call (p may also stay a float).
+    Both may be (n,) arrays of one shape: a grid of points, which
+    `protocol.coupled_stages` evaluates in one call (p may also stay a float).
     """
 
     transmittivity: float
@@ -61,8 +61,9 @@ class CouplingConfig:
     def __post_init__(self):
         check_unit_interval(self.transmittivity, "transmittivity")
         check_unit_interval(self.overlap, "overlap")
-        if getattr(self.overlap, "ndim", 0) > getattr(self.transmittivity, "ndim", 0):
-            raise ValueError("a grid of overlaps needs a grid of transmittivities")
+        grid_shape = getattr(self.transmittivity, "shape", ())
+        if getattr(self.overlap, "shape", ()) not in ((), grid_shape):
+            raise ValueError("a grid of overlaps needs a grid of transmittivities of its shape")
 
     @property
     def reflectivity(self) -> float:

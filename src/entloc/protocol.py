@@ -201,9 +201,9 @@ def coupled_stages(cfg: CouplingConfig, outcome: str = "H") -> tuple:
     outcome V the mirror state with the same probability.  Both outcomes carry
     the same concurrence, so no feed-forward correction is modeled.  For p > 0
     both stages come from one `fock_oracle.reduce_to_ab` call of the brute-force
-    simulation; no closed matrix form is assumed.  A grid config gives two
-    outcomes of stacks, from one route: a grid that mixes p = 0 and p > 0
-    points raises ValueError.
+    simulation, which takes a point as a grid of one; no closed matrix form is
+    assumed.  A grid config gives two outcomes of stacks, from one route: a
+    grid that mixes p = 0 and p > 0 points raises ValueError.
     """
     import numpy as np
 
@@ -212,8 +212,12 @@ def coupled_stages(cfg: CouplingConfig, outcome: str = "H") -> tuple:
     if outcome not in ("H", "V"):
         raise ValueError(f"outcome must be 'H' or 'V', got {outcome!r}")
     overlapping = np.asarray(cfg.overlap != 0.0)  # a mask of the grid, 0-d for a point
-    if overlapping.all():
-        return fock_oracle.reduce_to_ab(fock_oracle.propagate(cfg), outcome)
+    if overlapping.all():  # the oracle takes a point as a grid of one
+        shape, t = np.shape(cfg.transmittivity), np.atleast_1d(cfg.transmittivity)
+        grid = CouplingConfig(t, np.full(t.shape, cfg.overlap))
+        return tuple(StageOutcome(found.state.reshape(shape + (4, 4)),
+                                  found.probability.reshape(shape), found.stage)
+                     for found in fock_oracle.reduce_to_ab(fock_oracle.propagate(grid), outcome))
     if overlapping.any():
         raise ValueError("a grid of overlaps must be 0 everywhere (the closed form) "
                          "or nowhere (the simulation)")

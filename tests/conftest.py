@@ -1,9 +1,9 @@
 """Shared test helpers: seeded random states and unitaries, the pipeline's
-stage states, the X-state concurrence and the sweep's columns by the route of
-4x4 matrices, the published closed forms in numpy's grid arithmetic, an exact
-decimal evaluation of the concurrences, the sweep over a broadcast grid, the
-tensor product and partial trace used to build and inspect states, and call
-counters."""
+stage states, the oracle's stages at one point (a grid of one), the X-state
+concurrence and the sweep's columns by the route of 4x4 matrices, the published
+closed forms in numpy's grid arithmetic, an exact decimal evaluation of the
+concurrences, the sweep over a broadcast grid, the tensor product and partial
+trace used to build and inspect states, and call counters."""
 
 import inspect
 from decimal import Decimal, localcontext
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from entloc import fock_oracle, protocol, qmat
-from entloc.params import CouplingConfig, FilterConfig, Stage
+from entloc.params import CouplingConfig, FilterConfig, Stage, StageOutcome
 
 
 def random_density(rng, dim: int) -> np.ndarray:
@@ -47,6 +47,19 @@ def pipeline_states() -> list:
             if t > 0.0:  # at T = 0 the filters block the stage II state
                 found.append(protocol.stage3_filter(stage2, protocol.eps_to_filter(0.15, t)).state)
     return found
+
+
+def one_point(t: float, p: float = 0.0) -> CouplingConfig:
+    """The config of one point as the oracle takes it: a grid of one."""
+    return CouplingConfig(np.array([t], dtype=float), np.array([p], dtype=float))
+
+
+def oracle_stages(t: float, p: float = 0.0, outcome: str = "H") -> tuple:
+    """The oracle's stage I and stage II outcomes at one point, from a grid of one: each a
+    4x4 state and a float probability, the form `protocol.coupled_stages` returns."""
+    propagated = fock_oracle.propagate(one_point(t, p))
+    return tuple(StageOutcome(found.state[0], float(found.probability[0]), found.stage)
+                 for found in fock_oracle.reduce_to_ab(propagated, outcome))
 
 
 def x_concurrence(rho) -> float | np.ndarray:

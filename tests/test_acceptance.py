@@ -5,7 +5,7 @@ to see them.  Tolerances are pinned here, not configurable.
 """
 
 import numpy as np
-from conftest import random_density, random_unitary, tensor
+from conftest import oracle_stages, random_density, random_unitary, tensor
 
 from entloc import fock_oracle, measures, protocol, qmat, states
 from entloc.params import CouplingConfig, FilterConfig, Stage
@@ -85,9 +85,8 @@ def test_criterion_4_oracle_equivalence():
     worst_fidelity_deficit = 0.0
     worst_probability_gap = 0.0
     for t in T_GRID_19:
-        cfg = CouplingConfig(t, 0.0)
-        oracle1, oracle2 = fock_oracle.reduce_to_ab(fock_oracle.propagate(cfg), "H")
-        analytic1, analytic2 = protocol.coupled_stages(cfg, "H")
+        oracle1, oracle2 = oracle_stages(t, 0.0, "H")
+        analytic1, analytic2 = protocol.coupled_stages(CouplingConfig(t, 0.0), "H")
         worst_fidelity_deficit = max(
             worst_fidelity_deficit,
             1.0 - measures.fidelity(oracle1.state, analytic1.state),
@@ -102,10 +101,9 @@ def test_criterion_4_oracle_equivalence():
     worst_concurrence_gap = 0.0
     for p in (0.25, 0.5, 0.75, 1.0):
         for t in T_GRID_19:
-            cfg = CouplingConfig(t, p)
-            _, measured = fock_oracle.reduce_to_ab(fock_oracle.propagate(cfg), "H")
+            _, measured = oracle_stages(t, p, "H")
             simulated = measures.concurrence(measured.state)
-            closed = protocol.concurrence_closed_form(Stage.MEASUREMENT, cfg)
+            closed = protocol.concurrence_closed_form(Stage.MEASUREMENT, CouplingConfig(t, p))
             worst_concurrence_gap = max(worst_concurrence_gap, abs(simulated - closed))
 
     ok = (

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import counting, grid_concurrences
+from conftest import counting, grid_concurrences, one_point, oracle_stages
 
 from entloc import fock_oracle as fo
 from entloc import measures, protocol, qmat, reference, states
@@ -32,23 +32,28 @@ class TestModes:
         # a mode index outside range(8) belongs to no arm and cannot be reduced
         for key in ((0, 0, fo.N_MODES), (0, -1, 4)):
             with pytest.raises(ValueError, match="outside range"):
-                fo.reduce_to_ab([{key: 1.0}])
+                fo.reduce_to_ab([{key: np.ones(1)}])
+
+
+def point_of(state, i):
+    """Point i of a grid state, on plain Python `complex` amplitudes."""
+    return {key: complex(amps[i]) for key, amps in state.items()}
 
 
 class TestBuildInput:
+    # both temporal bins are keys at every p; a bin of zero weight holds exact zeros
     def test_distinguishable_limit(self):
-        vec = fo.build_input(CouplingConfig(0.4, 0.0), fo.POL_H)
-        times = {k[2] % 2 for k in vec}
-        assert times == {fo.TIME_ORTH}
-        assert abs(fo.norm_squared(vec) - 1.0) < 1e-12
+        vec = fo.build_input(one_point(0.4, 0.0), fo.POL_H)
+        assert {k[2] % 2 for k in vec} == {fo.TIME_SIGNAL, fo.TIME_ORTH}
+        assert {k[2] % 2 for k, amps in vec.items() if amps.any()} == {fo.TIME_ORTH}
+        assert abs(fo.norm_squared(vec)[0] - 1.0) < 1e-12
 
     def test_indistinguishable_limit(self):
-        vec = fo.build_input(CouplingConfig(0.4, 1.0), fo.POL_V)
-        times = {k[2] % 2 for k in vec}
-        assert times == {fo.TIME_SIGNAL}
+        vec = fo.build_input(one_point(0.4, 1.0), fo.POL_V)
+        assert {k[2] % 2 for k, amps in vec.items() if amps.any()} == {fo.TIME_SIGNAL}
 
     def test_partial_overlap_amplitudes(self):
-        vec = fo.build_input(CouplingConfig(0.5, 0.85), fo.POL_H)
+        vec = fo.build_input(one_point(0.5, 0.85), fo.POL_H)
         m_b_v = fo.mode_index(fo.ARM_BOB, fo.POL_V, fo.TIME_SIGNAL)
         m_e_sig = fo.mode_index(fo.ARM_MEAS, fo.POL_H, fo.TIME_SIGNAL)
         m_e_orth = fo.mode_index(fo.ARM_MEAS, fo.POL_H, fo.TIME_ORTH)
@@ -85,26 +90,37 @@ class TestBeamsplitter:
             np.testing.assert_array_equal(u, expected)
 
     def test_full_transmission_is_identity_routing(self):
-        vec = fo.build_input(CouplingConfig(0.6, 0.3), fo.POL_H)
-        out = fo.apply_beamsplitter(vec, 1.0)
-        assert set(out) == set(vec)
-        for key, amp in vec.items():
-            assert abs(out[key] - amp) < 1e-12
+        # every reflected key stays, as an exact zero
+        vec = fo.build_input(one_point(0.6, 0.3), fo.POL_H)
+        out = fo.apply_beamsplitter(vec, np.array([1.0]))
+        assert set(vec) < set(out)
+        for key, amps in out.items():
+            if key in vec:
+                assert abs(amps[0] - vec[key][0]) < 1e-12
+            else:
+                assert amps.tolist() == [0j]
 
     def test_norm_preserved_on_random_states(self, rng):
         for t in (0.1, 0.35, 0.5, 0.82):
-            vec = fo.random_state(rng)
-            out = fo.apply_beamsplitter(vec, t)
-            assert abs(fo.norm_squared(out) - fo.norm_squared(vec)) < 1e-12
+            vec = fo.random_states(rng, 1)
+            out = fo.apply_beamsplitter(vec, np.array([t]))
+            assert abs(fo.norm_squared(out)[0] - fo.norm_squared(vec)[0]) < 1e-12
+
+    def test_rejects_amplitudes_off_the_grid(self, rng):
+        # a state's amplitudes and the T take one grid; a point is a grid of one
+        for state, ts in ((fo.random_states(rng, 2), np.array([0.5])),
+                          (point_of(fo.random_states(rng, 1), 0), np.array([0.5]))):
+            with pytest.raises(ValueError, match="need transmittivities of that shape"):
+                fo.apply_beamsplitter(state, ts)
 
     def test_interference_suppresses_one_each(self):
         # two photons identical in every label: at T = 0.5 the
         # one-photon-per-arm amplitude cancels exactly
         m_b = fo.mode_index(fo.ARM_BOB, fo.POL_H, fo.TIME_SIGNAL)
         m_e = fo.mode_index(fo.ARM_MEAS, fo.POL_H, fo.TIME_SIGNAL)
-        out = fo.apply_beamsplitter({(0, m_b, m_e): 1.0}, 0.5)
+        out = fo.apply_beamsplitter({(0, m_b, m_e): np.ones(1)}, np.array([0.5]))
         prob = fo.norm_squared(fo.postselect_one_each(out))
-        assert prob == 0.0
+        assert prob.tolist() == [0.0]
 
 
 def kron_beamsplitter_matrix(transmittivity):
@@ -139,8 +155,16 @@ def reference_random_state(rng):
         for lo in range(fo.N_MODES):
             for hi in range(lo, fo.N_MODES):
                 amps[(a_pol, lo, hi)] = complex(rng.standard_normal(), rng.standard_normal())
-    norm = np.sqrt(fo.norm_squared(amps))
+    norm = np.sqrt(left_fold(amps))
     return {k: v / norm for k, v in amps.items()}
+
+
+def reference_key_order(keys):
+    """The output keys of input `keys` in the order `reference_apply_beamsplitter` reaches
+    them at an interior T, where every output key of random amplitudes is nonzero."""
+    rng = np.random.default_rng(0)
+    return list(reference_apply_beamsplitter(
+        {key: complex(*rng.standard_normal(2)) for key in keys}, 0.37))
 
 
 def left_fold(state):
@@ -196,7 +220,8 @@ def reference_reduce_to_ab(branches, outcome=None):
 
 
 class TestPropagationIsBitIdentical:
-    """`apply_beamsplitter`, its matrix and `random_state` reproduce their references bit for bit."""
+    """`apply_beamsplitter`, its matrix and `random_states` reproduce their references bit for
+    bit, and every state of one input key set has one key order, whatever its T."""
 
     TS = [float(t) for t in np.linspace(0.0, 1.0, 11)]
 
@@ -207,24 +232,31 @@ class TestPropagationIsBitIdentical:
             assert isinstance(amp, complex)  # a plain complex or a numpy complex scalar
             assert np.asarray(amp).tobytes() == np.asarray(expected[key]).tobytes()
 
+    @staticmethod
+    def assert_point_bits(out, i, expected, order):
+        """Point i of grid state `out` against a one-point reference that drops exact zeros:
+        `out` has the keys `order`, the reference's amplitudes and exact zeros elsewhere."""
+        assert list(out) == order
+        for key, amps in out.items():
+            assert np.asarray(amps[i]).tobytes() == np.asarray(expected.get(key, 0j)).tobytes()
+
     def test_matrix_equals_kron(self):
         for t in self.TS + [0.3, 0.37, 0.8]:
             assert fo.beamsplitter_matrix(t).tobytes() == kron_beamsplitter_matrix(t).tobytes()
 
     def test_random_states(self, rng):
         for t in self.TS:
-            vec = fo.random_state(rng)
-            expected = reference_apply_beamsplitter(vec, t)
-            out = fo.apply_beamsplitter(vec, t)
-            self.assert_same_bits(out, expected)
-            # one point propagates on plain Python complex numbers, not numpy scalars
-            assert all(type(amp) is complex for amp in out.values())
+            vec = fo.random_states(rng, 1)
+            out = fo.apply_beamsplitter(vec, np.array([t]))
+            self.assert_point_bits(out, 0, reference_apply_beamsplitter(point_of(vec, 0), t),
+                                   reference_key_order(vec))
 
     def test_random_state_equals_one_number_draws(self):
         for seed in range(200):
             rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             for _ in range(3):
-                self.assert_same_bits(fo.random_state(rng), reference_random_state(reference_rng))
+                self.assert_same_bits(point_of(fo.random_states(rng, 1), 0),
+                                      reference_random_state(reference_rng))
             assert rng.bit_generator.state == reference_rng.bit_generator.state
 
     @pytest.mark.parametrize("count", [1, 2, 9, 99])
@@ -234,39 +266,46 @@ class TestPropagationIsBitIdentical:
             grid = fo.random_states(rng, count)
             assert all(amps.shape == (count,) for amps in grid.values())
             for i in range(count):
-                self.assert_same_bits({key: complex(amps[i]) for key, amps in grid.items()},
-                                      reference_random_state(reference_rng))
+                self.assert_same_bits(point_of(grid, i), reference_random_state(reference_rng))
             assert rng.bit_generator.state == reference_rng.bit_generator.state
 
-    @pytest.mark.parametrize("ts", [TS + [0.3, 0.37, 0.8], [0.0] * 3, [1.0] * 3])
+    @pytest.mark.parametrize("ts", [TS + [0.3, 0.37, 0.8], [0.0] * 3, [1.0] * 3,
+                                    [0.0, 0.2, 0.5, 1.0]])
     def test_grid_of_random_states(self, rng, ts):
-        # T = 0 and T = 1 route each mode to one output, so alone they reach fewer keys than
-        # interior T, in another order; a grid keeps every key in one order, which is each
-        # point's own where all its points share one routing
+        # T = 0 and T = 1 route each mode to one output, and the keys they do not reach stay
+        # as exact zeros: every point, alone or in any grid, has one key order, and so the
+        # norm of one left fold in that order
         vecs = fo.random_states(rng, len(ts))
         out = fo.apply_beamsplitter(vecs, np.array(ts))
-        assert all(amps.shape == (len(ts),) for amps in out.values())
+        norms = fo.norm_squared(out)
+        order = reference_key_order(vecs)
         for i, t in enumerate(ts):
-            expected = reference_apply_beamsplitter(
-                {key: complex(amps[i]) for key, amps in vecs.items()}, t)
-            point = {key: complex(amps[i]) for key, amps in out.items() if amps[i] != 0.0}
-            if 0.0 < t < 1.0 or len(set(ts)) == 1:
-                self.assert_same_bits(point, expected)
-            else:
-                self.assert_same_bits(dict(sorted(point.items())), dict(sorted(expected.items())))
+            expected = reference_apply_beamsplitter(point_of(vecs, i), t)
+            self.assert_point_bits(out, i, expected, order)
+            alone = fo.apply_beamsplitter({key: amps[i:i + 1] for key, amps in vecs.items()},
+                                          np.array([t]))
+            self.assert_point_bits(alone, 0, expected, order)
+            fold = left_fold({key: expected.get(key, 0j) for key in order})
+            assert norms[i].hex() == fo.norm_squared(alone)[0].hex() == fold.hex()
 
-    @pytest.mark.parametrize("grid", [2, 3, 10, 50])
+    @pytest.mark.parametrize("grid", [2, 3, 10, 50, 300])  # 300: more interior T than GRID_BLOCK
     def test_verify_unitarity_equals_one_point_at_a_time(self, monkeypatch, grid):
-        summaries = {}
+        summaries, sizes = {}, []
 
         def recording(name, tolerance, records):
             summaries[name] = records
             return summary(name, tolerance, records)
 
-        summary = reference._summary
+        def sized(state, transmittivity):
+            sizes.append(np.size(transmittivity))
+            return apply_beamsplitter(state, transmittivity)
+
+        summary, apply_beamsplitter = reference._summary, fo.apply_beamsplitter
         monkeypatch.setattr(reference, "_summary", recording)
+        monkeypatch.setattr(fo, "apply_beamsplitter", sized)
         check = next(check for check in reference.verify(grid, 1e-9)["checks"]
                      if check["name"] == "beamsplitter_unitarity")
+        assert all(size <= protocol.GRID_BLOCK for size in sizes)  # a bounded memory
         expected = reference_unitarity_records(grid)
         found = summaries["beamsplitter_unitarity"]
         assert [where for _, where in found] == [where for _, where in expected]
@@ -278,9 +317,9 @@ class TestPropagationIsBitIdentical:
         assert check["worst"].hex() == worst.hex() and check["worst_at"] == worst_at
 
     def test_plans_are_cached_read_only_and_bounded(self, rng):
-        vec = fo.random_state(rng)
-        fo.apply_beamsplitter(vec, 0.3)
-        plan = fo._scatter_plan(tuple(vec), (fo.beamsplitter_matrix(0.3) != 0.0).tobytes())
+        vec = fo.random_states(rng, 1)
+        fo.apply_beamsplitter(vec, np.array([0.3]))
+        plan = fo._scatter_plan(tuple(vec))
         assert fo._scatter_plan.cache_info().maxsize is not None
         for array in (plan[1],) + plan[2] + plan[3:]:
             assert not array.flags.writeable
@@ -289,9 +328,10 @@ class TestPropagationIsBitIdentical:
         for t in self.TS:
             for p in (0.0, 0.5, 1.0):
                 for env_pol in (fo.POL_H, fo.POL_V):
-                    vec = fo.build_input(CouplingConfig(t, p), env_pol)
-                    self.assert_same_bits(fo.apply_beamsplitter(vec, t),
-                                          reference_apply_beamsplitter(vec, t))
+                    vec = fo.build_input(one_point(t, p), env_pol)
+                    out = fo.apply_beamsplitter(vec, np.array([t]))
+                    self.assert_point_bits(out, 0, reference_apply_beamsplitter(
+                        point_of(vec, 0), t), reference_key_order(vec))
 
 
 class TestNormSquared:
@@ -306,9 +346,9 @@ class TestNormSquared:
         assert math.fsum(abs(amp) ** 2 for amp in amps.values()).hex() != fold.hex()
         with monkeypatch.context() as patch:
             patch.setattr(builtins, "sum", lambda values, start=0: start + math.fsum(values))
-            value = fo.norm_squared(amps)
-        assert type(value) is float
-        assert value.hex() == fold.hex()
+            values = fo.norm_squared({key: np.array([amp]) for key, amp in amps.items()})
+        assert values.shape == (1,) and values.dtype == float
+        assert values[0].hex() == fold.hex()
 
     def test_left_fold_on_a_grid(self, monkeypatch):
         # squares 1, 1e-16, 1e-16 at the first point, as in the one-point case, and the
@@ -328,54 +368,53 @@ class TestNormSquared:
             values = fo.norm_squared(grid)
             assert values.shape == (5,)
             for i, value in enumerate(values.tolist()):
-                alone = fo.norm_squared({key: complex(amps[i]) for key, amps in grid.items()})
-                assert type(alone) is float and value.hex() == alone.hex()
+                alone = fo.norm_squared({key: amps[i:i + 1] for key, amps in grid.items()})
+                assert value.hex() == alone[0].hex() == left_fold(point_of(grid, i)).hex()
 
 
 class TestPostselection:
     def test_full_transmission(self):
-        vec = fo.apply_beamsplitter(fo.build_input(CouplingConfig(1.0), fo.POL_H), 1.0)
+        vec = fo.apply_beamsplitter(fo.build_input(one_point(1.0), fo.POL_H), np.array([1.0]))
         prob = fo.norm_squared(fo.postselect_one_each(vec))
-        assert abs(prob - 1.0) < 1e-12
+        assert abs(prob[0] - 1.0) < 1e-12
 
     def test_distinguishable_probability(self):
         total = 0.0
         for env_pol in (fo.POL_H, fo.POL_V):
-            vec = fo.apply_beamsplitter(fo.build_input(CouplingConfig(0.4), env_pol), 0.4)
+            vec = fo.apply_beamsplitter(fo.build_input(one_point(0.4), env_pol), np.array([0.4]))
             prob = fo.norm_squared(fo.postselect_one_each(vec))
-            total += 0.5 * prob
+            total += 0.5 * prob[0]
         assert abs(total - 0.52) < 1e-12
 
     def test_branch_probabilities(self):
         # both-to-one-arm branches carry TR each at p = 0, TR (1 + p/2) in
         # general; everything sums to 1
         for t, p in ((0.4, 0.0), (0.3, 0.85), (0.5, 1.0), (0.75, 0.4)):
-            branches = fo.pattern_probabilities(fo.propagate(CouplingConfig(t, p)))
+            branches = fo.pattern_probabilities(fo.propagate(one_point(t, p)))
             expected_bunched = t * (1 - t) * (1.0 + p / 2.0)
-            assert abs(branches["both_bob"] - expected_bunched) < 1e-12
-            assert abs(branches["both_meas"] - expected_bunched) < 1e-12
-            assert abs(sum(branches.values()) - 1.0) < 1e-12
+            assert abs(branches["both_bob"][0] - expected_bunched) < 1e-12
+            assert abs(branches["both_meas"][0] - expected_bunched) < 1e-12
+            assert abs(sum(branches.values())[0] - 1.0) < 1e-12
 
 
 class TestReduceToAb:
     def test_matches_analytic_coupling_state(self):
         for t in (0.1, 0.4, 0.41421356, 0.7, 0.95):
-            cfg = CouplingConfig(t, 0.0)
-            outcome = fo.reduce_to_ab(fo.propagate(cfg))[0]
+            outcome = oracle_stages(t)[0]
             assert outcome.stage is Stage.COUPLING
-            analytic = states.werner(cfg.werner_weight)
+            analytic = states.werner(CouplingConfig(t).werner_weight)
             assert measures.fidelity(outcome.state, analytic) >= 1.0 - 1e-9
             assert abs(outcome.probability - (t * t + (1 - t) ** 2)) < 1e-10
 
     def test_matches_analytic_measured_state(self):
         for t in (0.1, 0.4, 0.7):
             cfg = CouplingConfig(t, 0.0)
-            outcome = fo.reduce_to_ab(fo.propagate(cfg), "H")[1]
+            outcome = oracle_stages(t, 0.0, "H")[1]
             assert outcome.stage is Stage.MEASUREMENT
             analytic = states.post_measurement_state(cfg.werner_weight, "H")
             assert measures.fidelity(outcome.state, analytic) >= 1.0 - 1e-9
             assert abs(outcome.probability - (t * t + (1 - t) ** 2) / 2) < 1e-10
-            mirror = fo.reduce_to_ab(fo.propagate(cfg), "V")[1]
+            mirror = oracle_stages(t, 0.0, "V")[1]
             analytic_v = states.post_measurement_state(cfg.werner_weight, "V")
             assert measures.fidelity(mirror.state, analytic_v) >= 1.0 - 1e-9
 
@@ -392,7 +431,7 @@ class TestReduceToAb:
             u = asymmetric_matrix(t)
             np.testing.assert_allclose(u @ u.conj().T, np.eye(8), atol=1e-14)
         grid = CouplingConfig(np.array([0.0, 0.37, 0.5, 1.0]), np.array([0.3, 0.6, 1.0, 0.2]))
-        configs = [CouplingConfig(t, p) for t, p in ((0.37, 0.6), (0.5, 1.0), (0.7, 0.2))] + [grid]
+        configs = [one_point(t, p) for t, p in ((0.37, 0.6), (0.5, 1.0), (0.7, 0.2))] + [grid]
 
         def outcomes():  # stage I and the stage II outcome of H and of V, for each config
             return [stage for cfg in configs for outcome in "HV"
@@ -400,14 +439,11 @@ class TestReduceToAb:
 
         symmetric = outcomes()
         assert symmetric[-1].state.shape == (4, 4, 4)  # the grid's
-        probe = fo.build_input(CouplingConfig(0.37, 0.6), fo.POL_H)
-        before = fo.apply_beamsplitter(probe, 0.37)
-        grid_probe = fo.build_input(grid, fo.POL_H)
-        grid_before = fo.apply_beamsplitter(grid_probe, grid.transmittivity)
+        probe = fo.build_input(grid, fo.POL_H)
+        before = fo.apply_beamsplitter(probe, grid.transmittivity)
         monkeypatch.setattr(fo, "beamsplitter_matrix", asymmetric_matrix)
-        assert fo.apply_beamsplitter(probe, 0.37) != before  # the swap took effect
-        grid_after = fo.apply_beamsplitter(grid_probe, grid.transmittivity)  # for a grid too
-        assert any(np.any(grid_after[key] != value) for key, value in grid_before.items())
+        after = fo.apply_beamsplitter(probe, grid.transmittivity)  # the swap took effect
+        assert any(np.any(after[key] != value) for key, value in before.items())
         for sym, asym in zip(symmetric, outcomes()):
             assert sym.state.shape == asym.state.shape
             assert np.max(np.abs(sym.state - asym.state)) < 1e-12
@@ -419,12 +455,12 @@ class TestReduceToAb:
         # and u12 u21 = -e^{2ia} R, the symmetric convention's T and -R up to a global phase
         rng = np.random.default_rng(20261019)
         ts, ps = rng.uniform(0.02, 0.98, 9), np.append(rng.uniform(0.01, 1.0, 6), [1.0] * 3)
-        points = [CouplingConfig(t, p) for t, p in zip(ts.tolist(), ps.tolist())]
+        points = [one_point(t, p) for t, p in zip(ts.tolist(), ps.tolist())]
 
         def run():
             return ([stage for cfg in points + [CouplingConfig(ts, ps)] for outcome in "HV"
                      for stage in fo.reduce_to_ab(fo.propagate(cfg), outcome)],
-                    [fo.hom_coincidence(cfg.transmittivity, cfg.overlap) for cfg in points],
+                    [fo.hom_coincidence(t, p) for t, p in zip(ts.tolist(), ps.tolist())],
                     np.array(grid_concurrences(ts, ps, 0.15)))
 
         symmetric = run()
@@ -443,7 +479,9 @@ class TestReduceToAb:
             np.testing.assert_allclose(unitary_matrix(0.37) @ unitary_matrix(0.37).conj().T,
                                        np.eye(8), atol=1e-14)
             monkeypatch.setattr(fo, "beamsplitter_matrix", unitary_matrix)
-            assert fo.propagate(points[0]) != probe  # the swap took effect
+            swapped = fo.propagate(points[0])
+            assert any(np.any(after[key] != amps) for before, after in zip(probe, swapped)
+                       for key, amps in before.items())  # the swap took effect
             outcomes_u, coincidences, concurrences = run()
             for sym, other in zip(symmetric[0], outcomes_u):
                 assert np.max(np.abs(sym.state - other.state)) < 1e-14
@@ -461,44 +499,41 @@ class TestReduceToAb:
                 probability = 1.0 - (2.0 + p) * t * (1.0 - t)
                 q = t * (t - p * (1.0 - t)) / probability
                 expected = q * states.singlet_density() + (1.0 - q) * np.eye(4) / 4.0
-                outcome = fo.reduce_to_ab(fo.propagate(CouplingConfig(t, p)))[0]
+                outcome = oracle_stages(t, p)[0]
                 assert np.max(np.abs(outcome.state - expected)) <= 1e-12
                 assert abs(outcome.probability - probability) <= 1e-12
 
     def test_rejects_unknown_outcome(self):
-        cfg = CouplingConfig(0.4, 0.5)
         with pytest.raises(ValueError, match="outcome"):
-            fo.reduce_to_ab(fo.propagate(cfg), "D")
+            fo.reduce_to_ab(fo.propagate(one_point(0.4, 0.5)), "D")
         with pytest.raises(ValueError, match="outcome"):
-            protocol.coupled_stages(cfg, "D")
+            protocol.coupled_stages(CouplingConfig(0.4, 0.5), "D")
 
     def test_rejects_no_branches(self):
         with pytest.raises(ValueError, match="at least one branch"):
             fo.reduce_to_ab([])
 
     def test_overlap_continuity_at_zero(self):
-        stages = [fo.reduce_to_ab(fo.propagate(CouplingConfig(0.4, p))) for p in (0.0, 1e-9)]
+        stages = [oracle_stages(0.4, p) for p in (0.0, 1e-9)]
         for base, near in zip(*stages):  # stage I, then stage II
             assert np.max(np.abs(base.state - near.state)) < 1e-8
             assert abs(base.probability - near.probability) < 1e-8
 
     def test_partially_indistinguishable_concurrence(self):
-        outcome = fo.reduce_to_ab(fo.propagate(CouplingConfig(0.3, 0.85)), "H")[1]
+        outcome = oracle_stages(0.3, 0.85, "H")[1]
         assert abs(measures.concurrence(outcome.state) - 0.2204234122) < 1e-9
         assert abs(outcome.probability - 0.20075) < 1e-10
 
     def test_measured_concurrence_matches_closed_form(self):
         for t in (0.15, 0.3, 0.5, 0.65, 0.9):
             for p in (0.25, 0.5, 0.75, 1.0):
-                cfg = CouplingConfig(t, p)
-                outcome = fo.reduce_to_ab(fo.propagate(cfg), "H")[1]
-                closed = protocol.concurrence_closed_form(Stage.MEASUREMENT, cfg)
+                outcome = oracle_stages(t, p, "H")[1]
+                closed = protocol.concurrence_closed_form(Stage.MEASUREMENT, CouplingConfig(t, p))
                 assert abs(measures.concurrence(outcome.state) - closed) < 1e-8
 
     def test_coupled_concurrence_respects_disappearance_threshold(self):
         def coupled_concurrence(t, p):
-            stage1, _ = fo.reduce_to_ab(fo.propagate(CouplingConfig(t, p)))
-            return measures.concurrence(stage1.state)
+            return measures.concurrence(oracle_stages(t, p)[0].state)
 
         for t in (0.45, 0.5, 0.55):
             threshold = protocol.disappearance_threshold(t)
@@ -516,8 +551,9 @@ class TestReduceToAb:
         # perfectly bunching photons leave an empty post-selected branch
         m_b = fo.mode_index(fo.ARM_BOB, fo.POL_H, fo.TIME_SIGNAL)
         m_e = fo.mode_index(fo.ARM_MEAS, fo.POL_H, fo.TIME_SIGNAL)
-        branch = fo.postselect_one_each(fo.apply_beamsplitter({(0, m_b, m_e): 1.0}, 0.5))
-        assert fo.norm_squared(branch) == 0.0
+        branch = fo.postselect_one_each(fo.apply_beamsplitter({(0, m_b, m_e): np.ones(1)},
+                                                              np.array([0.5])))
+        assert fo.norm_squared(branch).tolist() == [0.0]
         with pytest.raises(ValueError, match="zero probability"):
             fo.reduce_to_ab([branch])
 
@@ -526,8 +562,8 @@ class TestReduceToAb:
         # the photons that left on one arm together carry no stage I or II weight
         overlaps = [0.0, 1e-9, 0.3, 0.5, 1.0]
         grid = CouplingConfig(np.repeat(np.linspace(0.0, 1.0, 11), 5), np.tile(overlaps, 11))
-        points = [CouplingConfig(t, p) for t, p in zip(rng.random(50), rng.random(50))]
-        for cfg in [grid, CouplingConfig(0.5, 1.0), CouplingConfig(0.4)] + points:
+        points = [one_point(t, p) for t, p in zip(rng.random(50), rng.random(50))]
+        for cfg in [grid, one_point(0.5, 1.0), one_point(0.4)] + points:
             propagated = fo.propagate(cfg)
             branches = [fo.postselect_one_each(vec) for vec in propagated]
             assert sum(map(len, branches)) < sum(map(len, propagated))  # bunched keys to drop
@@ -542,11 +578,10 @@ class TestReduceToAb:
         # filtering the simulated measured state equals filtering the
         # analytic one (distinguishable case)
         for t in (0.2, 0.4, 0.8):
-            cfg = CouplingConfig(t, 0.0)
             filters = protocol.eps_to_filter(0.15, t)
-            _, oracle = fo.reduce_to_ab(fo.propagate(cfg), "H")
-            from_oracle = protocol.stage3_filter(oracle, filters)
-            from_analytic = protocol.stage3_filter(protocol.coupled_stages(cfg, "H")[1], filters)
+            from_oracle = protocol.stage3_filter(oracle_stages(t, 0.0, "H")[1], filters)
+            from_analytic = protocol.stage3_filter(
+                protocol.coupled_stages(CouplingConfig(t, 0.0), "H")[1], filters)
             assert measures.fidelity(from_oracle.state, from_analytic.state) >= 1.0 - 1e-9
             assert abs(from_oracle.probability - from_analytic.probability) < 1e-10
 
@@ -565,22 +600,21 @@ class TestGrid:
             assert grid.state.shape == (ts.size, 4, 4) and grid.probability.shape == (ts.size,)
             assert grid.probability.dtype == float
         for i, (t, p) in enumerate(zip(ts.tolist(), ps.tolist())):
-            for grid, alone in zip(stages, fo.reduce_to_ab(fo.propagate(CouplingConfig(t, p)),
+            for grid, alone in zip(stages, fo.reduce_to_ab(fo.propagate(one_point(t, p)),
                                                            outcome)):
                 assert grid.stage is alone.stage
-                assert type(alone.probability) is float
                 assert grid.state[i].tobytes() == alone.state.tobytes()
-                assert float(grid.probability[i]).hex() == alone.probability.hex()
+                assert grid.probability[i].hex() == alone.probability[0].hex()
 
     def test_grid_branch_probabilities_equal_its_points(self):
         ts, ps = (axis.ravel() for axis in np.meshgrid(self.TS, self.PS))
         grid = fo.pattern_probabilities(fo.propagate(CouplingConfig(ts, ps)))
         for i, (t, p) in enumerate(zip(ts.tolist(), ps.tolist())):
-            alone = fo.pattern_probabilities(fo.propagate(CouplingConfig(t, p)))
+            alone = fo.pattern_probabilities(fo.propagate(one_point(t, p)))
             assert list(grid) == list(alone)
             for key, value in alone.items():
-                assert float(grid[key][i]).hex() == float(value).hex()
-            assert float(sum(grid.values())[i]).hex() == float(sum(alone.values())).hex()
+                assert grid[key][i].hex() == value[0].hex()
+            assert sum(grid.values())[i].hex() == sum(alone.values())[0].hex()
 
     def test_pattern_totals_equal_the_reference(self):
         # verify takes them and the stage states from one `propagate` call per block
@@ -588,7 +622,7 @@ class TestGrid:
             return np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
         ts, ps = (axis.ravel() for axis in np.meshgrid(self.TS, self.PS))
-        points = [CouplingConfig(t, p) for t, p in ((0.37, 0.5), (1.0, 0.0))]
+        points = [one_point(t, p) for t, p in ((0.37, 0.5), (1.0, 0.0))]
         for cfg in [CouplingConfig(ts, ps)] + points:
             totals = fo.pattern_probabilities(fo.propagate(cfg))
             expected = reference_branch_probabilities(cfg)
@@ -625,7 +659,7 @@ class TestSingleReduction:
         expected = (reference_reduce_to_ab(branches), reference_reduce_to_ab(branches, outcome))
         for stage, reference_stage in zip(found, expected):
             assert stage.stage is reference_stage.stage
-            assert type(stage.probability) is type(reference_stage.probability)
+            assert stage.probability.shape == reference_stage.probability.shape
             assert stage.state.tobytes() == reference_stage.state.tobytes()
             assert (np.asarray(stage.probability).tobytes()
                     == np.asarray(reference_stage.probability).tobytes())
@@ -649,7 +683,7 @@ class TestSingleReduction:
     def test_points_equal_the_two_contractions(self, rng, outcome):
         edges = [(t, p) for t in (0.0, 0.5, 1.0) for p in (0.0, 1e-9, 1.0)]
         for t, p in edges + list(zip(rng.random(150).tolist(), rng.random(150).tolist())):
-            self.assert_reference_bits(CouplingConfig(t, p), outcome)
+            self.assert_reference_bits(one_point(t, p), outcome)
 
     def test_both_stages_are_checked_in_one_pass(self, monkeypatch):
         propagated = fo.propagate(CouplingConfig(np.linspace(0.0, 1.0, 11), np.full(11, 0.5)))
@@ -698,8 +732,7 @@ class TestStageStructure:
 
     def test_oracle_points(self, rng):
         for t, p in zip(rng.random(100).tolist(), rng.random(100).tolist()):
-            cfg = CouplingConfig(t, p)
-            (stage1, h), (_, v) = (fo.reduce_to_ab(fo.propagate(cfg), outcome) for outcome in "HV")
+            (stage1, h), (_, v) = (oracle_stages(t, p, outcome) for outcome in "HV")
             self.assert_mixture(stage1, h, v)
 
     def test_analytic_states_at_p0(self, rng):
@@ -740,7 +773,7 @@ class TestHom:
     def test_a_grid_of_overlaps_needs_a_grid_of_transmittivities(self):
         with pytest.raises(ValueError, match="a grid of overlaps needs a grid of transmittivities"):
             fo.hom_coincidence(0.5, np.array([0.2, 0.4]))
-        with pytest.raises(ValueError, match=r"need transmittivities of that shape"):
+        with pytest.raises(ValueError, match="a grid of transmittivities of its shape"):
             fo.hom_coincidence(np.array([0.5, 0.3]), np.array([0.2, 0.4, 0.6]))
 
     def test_general_transmittivity_closed_form(self, rng):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from conftest import (counting, exact_stage_concurrences, functions_of, grid_closed_form,
-                      grid_concurrences, matrix_route_columns, random_density,
+                      grid_concurrences, matrix_route_columns, oracle_stages, random_density,
                       random_pure_density, reduced_sizes, x_concurrence)
 
 from entloc import cli, fock_oracle, measures, protocol, qmat, states
@@ -283,12 +283,10 @@ class TestFilterStates:
         prevs, filters = [], []
         for t in np.linspace(0.01, 0.99, 50).tolist():
             for p in (0.0, 0.3, 1.0):
-                cfg = CouplingConfig(t, p)
-                propagated = fock_oracle.propagate(cfg)
-                found = [protocol.coupled_stages(cfg, "H")[1],
-                         fock_oracle.reduce_to_ab(propagated, "V")[1]]
+                found = [protocol.coupled_stages(CouplingConfig(t, p), "H")[1],
+                         oracle_stages(t, p, "V")[1]]
                 if p == 0.0:  # the oracle route at p = 0
-                    found.append(fock_oracle.reduce_to_ab(propagated, "H")[1])
+                    found.append(oracle_stages(t, p, "H")[1])
                 for eps in (1e-6, 0.15, 1.0):
                     prevs += found
                     filters += [protocol.eps_to_filter(eps, t)] * len(found)
@@ -454,8 +452,9 @@ class TestStageConcurrences:
                 counts.update(configs=0, closed_forms=0)
                 assert [value.hex() for value in columns[3]] == [
                     closed_form(Stage.FILTRATION, CouplingConfig(t, p)).hex() for t in ts]
-            # no config per point (one per p > 0 block) and no closed-form call
-            assert found[0] == found[1] == {"configs": int(p > 0.0), "closed_forms": 0}
+            # no config per point (one per p > 0 block, and its lift to the oracle's grid)
+            # and no closed-form call
+            assert found[0] == found[1] == {"configs": 2 * int(p > 0.0), "closed_forms": 0}
 
     def test_a_grid_larger_than_a_block_is_measured_block_by_block(self, monkeypatch):
         ts, ps = np.linspace(0.0, 1.0, 11)[:, None], np.array([0.0, 0.5])

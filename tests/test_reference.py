@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import oracle_stages
 
 from entloc import fock_oracle, measures, protocol, reference
 from entloc.params import CouplingConfig, FilterConfig
@@ -162,9 +163,8 @@ class TestVerify:
                  "filtered_pipeline_consistency")
         expected = {name: [] for name in names}
         for t in [float(t) for t in np.linspace(0.0, 1.0, grid)][1:-1]:
-            cfg = CouplingConfig(t, 0.0)
-            analytic1, analytic2 = protocol.coupled_stages(cfg, "H")
-            oracle1, oracle2 = fock_oracle.reduce_to_ab(fock_oracle.propagate(cfg), "H")
+            analytic1, analytic2 = protocol.coupled_stages(CouplingConfig(t, 0.0), "H")
+            oracle1, oracle2 = oracle_stages(t, 0.0, "H")
             filters = protocol.eps_to_filter(0.15, t)
             pairs = [(oracle1, analytic1), (oracle2, analytic2),
                      (protocol.stage3_filter(oracle2, filters),
