@@ -31,8 +31,10 @@ fixed order, so every point of a grid gets the keys, the amplitudes and the
 and an add where Python rounds each real product and each sum once, but every
 beamsplitter matrix entry is purely real or purely imaginary: each part of a
 product with one is a single nonzero real product plus an exact zero, which
-rounds once either way, with or without numpy's SIMD kernels.  So the residuals
-`verify` reports keep their bits.
+rounds once either way, with or without numpy's SIMD kernels.  `norm_squared`
+folds a whole block with the bits of a Python loop over each point: `np.hypot`
+and `np.float_power` round as Python's complex `abs` and a float's `** 2` do, and
+`cumsum` adds the keys in order.  So the residuals `verify` reports keep their bits.
 
 The surrounding photon's completely mixed polarization I/2 is realized as a
 uniform classical mixture over {H, V} inputs, which is exact for a linear
@@ -71,17 +73,19 @@ def mode_index(arm: int, pol: int, time: int) -> int:
     return 4 * arm + 2 * pol + time
 
 
-def _left_fold(amps) -> float:
-    total = 0.0  # a left fold: from Python 3.12 on, the builtin sum of floats is compensated
-    for a in amps:
-        total += abs(a) ** 2
-    return float(total)
-
-
 def norm_squared(amps: dict) -> np.ndarray:
-    """Squared norms of a state, an (n,) array: the probabilities of a post-selected branch,
-    each point's left fold over its amplitudes as plain Python `complex`."""
-    return np.array([_left_fold(row) for row in np.array(list(amps.values())).T.tolist()])
+    """Squared norms of a state, an (n,) array: the probabilities of a post-selected branch.
+
+    Each point gets the bits of a left fold over its amplitudes as Python `complex`, `total +=
+    abs(amp) ** 2`: `np.hypot` of the parts rounds as Python's complex `abs`, where numpy's
+    complex `abs` kernels need not; `np.float_power(h, 2.0)` calls C `pow` as a float's `** 2`
+    does, where `np.square` and `h * h` round a product; and `cumsum` adds the keys one at a
+    time at every grid size, where `sum` adds a grid of one's keys pairwise.  The empty state
+    `{}` gives an empty array."""
+    if not amps:
+        return np.array([])
+    a = np.array(list(amps.values()), dtype=complex)  # a[key, point]
+    return np.cumsum(np.float_power(np.hypot(a.real, a.imag), 2.0), axis=0)[-1]
 
 
 def _time_bins(overlap) -> list:
@@ -230,13 +234,13 @@ def pattern_probabilities(propagated: list[dict]) -> dict[str, np.ndarray]:
 
     Averaged over the depolarized environment: both photons toward Bob, both
     toward the measurement box, or one photon in each arm.  They sum to 1.
+    Each total adds its keys' terms 0.5 |amp|^2 one at a time (`cumsum`), in the
+    order of the states and then of their keys.
     """
-    totals = {"both_bob": 0.0, "both_meas": 0.0, "one_each": 0.0}
-    by_meas_count = ("both_bob", "one_each", "both_meas")  # photons on the MEAS arm
-    for vec in propagated:
-        for (_, m1, m2), amp in vec.items():
-            totals[by_meas_count[m1 // 4 + m2 // 4]] += 0.5 * abs(amp) ** 2
-    return totals
+    meas_count = np.array([m1 // 4 + m2 // 4 for vec in propagated for _, m1, m2 in vec])
+    terms = 0.5 * abs(np.array([amp for vec in propagated for amp in vec.values()])) ** 2
+    return {name: np.cumsum(terms[meas_count == count], axis=0)[-1]
+            for name, count in (("both_bob", 0), ("both_meas", 2), ("one_each", 1))}
 
 
 def reduce_to_ab(propagated: list[dict], outcome: str = "H") -> tuple:

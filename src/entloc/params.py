@@ -53,14 +53,17 @@ class CouplingConfig:
 
     Both may be (n,) arrays of one shape: a grid of points, which
     `protocol.coupled_stages` evaluates in one call (p may also stay a float).
+    A point value is kept as a float, a -0.0 as 0.0.
     """
 
     transmittivity: float
     overlap: float = 0.0
 
     def __post_init__(self):
-        check_unit_interval(self.transmittivity, "transmittivity")
-        check_unit_interval(self.overlap, "overlap")
+        for name in ("transmittivity", "overlap"):
+            value = check_unit_interval(getattr(self, name), name)
+            if not getattr(value, "ndim", 0):
+                object.__setattr__(self, name, value + 0.0)  # -0.0 + 0.0 is 0.0
         grid_shape = getattr(self.transmittivity, "shape", ())
         if getattr(self.overlap, "shape", ()) not in ((), grid_shape):
             raise ValueError("a grid of overlaps needs a grid of transmittivities of its shape")

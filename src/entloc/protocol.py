@@ -164,11 +164,12 @@ def distinguishable_concurrences(transmittivity: float, eps: float) -> tuple:
     state has (0, qs, qs + (1-q)/2, (1-q)/2) and qs; `_point_concurrences`
     measures them under the `eps_to_filter` schedule, with `_filtration_limit`.
     Each float operation is the one of `coupled_stages` and `filter_states` on
-    the 4x4 matrices, in their order, so every value has their bits.  T outside
-    [0, 1] or eps outside (0, 1] raises ValueError; the stage III value is nan
-    where the filters block the stage II state (pass rate at most 1e-15).
+    the 4x4 matrices, in their order, so every value has their bits.  A T of
+    -0.0 is read as 0.0.  T outside [0, 1] or eps outside (0, 1] raises
+    ValueError; the stage III value is nan where the filters block the stage II
+    state (pass rate at most 1e-15).
     """
-    t, eps = float(transmittivity), float(eps)
+    t, eps = float(transmittivity) + 0.0, float(eps)  # -0.0 + 0.0 is 0.0
     if not (0.0 <= t <= 1.0 and 0.0 < eps <= 1.0):  # nan fails too; raise the checks' message
         check_unit_interval(t, "transmittivity")
         check_unit_interval(eps, "eps", open_at_zero=True)
@@ -294,6 +295,13 @@ def _filtration_limit(t: float, p: float) -> float:
     return min(numerator / math.sqrt(radicand), 1.0) if numerator != 0.0 else 0.0  # 0/0: 0
 
 
+def _measurement_closed_form(t: float, p: float) -> float:
+    """The stage II closed form of one point (`concurrence_closed_form`) in floats."""
+    r = 1.0 - t
+    return (t * t / (t * t + r * r) if p == 0.0
+            else t * abs(t - p * (1.0 - t)) / (1.0 - (2.0 + p) * t * (1.0 - t)))
+
+
 def concurrence_closed_form(stage: Stage, cfg: CouplingConfig, eps: float | None = None) -> float:
     """Closed-form concurrence of a stage at one point, evaluated verbatim in plain floats.
 
@@ -340,8 +348,7 @@ def concurrence_closed_form(stage: Stage, cfg: CouplingConfig, eps: float | None
                              "use the simulation (see also disappearance_threshold)")
         return max(0.0, (2.0 * t * t - r * r) / (2.0 * (r * r + t * t)))
     if stage is Stage.MEASUREMENT:
-        return (t * t / (t * t + r * r) if p == 0.0
-                else t * abs(t - p * (1.0 - t)) / (1.0 - (2.0 + p) * t * (1.0 - t)))
+        return _measurement_closed_form(t, p)
     if eps is None:
         return _filtration_limit(t, p)
     if p != 0.0:

@@ -177,9 +177,9 @@ def verify(grid: int, tolerance: float) -> dict:
     T.  The dense random states of `beamsplitter_unitarity`, one per interior
     T, are drawn in turn from one generator, a block's at a time, and take one
     `apply_beamsplitter` call per block, so no call holds more than a block;
-    each point's two norms are its own left folds, so every residual keeps the
-    bits of a grid of one.  The closed-form stage II concurrence is evaluated
-    one point at a time.
+    `norm_squared` folds each point's two norms in key order, so every residual
+    keeps the bits of a grid of one.  The closed-form stage II concurrence is
+    evaluated one point at a time, in plain floats.
     """
     if grid < 2:
         raise ValueError(f"grid must be at least 2, got {grid}")
@@ -233,18 +233,18 @@ def verify(grid: int, tolerance: float) -> dict:
         compared[:, :, 2], _ = protocol.filter_states(compared[:, :, 1],
                                                       protocol.eps_to_filter(0.15, ts))
         oracle_probabilities = [coupled.probability[first], measured.probability[first]]
+        continuity = np.abs(stage2[:, 1] - stage2[:, 0]).max(axis=(-2, -1)).tolist()
 
         for row, t in enumerate(block):
             at = {"transmittivity": t}
             records["probability_vs_analytic"] += [
                 (abs(found[row] - expected.probability[row]), {**at, "stage": stage})
                 for found, expected, stage in zip(oracle_probabilities, analytic, ("I", "II"))]
-            records["overlap_continuity"].append(
-                (float(np.max(np.abs(stage2[row, 1] - stage2[row, 0]))), at))
+            records["overlap_continuity"].append((continuity[row], at))
 
             for p, concurrence, total in zip(closed_ps, concurrences[row], totals[row, 2:]):
                 where = {**at, "overlap": p}
-                closed = protocol.concurrence_closed_form(Stage.MEASUREMENT, CouplingConfig(t, p))
+                closed = protocol._measurement_closed_form(t, p)
                 records["stage2_concurrence_vs_closed_form"].append(
                     (abs(concurrence - closed), where))
                 records["branch_completeness"].append((abs(total - 1.0), where))

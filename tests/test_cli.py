@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -164,6 +165,33 @@ def per_point_columns(ts, ps, eps):
     points = [per_point_stage_concurrences(*point)
               for point in zip(*(axis.ravel().tolist() for axis in grid))]
     return [np.array(column).reshape(grid[0].shape) for column in zip(*points)]
+
+
+class TestNegativeZeroTransmittivity:
+    """A T of -0.0 reads as 0.0: no -0 reaches a sweep's columns or a report's echo."""
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--variable", "eps", "--min", "0.5", "--steps", "2"],
+        ["sweep", "--variable", "p", "--steps", "3"],  # p = 0 and p > 0 points
+    ])
+    def test_sweep_prints_what_a_zero_t_prints(self, tmp_path, argv):
+        outputs = []
+        for t in ("-0.0", "0"):
+            out = tmp_path / f"sweep{t}.csv"
+            assert cli.main([*argv, "--T", t, "--out", str(out)]) == 0
+            outputs.append(out.read_text(encoding="utf-8"))
+        assert outputs[0] == outputs[1]
+        assert "-0" not in outputs[0]
+
+    def test_reproduce_echoes_a_zero_t(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert cli.main(["reproduce", "--table", "formulas", "--T", "-0.0", "--out", str(out)]) == 0
+        text = out.read_text(encoding="utf-8")
+        report = json.loads(text)
+        assert math.copysign(1.0, report["coupling"]["transmittivity"]) == 1.0
+        assert all(math.copysign(1.0, row["parameters"]["transmittivity"]) == 1.0
+                   for row in report["rows"])
+        assert "-0.0" not in text
 
 
 class TestSweepGrid:

@@ -361,6 +361,33 @@ class TestNormSquared:
         assert values.shape == (2,) and values.dtype == float
         assert [value.hex() for value in values.tolist()] == [(1.0).hex(), (1.0 + 2e-16).hex()]
 
+    def test_grid_of_one_is_a_left_fold_not_a_pairwise_sum(self):
+        # squares 1, then eight of 1e-16: the left fold rounds each partial sum back to 1,
+        # while numpy's pairwise sum, which `sum(axis=0)` runs along the keys of a grid of
+        # one, first adds the small squares together
+        values = [1.0] + [1e-8, -1e-8j, 1e-8j, -1e-8] * 2
+        amps = {(0, lo, 4 + lo): np.array([amp]) for lo, amp in enumerate(values)}
+        fold = left_fold(point_of(amps, 0))
+        assert np.array([abs(amp) ** 2 for amp in values]).sum().hex() != fold.hex()
+        assert fold == 1.0
+        found = fo.norm_squared(amps)
+        assert found.shape == (1,) and found.dtype == float
+        assert found[0].hex() == fold.hex()
+
+    def test_squares_round_as_python_complex_abs_and_pow(self):
+        # one key on a grid of 20000 seeded points, so each point's fold is its one square:
+        # abs(z) ** 2 (C pow) is not abs(z) * abs(z) at some of them, and where numpy
+        # dispatches an AVX-512 complex abs kernel, np.abs(z) is not abs(z) at some
+        zs = np.random.default_rng(20261021).standard_normal(40000).view(complex)
+        expected = [left_fold({(0, 0, 4): z}) for z in zs.tolist()]
+        assert any(abs(z) ** 2 != abs(z) * abs(z) for z in zs.tolist())
+        found = fo.norm_squared({(0, 0, 4): zs})
+        assert [value.hex() for value in found.tolist()] == [value.hex() for value in expected]
+
+    def test_the_empty_state(self):
+        found = fo.norm_squared({})
+        assert found.shape == (0,) and found.dtype == float
+
     def test_grid_gives_each_point_its_one_point_call(self, rng):
         vecs = fo.random_states(rng, 5)
         out = fo.apply_beamsplitter(vecs, np.array([0.0, 0.2, 0.5, 0.9, 1.0]))
@@ -630,6 +657,17 @@ class TestGrid:
             for key, value in expected.items():
                 assert same_bits(totals[key], value)
             assert same_bits(sum(totals.values()), sum(expected.values()))
+
+    def test_pattern_totals_of_a_whole_block_equal_the_reference(self):
+        # a block of verify's size, T = 0 and T = 1 shuffled among interior T
+        rng = np.random.default_rng(20261021)
+        ts = rng.permutation(np.concatenate([[0.0, 1.0] * 20, rng.random(216)]))
+        cfg = CouplingConfig(ts, rng.random(ts.size))
+        totals = fo.pattern_probabilities(fo.propagate(cfg))
+        expected = reference_branch_probabilities(cfg)
+        assert list(totals) == list(expected)
+        for key, value in expected.items():
+            assert totals[key].tobytes() == value.tobytes()
 
     def test_stacked_concurrence_of_grid_states_equals_its_points(self):
         ts, ps = (axis.ravel() for axis in np.meshgrid(np.linspace(0.05, 0.95, 19), self.PS))

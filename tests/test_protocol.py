@@ -36,6 +36,13 @@ class TestConfigs:
             with pytest.raises(ValueError, match="needs a grid of transmittivities"):
                 CouplingConfig(0.4, overlaps)
 
+    def test_a_point_is_a_float_and_negative_zero_reads_as_zero(self):
+        for cfg in (CouplingConfig(-0.0, -0.0), CouplingConfig(np.float64(-0.0), np.array(-0.0))):
+            for value in (cfg.transmittivity, cfg.overlap):
+                assert type(value) is float and math.copysign(1.0, value) == 1.0
+        grid = CouplingConfig(np.array([-0.0, 0.5]), np.array([0.5, 0.5]))
+        assert grid.transmittivity.tobytes() == np.array([-0.0, 0.5]).tobytes()  # kept as given
+
     def test_empty_grid_is_rejected(self):
         empty = np.array([])
         with pytest.raises(ValueError, match="transmittivity must hold at least one point"):
@@ -571,6 +578,13 @@ class TestDistinguishableConcurrences:
         assert ts.size >= 20000 and blocked.sum() > 100 and (~blocked).sum() > 100
         crossing = slice(14000, 16000)
         assert (expected[0][crossing] == 0.0).any() and (expected[0][crossing] > 0.0).any()
+
+    def test_negative_zero_t_gives_the_values_of_zero(self):
+        for eps in (0.5, 1.0):
+            found = protocol.distinguishable_concurrences(-0.0, eps)
+            assert [value.hex() for value in found] == [
+                value.hex() for value in protocol.distinguishable_concurrences(0.0, eps)]
+            assert math.copysign(1.0, found[3]) == 1.0  # the stage III limit
 
     def test_blocked_filters_give_nan(self):
         assert math.isnan(protocol.distinguishable_concurrences(0.0, 0.15)[2])

@@ -15,8 +15,8 @@ covers T, p and eps sweeps (T in {0, 1/2, 1} and random, p in {0, 1} and
 random, mixed p, eps down to 1e-15), `verify` grids, every `reproduce` table
 with and without its overrides (the formulas table at T down to 1e-300), `hom`
 (T within 1e-9 of 0 and of 1, 1e-5, 0.99999 and subnormal T included), the
-stage III limit at p = 1 within one ulp of T = 1/2 and at p within 1e-7 of 1, and
-usage errors.  It is drawn from a
+stage III limit at p = 1 within one ulp of T = 1/2 and at p within 1e-7 of 1, a T of
+-0.0, and usage errors.  It is drawn from a
 fixed seed, so every run lists the same invocations.
 """
 
@@ -69,6 +69,7 @@ def corpus() -> list[list[str]]:
     for grid in ["2", "3", "10", "50"]:
         runs.append(["verify", "--grid", grid])
     runs.append(["verify", "--grid", "10", "--tolerance", "1e-20"])  # fails: exit 1
+    runs.append(["verify", "--grid", "50", "--tolerance", "1e-300"])  # two blocks, every record
     for table in ["formulas", "distinguishable", "indistinguishable", "I", "II", "III"]:
         runs.append(["reproduce", "--table", table])
         for t in ["0", "0.3", "0.9", "1", draw()]:
@@ -120,6 +121,10 @@ def corpus() -> list[list[str]]:
                                      ("0.49999999999999994", "0.5", "2")]]
     limits.append(["sweep", "--variable", "p", "--T", "0.49999", "--min", "0.9999999", "--max",
                    "1", "--steps", "11"])
+    # a T of -0.0 reads as 0.0: no -0 in the stage III limit or in the echoed coupling
+    limits += [["sweep", "--variable", "eps", "--T", "-0.0", "--min", "0.5", "--steps", "2"],
+               ["sweep", "--variable", "p", "--T", "-0.0", "--steps", "3"],
+               ["reproduce", "--table", "formulas", "--T", "-0.0"]]
     hom_errors = [["hom", "--T", t] for t in ["1.5", "nan", "-0.0"]]
     return runs + usage_errors + blocks + [[*argv, "--out", OUT] for argv in limits] + hom_errors
 
